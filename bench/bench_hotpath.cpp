@@ -11,9 +11,6 @@
 //  3. Parallel validation: a 2000-signature block connected serially vs
 //     through the sharded pipeline (cold sigcache per pass), recording
 //     the block-connect speedup and `parallel.validate.*` counters.
-//  4. State sharding: the same fully-disjoint block applied serially vs
-//     by conflict groups (DLT_PARALLEL_STATE semantics), recording the
-//     `parallel.state.*` counters and requiring an identical tip.
 //
 // Results also land in BENCH_hotpath.json for tooling.
 #include <algorithm>
@@ -271,9 +268,7 @@ struct ConnectResult {
 };
 
 /// A sealed 1-block chain fixture: `payments` single-input payments, each
-/// spending its own genesis coin (fully disjoint — one conflict group per
-/// payment, one signature per payment). Shared by the parallel-validation
-/// and state-sharding connect benches.
+/// spending its own genesis coin (one signature per payment).
 struct BigBlockFixture {
   chain::ChainParams params;
   chain::GenesisSpec genesis;
@@ -381,81 +376,6 @@ ConnectResult bench_parallel_connect(std::size_t workers) {
   return out;
 }
 
-// --------------------------------------------------------------------------
-// State sharding (ISSUE 5): the same 2000-payment fully-disjoint block
-// applied serially vs through conflict-group sharding. Every payment
-// spends its own genesis coin, so the partitioner produces one singleton
-// group per payment -- the best case for the sharded path. The serial
-// pass is the reference; tips must match bit-for-bit.
-
-struct StateShardResult {
-  double serial_ms = 0;    // wall per connect
-  double sharded_ms = 0;
-  double speedup = 0;
-  std::size_t workers = 0;
-  std::size_t cores = 0;   // hardware threads actually available
-  std::size_t txs_per_block = 0;
-  std::uint64_t ps_batches = 0;
-  std::uint64_t ps_groups = 0;
-  std::uint64_t ps_demotions = 0;
-  std::uint64_t ps_txs = 0;
-  bool tip_identical = false;
-};
-
-StateShardResult bench_state_sharding(std::size_t workers) {
-  const BigBlockFixture fx = make_big_block(2000);
-  constexpr int kIters = 8;
-
-  StateShardResult out;
-  out.workers = workers;
-  out.cores = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  out.txs_per_block = fx.payments;
-
-  obs::MetricsRegistry reg;
-  Hash256 serial_tip;
-  Hash256 sharded_tip;
-  auto seconds_per_connect = [&](bool sharded, Hash256* tip) {
-    auto pool = sharded ? std::make_shared<support::ThreadPool>(workers)
-                        : nullptr;
-    double total = 0;
-    for (int it = -1; it < kIters; ++it) {  // it == -1 warms up
-      chain::Blockchain chain(fx.params, fx.genesis);
-      chain.set_sigcache(
-          std::make_shared<crypto::SignatureCache>(std::size_t{1} << 14));
-      if (pool) {
-        chain.set_verify_pool(pool);
-        chain.set_parallel_state(true);
-      }
-      chain.set_metrics(&reg);
-      const double secs = time_seconds([&] {
-        if (!chain.submit(fx.block).ok()) {
-          std::cerr << "state-sharding bench: submit failed\n";
-          std::exit(2);
-        }
-      });
-      if (it >= 0) total += secs;
-      *tip = chain.tip_hash();
-    }
-    return total / kIters;
-  };
-
-  const double serial = seconds_per_connect(false, &serial_tip);
-  const double sharded = seconds_per_connect(true, &sharded_tip);
-  out.serial_ms = serial * 1e3;
-  out.sharded_ms = sharded * 1e3;
-  out.speedup = sharded > 0 ? serial / sharded : 0;
-  out.tip_identical = serial_tip == sharded_tip;
-  if (const auto* c = reg.find_counter("parallel.state.batches"))
-    out.ps_batches = c->value();
-  if (const auto* c = reg.find_counter("parallel.state.groups"))
-    out.ps_groups = c->value();
-  if (const auto* c = reg.find_counter("parallel.state.demotions"))
-    out.ps_demotions = c->value();
-  if (const auto* c = reg.find_counter("parallel.state.txs"))
-    out.ps_txs = c->value();
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -469,14 +389,6 @@ int main(int argc, char** argv) {
                 << fmt(c.speedup, 2) << "x\n";
       return 0;
     }
-    if (mode == "--connect-state") {
-      const StateShardResult s = bench_state_sharding(4);
-      std::cout << mode << ": serial " << fmt(s.serial_ms, 2)
-                << " ms, sharded " << fmt(s.sharded_ms, 2) << " ms, "
-                << fmt(s.speedup, 2) << "x, tip "
-                << (s.tip_identical ? "identical" : "DIVERGED") << "\n";
-      return s.tip_identical ? 0 : 1;
-    }
     ClusterRun r;
     if (mode == "--cluster-off")
       r = run_cluster(false, 0);
@@ -487,9 +399,8 @@ int main(int argc, char** argv) {
     else if (mode == "--cluster-pipe")
       r = run_cluster(true, 4, /*pipeline=*/true);
     else {
-      std::cerr << "usage: bench_hotpath [--connect|--connect-state|"
-                   "--cluster-off|--cluster-on|--cluster-par|"
-                   "--cluster-pipe]\n";
+      std::cerr << "usage: bench_hotpath [--connect|--cluster-off|"
+                   "--cluster-on|--cluster-par|--cluster-pipe]\n";
       return 2;
     }
     std::cout << mode << ": wall " << fmt(r.wall, 2) << " s, metrics "
@@ -574,31 +485,6 @@ int main(int argc, char** argv) {
     std::cout << "NOTE: host has fewer hardware threads than workers; the "
                  ">=1.5x target applies on >=4-core hosts.\n";
 
-  std::cout << "\nState sharding: the same 2000-payment fully-disjoint "
-               "block, serial reference vs conflict-group sharded "
-               "application.\n";
-  const StateShardResult shard = bench_state_sharding(4);
-  Table shard_table({"mode", "ms/connect", "connects/s"});
-  shard_table.row({"serial", fmt(shard.serial_ms, 2),
-                   fmt(shard.serial_ms > 0 ? 1e3 / shard.serial_ms : 0, 1)});
-  shard_table.row({"sharded (" + std::to_string(shard.workers) + " workers)",
-                   fmt(shard.sharded_ms, 2),
-                   fmt(shard.sharded_ms > 0 ? 1e3 / shard.sharded_ms : 0,
-                       1)});
-  shard_table.print();
-  std::cout << "State-apply speedup: " << fmt(shard.speedup, 2) << "x ("
-            << shard.txs_per_block << " txs/block, " << shard.ps_batches
-            << " sharded batches, " << shard.ps_groups << " conflict groups, "
-            << shard.ps_demotions << " demotions, " << shard.cores
-            << " hardware threads), tip "
-            << (shard.tip_identical ? "identical" : "DIVERGED") << "\n";
-  if (shard.cores < shard.workers)
-    std::cout << "NOTE: host has fewer hardware threads than workers; "
-                 "expect ~1x here, the sharded path must only not lose.\n";
-  if (!shard.tip_identical)
-    std::cout << "ERROR: sharded state application diverged from the serial "
-                 "reference tip!\n";
-
   JsonObject macro_json;
   macro_json.put("wall_seconds_caches_off", off.wall);
   macro_json.put("wall_seconds_caches_on", on.wall);
@@ -624,31 +510,14 @@ int main(int argc, char** argv) {
   pv_json.put("batches", conn.pv_batches);
   pv_json.put("checks", conn.pv_checks);
 
-  JsonObject ps_json;
-  ps_json.put("workers", static_cast<std::uint64_t>(shard.workers));
-  ps_json.put("hardware_threads", static_cast<std::uint64_t>(shard.cores));
-  ps_json.put("txs_per_block",
-              static_cast<std::uint64_t>(shard.txs_per_block));
-  ps_json.put("serial_ms_per_connect", shard.serial_ms);
-  ps_json.put("sharded_ms_per_connect", shard.sharded_ms);
-  ps_json.put("state_apply_speedup", shard.speedup);
-  ps_json.put("batches", shard.ps_batches);
-  ps_json.put("groups", shard.ps_groups);
-  ps_json.put("demotions", shard.ps_demotions);
-  ps_json.put("txs", shard.ps_txs);
-  ps_json.put("tip_identical", shard.tip_identical);
-
   report.put("bench", "hotpath");
   report.put_raw("micro", micro_json.to_string());
   report.put_raw("cluster", macro_json.to_string());
   report.put_raw("parallel_validate", pv_json.to_string());
-  report.put_raw("parallel_state", ps_json.to_string());
   report.put_raw("metrics", on.metrics_json);  // caches-on reference run
   report.put_raw("trace_summary", on.trace_summary_json);
   write_bench_report("hotpath", report);
   std::cout << "Wrote BENCH_hotpath.json\n";
 
-  return identical && par_identical && pipe_identical && shard.tip_identical
-             ? 0
-             : 1;
+  return identical && par_identical && pipe_identical ? 0 : 1;
 }

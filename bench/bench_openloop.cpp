@@ -18,8 +18,8 @@
 //
 // Determinism contract: every figure in BENCH_openloop.json is sim-time
 // arithmetic from the dedicated traffic RNG stream, so the determinism
-// gate diffs the report byte-for-byte across DLT_VERIFY_THREADS,
-// DLT_PARALLEL_STATE and DLT_STORAGE settings.
+// gate diffs the report byte-for-byte across DLT_VERIFY_THREADS and
+// DLT_STORAGE settings.
 //
 // Gates (exit non-zero on violation):
 //   - admission tallies reconcile on every row

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "chain/codec.hpp"
-#include "core/partition.hpp"
 #include "obs/profile.hpp"
 #include "support/hex.hpp"
 #include "support/log.hpp"
@@ -18,11 +17,8 @@ namespace dlt::chain {
 
 namespace {
 
-/// Partition key for an outpoint: the funding txid with the output index
-/// folded into the leading bytes. Equal outpoints always map to the same
-/// key (so conflicting transactions can never be split apart); a key
-/// collision between distinct outpoints merely over-merges two groups,
-/// which is conservative and still deterministic.
+/// State-backend key for an outpoint: the funding txid with the output
+/// index folded into the leading bytes.
 Hash256 outpoint_key(const Outpoint& op) {
   Hash256 key = op.txid;
   key[0] ^= static_cast<Byte>(op.index);
@@ -260,7 +256,6 @@ void Blockchain::set_metrics(obs::MetricsRegistry* metrics) {
   profile_prefetch_ =
       metrics ? &metrics->histogram("profile.prefetch_us") : nullptr;
   pv_.wire(obs::Probe{metrics, nullptr, {}});
-  ps_.wire(obs::Probe{metrics, nullptr, {}});
 }
 
 void Blockchain::prefetch_signatures(const Block& block) const {
@@ -377,31 +372,15 @@ Status Blockchain::connect_block(Record& rec) {
   obs::ProfileTimer timer(profile_connect_);
 
   // Stateless phase: either the full sharded pipeline (verdict slots feed
-  // the stateful phase below) or the PR 1 prefetch-only reference. The
-  // sharded *stateful* phase also consumes verdict slots — its group
-  // workers must never touch the sigcache or a digest cache — so
-  // parallel_state implies the verdict pipeline.
-  const bool pipelined = parallel_validation() || parallel_state();
+  // the stateful phase below) or the prefetch-only reference.
   BlockVerdicts verdicts;
-  if (pipelined)
+  if (parallel_validation())
     verdicts = compute_verdicts(block);
   else
     prefetch_signatures(block);
 
-  Status st = Status::success();
-  bool handled = false;
-  if (parallel_state()) {
-    std::optional<Status> sharded = block.is_utxo()
-                                        ? connect_utxo_sharded(rec, verdicts)
-                                        : connect_account_sharded(rec, verdicts);
-    if (sharded) {
-      st = *sharded;
-      handled = true;
-    }
-  }
-  if (!handled)
-    st = block.is_utxo() ? connect_utxo(rec, verdicts)
-                         : connect_account(rec, verdicts);
+  const Status st = block.is_utxo() ? connect_utxo(rec, verdicts)
+                                    : connect_account(rec, verdicts);
   if (!st.ok()) return st;
 
   persist_connect(rec);
@@ -471,186 +450,6 @@ Status Blockchain::connect_account(Record& rec, const BlockVerdicts& verdicts) {
   state_ = std::move(state);
   for (const auto& tx : block.account_txs()) tx_index_[tx.id()] = rec.hash;
   return Status::success();
-}
-
-std::optional<Status> Blockchain::connect_utxo_sharded(
-    Record& rec, const BlockVerdicts& verdicts) {
-  const Block& block = rec.block;
-  const auto& txs = block.utxo_txs();
-  const std::size_t n = txs.size();  // txs[0] is the coinbase
-  if (n < 3) return std::nullopt;    // fewer than two payments: nothing to shard
-
-  // Key extraction on the simulation thread. A payment touches the
-  // outpoints it spends *and* the outpoints it creates, so an in-block
-  // dependency chain (tx B spends an output of tx A) lands in one group.
-  // Txids are memoized here so group workers never write a digest cache.
-  core::ConflictPartitioner part(n - 1);
-  std::vector<TxId> ids(n);
-  for (std::size_t i = 1; i < n; ++i) {
-    ids[i] = txs[i].id();
-    for (const TxIn& in : txs[i].inputs)
-      part.add_key(i - 1, outpoint_key(in.prevout));
-    for (std::uint32_t j = 0; j < txs[i].outputs.size(); ++j)
-      part.add_key(i - 1, outpoint_key(Outpoint{ids[i], j}));
-  }
-  const auto groups = part.groups();
-  ps_.record_batch(groups.size(), verify_pool_->thread_count());
-  if (groups.size() < 2) {
-    // One spanning group: every payment conflicts; nothing to parallelize.
-    ps_.record_demotion();
-    return std::nullopt;
-  }
-
-  // Group checks: side-effect-free validation against the frozen pre-block
-  // set plus a group-local overlay. Workers read disjoint state (group
-  // closure: every outpoint a group member touches is keyed to the group),
-  // take verdict slots for all crypto, and write only their own slots.
-  const std::uint32_t h = block.header.height;
-  std::vector<Amount> fees(n, 0);
-  std::vector<std::uint8_t> group_failed(groups.size(), 0);
-  {
-    obs::ProfileTimer timer(ps_.join_us);
-    verify_pool_->parallel_for(groups.size(), [&](std::size_t g) {
-      std::unordered_map<Outpoint, TxOut> created;
-      std::unordered_set<Outpoint> spent;
-      const auto lookup = [&](const Outpoint& op) -> std::optional<TxOut> {
-        if (spent.count(op)) return std::nullopt;
-        auto it = created.find(op);
-        if (it != created.end()) return it->second;
-        return utxo_.get(op);
-      };
-      for (const std::size_t member : groups[g]) {
-        const std::size_t i = member + 1;  // partition items skip the coinbase
-        auto fee = check_utxo_transaction(lookup, txs[i], h,
-                                          /*sigcache=*/nullptr, verdicts.tx(i));
-        if (!fee) {
-          group_failed[g] = 1;
-          break;
-        }
-        fees[i] = *fee;
-        for (const TxIn& in : txs[i].inputs) spent.insert(in.prevout);
-        for (std::uint32_t j = 0; j < txs[i].outputs.size(); ++j)
-          created.emplace(Outpoint{ids[i], j}, txs[i].outputs[j]);
-      }
-    });
-  }
-  for (const std::uint8_t failed : group_failed)
-    if (failed) {
-      // Some check failed (invalid block, or — defensively — a read the
-      // partition did not predict). The serial reference path re-runs the
-      // block and reports the first failure in block order, exactly as if
-      // the sharded phase never existed.
-      ps_.record_demotion();
-      return std::nullopt;
-    }
-
-  // Commit: every check passed, so replay the exact serial operation
-  // sequence — applies in block order, coinbase-inflation rule, coinbase
-  // undo rotated to the front — without re-checking.
-  Amount total_fees = 0;
-  for (std::size_t i = 1; i < n; ++i) total_fees += fees[i];
-  rec.undo.txs.clear();
-  if (txs.front().total_output() > params_.block_reward + total_fees) {
-    // The serial path applies then reverts every payment, which nets out
-    // to an untouched state; checking before applying lands in the same
-    // observable place.
-    rec.state_valid = false;
-    return Status(make_error("coinbase-inflation"));
-  }
-  for (std::size_t i = 1; i < n; ++i)
-    rec.undo.txs.push_back(utxo_.apply_transaction(txs[i]));
-  TxUndo cb_undo = utxo_.apply_transaction(txs.front());
-  rec.undo.txs.insert(rec.undo.txs.begin(), std::move(cb_undo));
-  for (const auto& tx : txs) tx_index_[tx.id()] = rec.hash;
-  ps_.record_applied(n - 1);
-  return Status::success();
-}
-
-std::optional<Status> Blockchain::connect_account_sharded(
-    Record& rec, const BlockVerdicts& verdicts) {
-  const Block& block = rec.block;
-  const auto& txs = block.account_txs();
-  const std::size_t n = txs.size();
-  if (n < 2) return std::nullopt;
-
-  // Key extraction: a transaction touches its sender and its recipient
-  // (the deterministic contract address for creations). Fee credits couple
-  // every transaction to the proposer account, so a block whose payments
-  // read or write the proposer cannot form independent groups.
-  const crypto::AccountId& proposer = block.header.proposer;
-  core::ConflictPartitioner part(n);
-  std::vector<crypto::AccountId> recipients(n);
-  bool touches_proposer = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    recipients[i] = txs[i].is_contract_creation()
-                        ? static_cast<crypto::AccountId>(txs[i].id())
-                        : txs[i].to;
-    part.add_key(i, txs[i].from);
-    part.add_key(i, recipients[i]);
-    if (txs[i].from == proposer || recipients[i] == proposer)
-      touches_proposer = true;
-  }
-  const auto groups = part.groups();
-  ps_.record_batch(groups.size(), verify_pool_->thread_count());
-  if (groups.size() < 2 || touches_proposer) {
-    ps_.record_demotion();
-    return std::nullopt;
-  }
-
-  // Group checks against the frozen pre-block world state plus a
-  // group-local account overlay that mirrors apply_transaction's effects
-  // minus the fee credit (the proposer is outside every group by the
-  // demotion rule above). Workers touch no trie mutation, no sigcache.
-  std::vector<std::uint8_t> group_failed(groups.size(), 0);
-  {
-    obs::ProfileTimer timer(ps_.join_us);
-    verify_pool_->parallel_for(groups.size(), [&](std::size_t g) {
-      std::unordered_map<crypto::AccountId, AccountState> overlay;
-      const auto lookup =
-          [&](const crypto::AccountId& id) -> std::optional<AccountState> {
-        auto it = overlay.find(id);
-        if (it != overlay.end()) return it->second;
-        return state_.get(id);
-      };
-      for (const std::size_t i : groups[g]) {
-        auto fee = check_account_transaction(lookup, txs[i], gas_,
-                                             /*sigcache=*/nullptr,
-                                             verdicts.tx(i));
-        if (!fee) {
-          group_failed[g] = 1;
-          break;
-        }
-        AccountState sender = *lookup(txs[i].from);
-        sender.balance -= txs[i].value + *fee;
-        sender.nonce += 1;
-        overlay[txs[i].from] = sender;
-        if (!txs[i].is_contract_creation()) {
-          AccountState recipient =
-              lookup(txs[i].to).value_or(AccountState{});
-          recipient.balance += txs[i].value;
-          overlay[txs[i].to] = recipient;
-        } else {
-          AccountState contract;
-          contract.balance = txs[i].value;
-          contract.code_size = txs[i].data_size;
-          overlay[recipients[i]] = contract;
-        }
-      }
-    });
-  }
-  for (const std::uint8_t failed : group_failed)
-    if (failed) {
-      ps_.record_demotion();
-      return std::nullopt;
-    }
-
-  // Commit: the trie's version sequence (and thus every intermediate and
-  // final state root) must be byte-identical to the reference, so the
-  // commit *is* the serial apply in block order. The sharded phase
-  // front-loads the validity checks; on this path they have all passed.
-  Status st = connect_account(rec, verdicts);
-  if (st.ok()) ps_.record_applied(n);
-  return st;
 }
 
 void Blockchain::disconnect_tip() {

@@ -216,22 +216,6 @@ class Blockchain {
     return parallel_validation_ && verify_pool_ != nullptr;
   }
 
-  /// Shards the *stateful* phase of block connect by conflict groups:
-  /// transactions are union-found on the state keys they touch (UTXO
-  /// outpoints / account ids), disjoint groups are checked concurrently
-  /// against the frozen pre-block state plus a group-local overlay, and the
-  /// commit replays the exact serial operation sequence in block order on
-  /// the calling thread. Blocks whose transactions all conflict (one
-  /// spanning group), fail any group check, or touch the proposer's fee
-  /// account demote to the serial reference path. No-op without a verify
-  /// pool. Implies the verdict pipeline so group workers never touch the
-  /// sigcache or any digest cache. Byte-identical traces, metrics and
-  /// ledger state vs serial (proven by tests/state_sharding_test.cpp).
-  void set_parallel_state(bool on) { parallel_state_ = on; }
-  bool parallel_state() const {
-    return parallel_state_ && verify_pool_ != nullptr;
-  }
-
   /// Wall-clock profiling of the validation hot path. Durations land in
   /// `profile.connect_block_us` / `profile.prefetch_us` histograms; they
   /// never enter traces (see obs/profile.hpp). May be null.
@@ -259,22 +243,9 @@ class Blockchain {
   /// state is left untouched and the record is marked invalid.
   Status connect_block(Record& rec);
 
-  /// Serial reference implementations of the stateful phase (one per
-  /// ledger model). These define the observable behavior; the sharded
-  /// variants below must be byte-identical to them.
+  /// The stateful phase, one per ledger model.
   Status connect_utxo(Record& rec, const BlockVerdicts& verdicts);
   Status connect_account(Record& rec, const BlockVerdicts& verdicts);
-
-  /// Sharded stateful apply (parallel_state). Returns the connect Status
-  /// when the block was handled by the conflict-group pipeline, or
-  /// std::nullopt when it must take the serial reference path instead —
-  /// either ineligible (fewer than two payments) or demoted. Batch, group
-  /// and demotion counters are recorded here from the partition alone, on
-  /// the simulation thread, so they are worker-count-independent.
-  std::optional<Status> connect_utxo_sharded(Record& rec,
-                                             const BlockVerdicts& verdicts);
-  std::optional<Status> connect_account_sharded(Record& rec,
-                                                const BlockVerdicts& verdicts);
 
   void disconnect_tip();
 
@@ -332,12 +303,10 @@ class Blockchain {
   std::shared_ptr<crypto::SignatureCache> sigcache_;
   std::shared_ptr<support::ThreadPool> verify_pool_;
   bool parallel_validation_ = false;
-  bool parallel_state_ = false;
 
   obs::Histogram* profile_connect_ = nullptr;
   obs::Histogram* profile_prefetch_ = nullptr;
   mutable obs::ParallelValidationMetrics pv_;
-  mutable obs::ParallelStateMetrics ps_;
 };
 
 /// Builds the deterministic genesis block for a spec (shared by all nodes).

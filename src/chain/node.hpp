@@ -47,10 +47,6 @@ struct NodeConfig {
   /// of the prefetch-only reference path. Needs `verify_pool`. Either
   /// setting yields byte-identical simulation results for a given seed.
   bool parallel_validation = false;
-  /// Shard the *stateful* phase of block connect by conflict groups
-  /// (Blockchain::set_parallel_state). Needs `verify_pool`. Either setting
-  /// yields byte-identical simulation results for a given seed.
-  bool parallel_state = false;
   /// Observability hookup (cluster-owned registry + tracer). A default
   /// probe is inert; see obs/probe.hpp.
   obs::Probe probe;

@@ -50,13 +50,29 @@ Result<WorldState> WorldState::apply_transaction(
     const AccountTransaction& tx, const crypto::AccountId& fee_recipient,
     const GasSchedule& gs, crypto::SignatureCache* sigcache,
     const TxVerdict* verdict) const {
-  auto checked = check_account_transaction(
-      [this](const crypto::AccountId& id) { return get(id); }, tx, gs,
-      sigcache, verdict);
-  if (!checked) return checked.error();
-  const Amount fee = *checked;
+  // Verdict slot, when present, is exactly verify_signature() pre-computed:
+  // signer-matches-from plus signature-over-sighash.
+  const InputVerdict* iv =
+      verdict && !verdict->inputs.empty() ? &verdict->inputs[0] : nullptr;
+  const bool sig_ok = iv ? (iv->signer == tx.from && iv->sig_ok)
+                         : tx.verify_signature(sigcache);
+  if (!sig_ok) return make_error("bad-signature");
 
-  AccountState new_sender = *get(tx.from);
+  const std::optional<AccountState> sender = get(tx.from);
+  if (!sender) return make_error("unknown-sender", "no such account");
+  if (sender->nonce != tx.nonce)
+    return make_error("bad-nonce", "expected nonce mismatch");
+
+  const std::uint64_t gas = tx.gas_used(gs);
+  if (gas > tx.gas_limit)
+    return make_error("out-of-gas", "intrinsic gas exceeds limit");
+  const Amount max_cost = tx.value + tx.max_fee();
+  if (sender->balance < max_cost)
+    return make_error("insufficient-balance");
+  // Only the gas actually used is charged; the rest is refunded.
+  const auto fee = static_cast<Amount>(gas * tx.gas_price);
+
+  AccountState new_sender = *sender;
   new_sender.balance -= tx.value + fee;
   new_sender.nonce += 1;
   WorldState next = with_account(tx.from, new_sender);

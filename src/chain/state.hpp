@@ -28,41 +28,6 @@ struct AccountState {
   static Result<AccountState> decode(ByteView raw);
 };
 
-/// The single definition of account-transaction validity, parameterized
-/// over the account view so the serial path (WorldState::apply_transaction,
-/// lookup = this state) and the sharded stateful pipeline (lookup = frozen
-/// state + group overlay) cannot diverge: same checks, same error codes,
-/// in the same order. `lookup(id)` returns std::optional<AccountState>.
-/// Returns the fee charged on success.
-template <typename Lookup>
-Result<Amount> check_account_transaction(const Lookup& lookup,
-                                         const AccountTransaction& tx,
-                                         const GasSchedule& gs,
-                                         crypto::SignatureCache* sigcache,
-                                         const TxVerdict* verdict) {
-  // Verdict slot, when present, is exactly verify_signature() pre-computed:
-  // signer-matches-from plus signature-over-sighash.
-  const InputVerdict* iv =
-      verdict && !verdict->inputs.empty() ? &verdict->inputs[0] : nullptr;
-  const bool sig_ok = iv ? (iv->signer == tx.from && iv->sig_ok)
-                         : tx.verify_signature(sigcache);
-  if (!sig_ok) return make_error("bad-signature");
-
-  const std::optional<AccountState> sender = lookup(tx.from);
-  if (!sender) return make_error("unknown-sender", "no such account");
-  if (sender->nonce != tx.nonce)
-    return make_error("bad-nonce", "expected nonce mismatch");
-
-  const std::uint64_t gas = tx.gas_used(gs);
-  if (gas > tx.gas_limit)
-    return make_error("out-of-gas", "intrinsic gas exceeds limit");
-  const Amount max_cost = tx.value + tx.max_fee();
-  if (sender->balance < max_cost)
-    return make_error("insufficient-balance");
-
-  return static_cast<Amount>(gas * tx.gas_price);  // unused gas is refunded
-}
-
 /// One immutable world-state version (wraps one trie version).
 class WorldState {
  public:

@@ -166,7 +166,6 @@ void ChainTraits::build_nodes(Engine& e) {
           config.crypto.sigcache_capacity);
     nc.verify_pool = crypto.verify_pool;
     nc.parallel_validation = config.crypto.parallel_validation;
-    nc.parallel_state = config.crypto.parallel_state;
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
     if (config.traffic.enabled) {
@@ -266,11 +265,6 @@ void ChainTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
 void ChainTraits::set_parallel_validation(Engine& e, bool on) {
   for (std::size_t i = 0; i < e.node_count(); ++i)
     e.node(i).chain().set_parallel_validation(on);
-}
-
-void ChainTraits::set_parallel_state(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).chain().set_parallel_state(on);
 }
 
 void ChainTraits::fill_metrics(const Engine& e, RunMetrics& m) {

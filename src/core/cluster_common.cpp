@@ -17,8 +17,7 @@ ClusterCrypto make_cluster_crypto(const CryptoConfig& config) {
   // pipeline asked for it, so prefetch-era configs keep their exact
   // pool-or-not behavior.
   if (config.verify_threads > 1 ||
-      ((config.parallel_validation || config.parallel_state) &&
-       config.verify_threads == 1))
+      (config.parallel_validation && config.verify_threads == 1))
     out.verify_pool =
         std::make_shared<support::ThreadPool>(config.verify_threads);
   return out;
@@ -66,23 +65,11 @@ void apply_env_crypto(CryptoConfig& config) {
     }
   }
 
-  const char* state_env = std::getenv("DLT_PARALLEL_STATE");
-  if (state_env && *state_env != '\0') {
-    if (const std::optional<bool> on = parse_bool_env(state_env)) {
-      config.parallel_state = *on;
-      // The sharded stateful phase needs a pool to run groups on.
-      if (*on && config.verify_threads == 0) config.verify_threads = 1;
-      overridden = true;
-    }
-  }
-
   if (overridden) {
     DLT_LOG_INFO("crypto env override: verify_threads=%zu "
-                 "parallel_validation=%s parallel_state=%s "
-                 "shared_sigcache=%s",
+                 "parallel_validation=%s shared_sigcache=%s",
                  config.verify_threads,
                  config.parallel_validation ? "on" : "off",
-                 config.parallel_state ? "on" : "off",
                  config.shared_sigcache ? "on" : "off");
   }
 }

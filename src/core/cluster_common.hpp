@@ -39,13 +39,6 @@ struct CryptoConfig {
   /// the pool, verdicts consumed by the serial apply phase) instead of the
   /// prefetch-only reference. Needs verify_threads >= 1.
   bool parallel_validation = false;
-  /// Shard the *stateful* apply phase too: transactions are partitioned
-  /// into disjoint conflict groups (core/partition.hpp) that are checked
-  /// concurrently against a frozen snapshot, then committed serially in
-  /// tx order; conflicting batches demote to the serial reference path.
-  /// Needs verify_threads >= 1. Off by default; either setting yields
-  /// byte-identical traces, metrics and ledger state for a given seed.
-  bool parallel_state = false;
 };
 
 /// Applies the environment overrides used by benches and the determinism
@@ -57,9 +50,6 @@ struct CryptoConfig {
 ///    byte-identical either way, so the pipeline is now the env default.)
 ///  - DLT_PARALLEL_VALIDATION=1/true/on|0/false/off: explicit pipeline
 ///    override, applied after DLT_VERIFY_THREADS. Enabling it with
-///    verify_threads still 0 bumps verify_threads to 1 so the pool exists.
-///  - DLT_PARALLEL_STATE=1/true/on|0/false/off: toggles the sharded
-///    state-application pipeline (conflict-group apply). Enabling it with
 ///    verify_threads still 0 bumps verify_threads to 1 so the pool exists.
 /// Unset/invalid values leave `config` untouched.
 void apply_env_crypto(CryptoConfig& config);

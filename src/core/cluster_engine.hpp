@@ -73,7 +73,6 @@ struct SubmitOutcome {
 ///                  // classify into engine.admission() and stamp the
 ///                  // lifecycle tracker with the arrival's fee class
 ///   static void set_parallel_validation(ClusterEngine&, bool);
-///   static void set_parallel_state(ClusterEngine&, bool);
 ///   static void fill_metrics(const ClusterEngine&, RunMetrics&);
 ///   static bool converged(const ClusterEngine&);
 ///
@@ -197,10 +196,6 @@ class ClusterEngine {
   void set_parallel_validation(bool on) {
     Traits::set_parallel_validation(*this, on);
   }
-
-  /// Toggles the sharded stateful-apply pipeline on every node's ledger
-  /// (Traits::set_parallel_state). Byte-identical output either way.
-  void set_parallel_state(bool on) { Traits::set_parallel_state(*this, on); }
 
   /// Snapshot of aggregated metrics (reference view: node 0). The engine
   /// fills the ledger-independent fields; Traits::fill_metrics the rest.

@@ -98,7 +98,6 @@ void LatticeTraits::build_nodes(Engine& e) {
     nc.sigcache = crypto.sigcache;
     nc.verify_pool = crypto.verify_pool;
     nc.parallel_validation = config.crypto.parallel_validation;
-    nc.parallel_state = config.crypto.parallel_state;
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
     // Every node gets a store (memory mode by default) so storage.* gauges
@@ -187,11 +186,6 @@ void LatticeTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
 void LatticeTraits::set_parallel_validation(Engine& e, bool on) {
   for (std::size_t i = 0; i < e.node_count(); ++i)
     e.node(i).ledger().set_parallel_validation(on);
-}
-
-void LatticeTraits::set_parallel_state(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).ledger().set_parallel_state(on);
 }
 
 void LatticeTraits::fill_metrics(const Engine& e, RunMetrics& m) {

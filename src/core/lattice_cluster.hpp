@@ -83,7 +83,6 @@ struct LatticeTraits {
                              const TrafficEvent& ev);
   static void set_parallel_validation(ClusterEngine<LatticeTraits>& e,
                                       bool on);
-  static void set_parallel_state(ClusterEngine<LatticeTraits>& e, bool on);
   static void fill_metrics(const ClusterEngine<LatticeTraits>& e,
                            RunMetrics& m);
   static bool converged(const ClusterEngine<LatticeTraits>& e);

@@ -135,7 +135,6 @@ void TangleTraits::build_nodes(Engine& e) {
     tangle::TangleNodeConfig nc;
     nc.verify_pool = crypto.verify_pool;
     nc.parallel_validation = config.crypto.parallel_validation;
-    nc.parallel_state = config.crypto.parallel_state;
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
     nc.lifecycle_observer = (i == 0);
@@ -217,11 +216,6 @@ void TangleTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
 void TangleTraits::set_parallel_validation(Engine& e, bool on) {
   for (std::size_t i = 0; i < e.node_count(); ++i)
     e.node(i).tangle().set_parallel_validation(on);
-}
-
-void TangleTraits::set_parallel_state(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).tangle().set_parallel_state(on);
 }
 
 void TangleTraits::fill_metrics(const Engine& e, RunMetrics& m) {

@@ -86,7 +86,6 @@ struct TangleTraits {
                              const TrafficEvent& ev);
   static void set_parallel_validation(ClusterEngine<TangleTraits>& e,
                                       bool on);
-  static void set_parallel_state(ClusterEngine<TangleTraits>& e, bool on);
   static void fill_metrics(const ClusterEngine<TangleTraits>& e,
                            RunMetrics& m);
   static bool converged(const ClusterEngine<TangleTraits>& e);

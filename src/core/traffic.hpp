@@ -16,7 +16,7 @@
 // split from nothing else — see DESIGN.md "Admission determinism contract").
 // Senders are Zipf-distributed (zipf_s, 0 = uniform) and receivers skew
 // onto a small hot set (hot_receiver_fraction/hot_receiver_count) to shape
-// read/write-key conflicts for the ConflictPartitioner.
+// contention on a few hot accounts.
 //
 // Each arrival carries a fee class k ∈ [0, fee_class_count): the fee paid
 // is base_fee · fee_class_multiplier(k) (geometric ladder 1, 4, 16, ...),

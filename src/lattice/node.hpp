@@ -55,10 +55,6 @@ struct LatticeNodeConfig {
   /// serial apply phase. Needs the pool; simulation output is
   /// byte-identical either way for a given seed.
   bool parallel_validation = false;
-  /// Shard the stateful phase of batched block application by conflict
-  /// groups (Ledger::process_batch). Needs the pool; simulation output is
-  /// byte-identical either way for a given seed.
-  bool parallel_state = false;
   /// Per-node persistent store (storage/ledger_store.hpp); handed to the
   /// ledger via Ledger::attach_store. Null = no write-through.
   std::shared_ptr<storage::LedgerStore> store;

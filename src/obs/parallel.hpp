@@ -36,41 +36,4 @@ struct ParallelValidationMetrics {
   }
 };
 
-/// Metric wiring for the sharded state-application pipeline
-/// (`CryptoConfig::parallel_state`), shared by all three ledgers under the
-/// `parallel.state.*` names.
-///
-/// Determinism contract: `batches`, `groups`, `demotions` and `txs` are
-/// derived from the conflict partition, which is computed on the
-/// simulation thread — they are identical for a given seed at every worker
-/// count (the gate diffs them exactly). `workers` reflects pool size and
-/// is exempted like its validate counterpart; `join_us` is wall-clock.
-struct ParallelStateMetrics {
-  Counter* batches = nullptr;    // blocks/batches routed through sharding
-  Counter* groups = nullptr;     // conflict groups formed (pre-demotion)
-  Counter* demotions = nullptr;  // batches demoted to the serial path
-  Counter* txs = nullptr;        // items applied via concurrent groups
-  Gauge* workers = nullptr;      // pool concurrency (caller included)
-  Histogram* join_us = nullptr;  // wall-clock group start -> join complete
-
-  void wire(const Probe& probe) {
-    batches = probe.counter("parallel.state.batches");
-    groups = probe.counter("parallel.state.groups");
-    demotions = probe.counter("parallel.state.demotions");
-    txs = probe.counter("parallel.state.txs");
-    workers = probe.gauge("parallel.state.workers");
-    join_us = probe.histogram("parallel.state.join_us");
-  }
-
-  /// Records one partitioned batch. Call on the simulation thread with
-  /// values derived from the ConflictPartitioner only.
-  void record_batch(std::size_t group_count, std::size_t worker_count) {
-    inc(batches);
-    inc(groups, group_count);
-    set(workers, static_cast<double>(worker_count));
-  }
-  void record_demotion() { inc(demotions); }
-  void record_applied(std::size_t item_count) { inc(txs, item_count); }
-};
-
 }  // namespace dlt::obs

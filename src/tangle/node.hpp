@@ -34,10 +34,6 @@ struct TangleNodeConfig {
   /// across `verify_pool` before the serial cone phase. Needs the pool;
   /// attach outcomes are byte-identical either way for a given seed.
   bool parallel_validation = false;
-  /// Shard the stateful phase of batched attaches by conflict groups
-  /// (Tangle::attach_batch). Needs the pool; outcomes are byte-identical
-  /// either way for a given seed.
-  bool parallel_state = false;
   /// Per-node persistent store (storage/ledger_store.hpp); handed to the
   /// tangle via Tangle::attach_store. Null = no write-through.
   std::shared_ptr<storage::LedgerStore> store;

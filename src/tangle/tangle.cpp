@@ -5,99 +5,11 @@
 #include <cmath>
 #include <deque>
 
-#include "core/partition.hpp"
 #include "crypto/hash.hpp"
 #include "obs/profile.hpp"
 #include "support/serialize.hpp"
 
 namespace dlt::tangle {
-
-namespace {
-
-// The single definitions of the cone traversals and the stateful attach
-// checks, parameterized over the transaction lookup so the serial path
-// (lookup = the live txs_ map) and the sharded batch pipeline (lookup =
-// frozen map + group overlay) cannot diverge. `lookup(hash)` returns the
-// transaction or nullptr.
-
-template <typename Lookup>
-std::unordered_set<TxHash> past_cone_with(const Lookup& lookup,
-                                          const TxHash& genesis_hash,
-                                          const TxHash& hash) {
-  std::unordered_set<TxHash> cone;
-  if (!lookup(hash)) return cone;
-  std::deque<TxHash> frontier{hash};
-  while (!frontier.empty()) {
-    const TxHash cur = frontier.front();
-    frontier.pop_front();
-    if (!cone.insert(cur).second) continue;
-    if (cur == genesis_hash) continue;
-    const TangleTx& tx = *lookup(cur);
-    frontier.push_back(tx.trunk);
-    if (tx.branch != tx.trunk) frontier.push_back(tx.branch);
-  }
-  return cone;
-}
-
-template <typename Lookup>
-std::unordered_set<Hash256> cone_spend_keys_with(const Lookup& lookup,
-                                                 const TxHash& genesis_hash,
-                                                 const TxHash& hash) {
-  std::unordered_set<Hash256> keys;
-  for (const TxHash& h : past_cone_with(lookup, genesis_hash, hash)) {
-    const TangleTx& tx = *lookup(h);
-    if (!tx.spend_key.is_zero()) keys.insert(tx.spend_key);
-  }
-  return keys;
-}
-
-template <typename Lookup>
-bool cone_conflicts_with(const Lookup& lookup, const TxHash& genesis_hash,
-                         const TxHash& a, const TxHash& b) {
-  // Two cones conflict if some spend key appears on BOTH sides via
-  // DIFFERENT transactions. Build key->tx maps and compare.
-  std::unordered_map<Hash256, TxHash> ka;
-  for (const TxHash& t : past_cone_with(lookup, genesis_hash, a)) {
-    const TangleTx& tx = *lookup(t);
-    if (!tx.spend_key.is_zero()) ka.emplace(tx.spend_key, t);
-  }
-  if (ka.empty()) return false;
-  for (const TxHash& t : past_cone_with(lookup, genesis_hash, b)) {
-    const TangleTx& tx = *lookup(t);
-    if (tx.spend_key.is_zero()) continue;
-    auto it = ka.find(tx.spend_key);
-    if (it != ka.end() && it->second != t) return true;
-  }
-  return false;
-}
-
-/// Parents present + combined cone conflict-free + no double spend of the
-/// new transaction's own key within the approved cone.
-template <typename Lookup>
-Status check_attach_with(const Lookup& lookup, const TxHash& genesis_hash,
-                         const TangleTx& tx) {
-  if (!lookup(tx.trunk)) return make_error("unknown-trunk");
-  if (!lookup(tx.branch)) return make_error("unknown-branch");
-
-  // Consistency: the combined past cone must be conflict-free, and the
-  // new transaction must not double-spend a key already in that cone
-  // (its own re-attachment under the same key elsewhere is the conflict
-  // the network later resolves by starvation).
-  if (cone_conflicts_with(lookup, genesis_hash, tx.trunk, tx.branch))
-    return make_error("inconsistent-parents",
-                      "trunk and branch cones double-spend");
-  if (!tx.spend_key.is_zero()) {
-    auto keys = cone_spend_keys_with(lookup, genesis_hash, tx.trunk);
-    auto branch_keys = cone_spend_keys_with(lookup, genesis_hash, tx.branch);
-    keys.insert(branch_keys.begin(), branch_keys.end());
-    if (keys.count(tx.spend_key))
-      return make_error("double-spend",
-                        "spend key already present in the approved cone");
-  }
-  return Status::success();
-}
-
-}  // namespace
 
 TxHash TangleTx::hash() const {
   Writer w;
@@ -219,19 +131,47 @@ const TangleTx* Tangle::find(const TxHash& hash) const {
 }
 
 std::unordered_set<TxHash> Tangle::past_cone(const TxHash& hash) const {
-  return past_cone_with([this](const TxHash& h) { return find(h); },
-                        genesis_hash_, hash);
+  std::unordered_set<TxHash> cone;
+  if (!contains(hash)) return cone;
+  std::deque<TxHash> frontier{hash};
+  while (!frontier.empty()) {
+    const TxHash cur = frontier.front();
+    frontier.pop_front();
+    if (!cone.insert(cur).second) continue;
+    if (cur == genesis_hash_) continue;
+    const TangleTx& tx = txs_.at(cur);
+    frontier.push_back(tx.trunk);
+    if (tx.branch != tx.trunk) frontier.push_back(tx.branch);
+  }
+  return cone;
 }
 
 std::unordered_set<Hash256> Tangle::cone_spend_keys(
     const TxHash& hash) const {
-  return cone_spend_keys_with([this](const TxHash& h) { return find(h); },
-                              genesis_hash_, hash);
+  std::unordered_set<Hash256> keys;
+  for (const TxHash& h : past_cone(hash)) {
+    const TangleTx& tx = txs_.at(h);
+    if (!tx.spend_key.is_zero()) keys.insert(tx.spend_key);
+  }
+  return keys;
 }
 
 bool Tangle::cone_conflicts(const TxHash& a, const TxHash& b) const {
-  return cone_conflicts_with([this](const TxHash& h) { return find(h); },
-                             genesis_hash_, a, b);
+  // Two cones conflict if some spend key appears on BOTH sides via
+  // DIFFERENT transactions. Build key->tx maps and compare.
+  std::unordered_map<Hash256, TxHash> ka;
+  for (const TxHash& t : past_cone(a)) {
+    const TangleTx& tx = txs_.at(t);
+    if (!tx.spend_key.is_zero()) ka.emplace(tx.spend_key, t);
+  }
+  if (ka.empty()) return false;
+  for (const TxHash& t : past_cone(b)) {
+    const TangleTx& tx = txs_.at(t);
+    if (tx.spend_key.is_zero()) continue;
+    auto it = ka.find(tx.spend_key);
+    if (it != ka.end() && it->second != t) return true;
+  }
+  return false;
 }
 
 void Tangle::set_probe(obs::Probe probe) {
@@ -239,10 +179,10 @@ void Tangle::set_probe(obs::Probe probe) {
   obs_attached_ = probe_.counter("tangle.attached");
   obs_rejected_ = probe_.counter("tangle.rejected");
   pv_.wire(probe_);
-  ps_.wire(probe_);
 }
 
-void Tangle::record_attach(const TangleTx& tx, const Status& st) {
+Status Tangle::attach(const TangleTx& tx) {
+  Status st = attach_impl(tx);
   if (st.ok()) {
     obs::inc(obs_attached_);
     if (probe_.tracer && probe_.tracer->enabled())
@@ -252,11 +192,6 @@ void Tangle::record_attach(const TangleTx& tx, const Status& st) {
   } else {
     obs::inc(obs_rejected_);
   }
-}
-
-Status Tangle::attach(const TangleTx& tx) {
-  Status st = attach_impl(tx);
-  record_attach(tx, st);
   return st;
 }
 
@@ -319,111 +254,34 @@ void Tangle::apply_attached(const TangleTx& tx, const TxHash& hash) {
   }
 }
 
-Status Tangle::attach_one(const TangleTx& tx, const TxHash& hash,
-                          const core::StatelessVerdict* verdict) {
-  if (txs_.count(hash)) return make_error("duplicate");
-  if (Status st = check_stateless(tx, verdict); !st.ok()) return st;
-  const auto lookup = [this](const TxHash& h) { return find(h); };
-  if (Status st = check_attach_with(lookup, genesis_hash_, tx); !st.ok())
-    return st;
-  apply_attached(tx, hash);
-  return Status::success();
-}
-
 Status Tangle::attach_impl(const TangleTx& tx) {
   const TxHash hash = tx.hash();
   if (txs_.count(hash)) return make_error("duplicate");
-  if (parallel_validation()) {
-    const core::StatelessVerdict verdict = compute_verdict(tx);
-    return attach_one(tx, hash, &verdict);
-  }
-  return attach_one(tx, hash, nullptr);
-}
+  std::optional<core::StatelessVerdict> verdict;
+  if (parallel_validation()) verdict = compute_verdict(tx);
+  if (Status st = check_stateless(tx, verdict ? &*verdict : nullptr);
+      !st.ok())
+    return st;
 
-std::vector<Status> Tangle::attach_batch(const std::vector<TangleTx>& txs) {
-  const std::size_t n = txs.size();
-  std::vector<Status> out(n);
-  if (!parallel_state() || n < 2) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = attach(txs[i]);
-    return out;
+  if (!contains(tx.trunk)) return make_error("unknown-trunk");
+  if (!contains(tx.branch)) return make_error("unknown-branch");
+  // Consistency: the combined past cone must be conflict-free, and the
+  // new transaction must not double-spend a key already in that cone
+  // (its own re-attachment under the same key elsewhere is the conflict
+  // the network later resolves by starvation).
+  if (cone_conflicts(tx.trunk, tx.branch))
+    return make_error("inconsistent-parents",
+                      "trunk and branch cones double-spend");
+  if (!tx.spend_key.is_zero()) {
+    auto keys = cone_spend_keys(tx.trunk);
+    auto branch_keys = cone_spend_keys(tx.branch);
+    keys.insert(branch_keys.begin(), branch_keys.end());
+    if (keys.count(tx.spend_key))
+      return make_error("double-spend",
+                        "spend key already present in the approved cone");
   }
-
-  // Collect on the calling thread: hashes, frozen-duplicate flags and the
-  // stateless verdicts, in batch order (mirroring the serial loop, which
-  // skips the stateless checks for transactions the tangle already holds).
-  std::vector<TxHash> hashes(n);
-  std::vector<std::uint8_t> dup_frozen(n, 0);
-  std::vector<core::StatelessVerdict> verdicts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    hashes[i] = txs[i].hash();
-    dup_frozen[i] = txs_.count(hashes[i]) ? 1 : 0;
-    if (!dup_frozen[i]) verdicts[i] = compute_verdict(txs[i]);
-  }
-
-  // Key extraction: a transaction touches its own hash (duplicate
-  // detection, approver/tip bookkeeping) and its two parents. An in-batch
-  // ancestor chain shares hash keys link by link, so every transaction's
-  // reachable in-batch cone lands in its group transitively; the frozen
-  // part of the cone is read-only for the whole check phase. The spend
-  // key is included so same-key double spends group together.
-  core::ConflictPartitioner part(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    part.add_key(i, hashes[i]);
-    part.add_key(i, txs[i].trunk);
-    part.add_key(i, txs[i].branch);
-    if (!txs[i].spend_key.is_zero()) part.add_key(i, txs[i].spend_key);
-  }
-  const auto groups = part.groups();
-  ps_.record_batch(groups.size(), verify_pool_->thread_count());
-  if (groups.size() < 2) {
-    // One spanning group: nothing to parallelize; serial reference path.
-    ps_.record_demotion();
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = attach_one(txs[i], hashes[i],
-                          dup_frozen[i] ? nullptr : &verdicts[i]);
-      record_attach(txs[i], out[i]);
-    }
-    return out;
-  }
-
-  // Group checks: pure cone traversals against the frozen tangle plus a
-  // group-local overlay of the transactions this group has accepted so
-  // far. Workers write only their own status slots.
-  {
-    obs::ProfileTimer timer(ps_.join_us);
-    verify_pool_->parallel_for(groups.size(), [&](std::size_t g) {
-      std::unordered_map<TxHash, const TangleTx*> added;
-      const auto lookup = [&](const TxHash& h) -> const TangleTx* {
-        auto it = added.find(h);
-        if (it != added.end()) return it->second;
-        return find(h);
-      };
-      for (const std::size_t i : groups[g]) {
-        if (added.count(hashes[i]) != 0 || txs_.count(hashes[i]) != 0) {
-          out[i] = make_error("duplicate");
-          continue;
-        }
-        Status st = check_stateless(txs[i], &verdicts[i]);
-        if (st.ok()) st = check_attach_with(lookup, genesis_hash_, txs[i]);
-        out[i] = st;
-        if (out[i].ok()) added.emplace(hashes[i], &txs[i]);
-      }
-    });
-  }
-
-  // Commit: replay the exact serial sequence in batch order — mutations
-  // for the passing transactions, counters and tip_attached traces for
-  // every transaction, exactly as the attach() loop would emit them.
-  std::size_t applied = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out[i].ok()) {
-      apply_attached(txs[i], hashes[i]);
-      ++applied;
-    }
-    record_attach(txs[i], out[i]);
-  }
-  ps_.record_applied(applied);
-  return out;
+  apply_attached(tx, hash);
+  return Status::success();
 }
 
 std::vector<TxHash> Tangle::tips() const {

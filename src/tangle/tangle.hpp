@@ -108,17 +108,6 @@ class Tangle {
   /// conflicts (with each other and with the new transaction).
   Status attach(const TangleTx& tx);
 
-  /// Attaches a batch of transactions in order, returning one Status per
-  /// transaction (index-aligned). With parallel_state off this is exactly
-  /// an attach() loop. With it on, transactions are union-found into
-  /// conflict groups on the state keys they touch (own hash, trunk,
-  /// branch, spend key), groups are checked concurrently against the
-  /// frozen pre-batch tangle plus a group-local overlay, and the passing
-  /// transactions are committed — counters and tip_attached traces
-  /// replayed — serially in batch order. Byte-identical statuses, traces
-  /// and tangle state either way (tests/state_sharding_test.cpp).
-  std::vector<Status> attach_batch(const std::vector<TangleTx>& txs);
-
   bool contains(const TxHash& hash) const { return txs_.count(hash) != 0; }
   const TangleTx* find(const TxHash& hash) const;
 
@@ -215,20 +204,10 @@ class Tangle {
   bool parallel_validation() const {
     return parallel_validation_ && verify_pool_ != nullptr;
   }
-  /// Shards the stateful phase of attach_batch() by conflict groups (see
-  /// attach_batch). No-op without a pool; implies the verdict pipeline so
-  /// group workers only evaluate pure cone traversals.
-  void set_parallel_state(bool on) { parallel_state_ = on; }
-  bool parallel_state() const {
-    return parallel_state_ && verify_pool_ != nullptr;
-  }
 
  private:
+  /// Duplicate check + stateless checks + cone checks + apply.
   Status attach_impl(const TangleTx& tx);
-  /// Duplicate check + stateless checks + cone checks + apply, with an
-  /// optional pre-computed verdict (batch pipeline / demoted batches).
-  Status attach_one(const TangleTx& tx, const TxHash& hash,
-                    const core::StatelessVerdict* verdict);
   /// Runs the two stateless checks across the verify pool into a verdict
   /// (signature first, then hashcash — the serial reporting order).
   core::StatelessVerdict compute_verdict(const TangleTx& tx) const;
@@ -237,8 +216,6 @@ class Tangle {
                          const core::StatelessVerdict* verdict) const;
   /// The mutation half of attach: inserts an already-validated tx.
   void apply_attached(const TangleTx& tx, const TxHash& hash);
-  /// Counters + tip_attached trace, exactly as attach() records them.
-  void record_attach(const TangleTx& tx, const Status& st);
   bool cone_conflicts(const TxHash& a, const TxHash& b) const;
 
   TangleParams params_;
@@ -257,9 +234,7 @@ class Tangle {
 
   std::shared_ptr<support::ThreadPool> verify_pool_;
   bool parallel_validation_ = false;
-  bool parallel_state_ = false;
   mutable obs::ParallelValidationMetrics pv_;
-  obs::ParallelStateMetrics ps_;
 };
 
 /// Convenience issuer: builds, works and signs a transaction approving

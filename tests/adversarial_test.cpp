@@ -30,14 +30,13 @@ using core::AdversaryKind;
 using core::TangleAdversary;
 
 /// Crypto-mode axis of the differential matrix (the test-side mirror of
-/// DLT_VERIFY_THREADS × DLT_PARALLEL_STATE).
+/// DLT_VERIFY_THREADS).
 struct Mode {
   const char* name;
   std::size_t threads;
-  bool parallel_state;
 };
 
-constexpr Mode kModes[] = {{"w2", 2, false}, {"w4ps", 4, true}};
+constexpr Mode kModes[] = {{"w2", 2}, {"w4", 4}};
 
 core::TangleClusterConfig tangle_config(tangle::TipStrategy strategy) {
   core::TangleClusterConfig cfg;
@@ -162,7 +161,6 @@ TEST(Adversarial, ParasiteTraceIdenticalAcrossCryptoModes) {
     core::TangleClusterConfig mc = cfg;
     mc.crypto.verify_threads = mode.threads;
     mc.crypto.parallel_validation = true;
-    mc.crypto.parallel_state = mode.parallel_state;
     const TangleOutcome got = run_tangle(mc, AdversaryKind::kParasite, 0.6);
     expect_same_run(got, base);
     EXPECT_EQ(got.flip, base.flip);
@@ -180,7 +178,6 @@ TEST(Adversarial, SpamTraceIdenticalAcrossCryptoModes) {
     core::TangleClusterConfig mc = cfg;
     mc.crypto.verify_threads = mode.threads;
     mc.crypto.parallel_validation = true;
-    mc.crypto.parallel_state = mode.parallel_state;
     const TangleOutcome got = run_tangle(mc, AdversaryKind::kSpam, 0.5);
     expect_same_run(got, base);
     EXPECT_EQ(got.share, base.share);
@@ -201,7 +198,6 @@ TEST(Adversarial, RaceTraceIdenticalAcrossCryptoModes) {
     core::TangleClusterConfig mc = cfg;
     mc.crypto.verify_threads = mode.threads;
     mc.crypto.parallel_validation = true;
-    mc.crypto.parallel_state = mode.parallel_state;
     const TangleOutcome got = run_tangle(mc, AdversaryKind::kRace, 0.4);
     expect_same_run(got, base);
     EXPECT_EQ(got.side_a, base.side_a);
@@ -333,7 +329,6 @@ TEST(Adversarial, SelfishMinerTraceIdenticalAcrossCryptoModes) {
     core::ChainClusterConfig mc = cfg;
     mc.crypto.verify_threads = mode.threads;
     mc.crypto.parallel_validation = true;
-    mc.crypto.parallel_state = mode.parallel_state;
     const SelfishOutcome got = run_selfish(mc, 0.45);
     EXPECT_EQ(got.trace, base.trace);
     EXPECT_EQ(got.tip, base.tip);

@@ -176,6 +176,43 @@ TEST_F(BlockchainTest, DoubleSpendAcrossBlocksRejected) {
   EXPECT_EQ(res.error().code, "missing-utxo");
 }
 
+TEST_F(BlockchainTest, InBlockDoubleSpendRejected) {
+  // Two payments spend keys[1]'s only coin: the second finds its input
+  // gone, the whole block fails, and the applied first payment unwinds.
+  const BlockHash tip = chain.tip_hash();
+  const Amount total = chain.utxo_set().total_value();
+  UtxoTxList txs{
+      UtxoTransaction::coinbase(miner, chain.params().block_reward, 1),
+      make_spend(1, 2, 100'000), make_spend(1, 3, 100'000)};
+  auto res = chain.submit(seal_block(chain, tip, std::move(txs), miner));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.error().code, "missing-utxo");
+  EXPECT_EQ(chain.tip_hash(), tip);
+  EXPECT_EQ(chain.utxo_set().total_value(), total);
+  EXPECT_EQ(chain.utxo_set().find_owned(keys[1].account_id()).size(), 1u);
+}
+
+TEST_F(BlockchainTest, InBlockSpendOfEarlierOutputConnects) {
+  // The second payment spends the output the first one created in the
+  // same block.
+  const UtxoTransaction hop1 = make_spend(1, 2, 100'000);
+  UtxoTransaction hop2;
+  hop2.inputs.push_back(TxIn{Outpoint{hop1.id(), 0}, 0, {}});
+  hop2.outputs.push_back(TxOut{100'000, keys[3].account_id()});
+  hop2.sign_all({keys[2]}, rng);
+  UtxoTxList txs{
+      UtxoTransaction::coinbase(miner, chain.params().block_reward, 1), hop1,
+      hop2};
+  auto res =
+      chain.submit(seal_block(chain, chain.tip_hash(), std::move(txs), miner));
+  ASSERT_TRUE(res.ok()) << res.error().to_string();
+  EXPECT_EQ(res->outcome, Accept::kConnected);
+  EXPECT_FALSE(chain.utxo_set().contains(Outpoint{hop1.id(), 0}));
+  EXPECT_TRUE(chain.utxo_set().contains(Outpoint{hop2.id(), 0}));
+  EXPECT_EQ(chain.utxo_set().total_value(),
+            400'000u + chain.params().block_reward);
+}
+
 TEST_F(BlockchainTest, OrphanHeldUntilParentArrives) {
   Block b1 = extend_tip();
   // Build b2 on top of b1 without submitting b1 (need a temp chain).

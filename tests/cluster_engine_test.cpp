@@ -675,28 +675,21 @@ std::string latency_json(const obs::MetricsRegistry& reg) {
   return out;
 }
 
-struct ParallelMode {
-  std::size_t verify_threads = 0;
-  bool parallel_state = false;
-};
+constexpr std::size_t kVerifyThreads[] = {0, 2, 4};
 
-constexpr ParallelMode kParallelModes[] = {
-    {0, false}, {2, false}, {4, false}, {2, true}};
-
-void apply_mode(CryptoConfig& crypto, const ParallelMode& mode) {
-  crypto.verify_threads = mode.verify_threads;
-  crypto.parallel_validation = mode.verify_threads > 0;
-  crypto.parallel_state = mode.parallel_state;
+void apply_threads(CryptoConfig& crypto, std::size_t verify_threads) {
+  crypto.verify_threads = verify_threads;
+  crypto.parallel_validation = verify_threads > 0;
 }
 
 TEST(LifecycleLatency, ChainDeterministicAcrossParallelModes) {
   std::string reference_latency, reference_trace;
-  for (const ParallelMode& mode : kParallelModes) {
+  for (const std::size_t threads : kVerifyThreads) {
     ChainClusterConfig cfg = parity_chain_config();
     // Small percentile reservoir so the capped sampling path itself is
     // under the determinism pin, not just exact accumulation.
     cfg.obs.latency_sample_cap = 32;
-    apply_mode(cfg.crypto, mode);
+    apply_threads(cfg.crypto, threads);
     ChainCluster cluster(cfg);
     cluster.start();
     Rng wl_rng(7);
@@ -718,8 +711,7 @@ TEST(LifecycleLatency, ChainDeterministicAcrossParallelModes) {
                 std::string::npos);
     } else {
       EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << mode.verify_threads
-          << " parallel_state=" << mode.parallel_state;
+          << "verify_threads=" << threads;
       EXPECT_EQ(trace, reference_trace);
     }
   }
@@ -727,7 +719,7 @@ TEST(LifecycleLatency, ChainDeterministicAcrossParallelModes) {
 
 TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
   std::string reference_latency, reference_trace;
-  for (const ParallelMode& mode : kParallelModes) {
+  for (const std::size_t threads : kVerifyThreads) {
     LatticeClusterConfig cfg;
     cfg.node_count = 4;
     cfg.representative_count = 3;
@@ -736,7 +728,7 @@ TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
     cfg.seed = 2024;
     cfg.obs.trace_capacity = 1u << 20;
     cfg.obs.latency_sample_cap = 32;
-    apply_mode(cfg.crypto, mode);
+    apply_threads(cfg.crypto, threads);
     LatticeCluster cluster(cfg);
     cluster.fund_accounts();
     Rng wl_rng(11);
@@ -756,8 +748,7 @@ TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
       reference_trace = trace;
     } else {
       EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << mode.verify_threads
-          << " parallel_state=" << mode.parallel_state;
+          << "verify_threads=" << threads;
       EXPECT_EQ(trace, reference_trace);
     }
   }
@@ -765,10 +756,9 @@ TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
 
 TEST(LifecycleLatency, TangleDeterministicAcrossParallelModes) {
   std::string reference_latency, reference_trace;
-  for (const ParallelMode& mode : kParallelModes) {
-    TangleClusterConfig cfg = parity_tangle_config(mode.verify_threads);
+  for (const std::size_t threads : kVerifyThreads) {
+    TangleClusterConfig cfg = parity_tangle_config(threads);
     cfg.obs.latency_sample_cap = 32;
-    cfg.crypto.parallel_state = mode.parallel_state;
     TangleCluster cluster(cfg);
     cluster.start();
     Rng wl_rng(4);
@@ -789,8 +779,7 @@ TEST(LifecycleLatency, TangleDeterministicAcrossParallelModes) {
       reference_trace = trace;
     } else {
       EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << mode.verify_threads
-          << " parallel_state=" << mode.parallel_state;
+          << "verify_threads=" << threads;
       EXPECT_EQ(trace, reference_trace);
     }
   }

@@ -269,119 +269,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelToggleProperty,
                          ::testing::Values(19, 38, 57));
 
 // ---------------------------------------------------------------------------
-// State-sharding toggling: like the validation toggle above, but flipping
-// the conflict-group state-application pipeline (ISSUE 5) on and off
-// mid-run. Sharded connects are committed through the serial replay, so
-// any segment mix must reproduce the plain serial history bit for bit.
-
-class StateToggleProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(StateToggleProperty, UtxoChainToggleMidRunMatchesSerial) {
-  const std::uint64_t seed = GetParam();
-  auto run = [&](bool toggled) {
-    ChainClusterConfig cfg;
-    cfg.params = chain::bitcoin_like();
-    cfg.params.verify_pow = false;
-    cfg.params.retarget_window = 0;
-    cfg.params.block_interval = 25.0;
-    cfg.params.initial_difficulty = 1e6;
-    cfg.node_count = 4;
-    cfg.miner_count = 2;
-    cfg.total_hashrate = 1e6 / 25.0;
-    cfg.account_count = 10;
-    cfg.initial_balance = 1'000'000;
-    cfg.genesis_outputs_per_account = 4;
-    cfg.seed = seed;
-    if (toggled) {
-      // A 2-thread pool exists from the start; whether connect_block
-      // shards state application is flipped randomly between segments.
-      cfg.crypto.verify_threads = 2;
-      cfg.crypto.parallel_state = false;
-    }
-    ChainCluster cluster(cfg);
-    cluster.start();
-    Rng wl(seed * 31 + 1);
-    WorkloadConfig w;
-    w.account_count = 10;
-    w.tx_rate = 1.0;
-    w.duration = 400.0;
-    w.max_amount = 5000;
-    cluster.schedule_workload(generate_payments(w, wl));
-    if (toggled) {
-      Rng toggle_rng(seed ^ 0x57a7e5);
-      for (int segment = 0; segment < 8; ++segment) {
-        cluster.set_parallel_state(toggle_rng.uniform(2) == 1);
-        cluster.run_for(75.0);
-      }
-    } else {
-      cluster.run_for(600.0);
-    }
-    cluster.run_for(200.0);  // quiesce
-    EXPECT_TRUE(cluster.converged()) << "toggled=" << toggled;
-    const auto& bc = cluster.node(0).chain();
-    const chain::Amount genesis_total = 10ull * 4ull * 1'000'000ull;
-    EXPECT_EQ(bc.utxo_set().total_value(),
-              genesis_total + static_cast<chain::Amount>(bc.height()) *
-                                  bc.params().block_reward)
-        << "toggled=" << toggled;
-    return std::pair{bc.tip_hash(), bc.utxo_set().total_value()};
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST_P(StateToggleProperty, AccountChainToggleMidRunMatchesSerial) {
-  const std::uint64_t seed = GetParam();
-  auto run = [&](bool toggled) {
-    ChainClusterConfig cfg;
-    cfg.params = chain::ethereum_like();
-    cfg.params.verify_pow = false;
-    cfg.params.retarget_window = 0;
-    cfg.params.initial_difficulty = 1e5;
-    cfg.node_count = 4;
-    cfg.miner_count = 2;
-    cfg.total_hashrate = 1e5 / 15.0;
-    cfg.account_count = 10;
-    cfg.initial_balance = 50'000'000;
-    cfg.seed = seed;
-    if (toggled) {
-      cfg.crypto.verify_threads = 2;
-      cfg.crypto.parallel_state = false;
-    }
-    ChainCluster cluster(cfg);
-    cluster.start();
-    Rng wl(seed * 17 + 5);
-    WorkloadConfig w;
-    w.account_count = 10;
-    w.tx_rate = 2.0;
-    w.duration = 300.0;
-    cluster.schedule_workload(generate_payments(w, wl));
-    if (toggled) {
-      Rng toggle_rng(seed ^ 0x57a7e5);
-      for (int segment = 0; segment < 6; ++segment) {
-        cluster.set_parallel_state(toggle_rng.uniform(2) == 1);
-        cluster.run_for(60.0);
-      }
-    } else {
-      cluster.run_for(360.0);
-    }
-    cluster.run_for(140.0);  // quiesce
-    EXPECT_TRUE(cluster.converged()) << "toggled=" << toggled;
-    const auto& bc = cluster.node(0).chain();
-    EXPECT_EQ(bc.world_state().total_supply(),
-              10ull * 50'000'000ull +
-                  static_cast<chain::Amount>(bc.height()) *
-                      bc.params().block_reward)
-        << "toggled=" << toggled;
-    return bc.tip_hash();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StateToggleProperty,
-                         ::testing::Values(23, 46, 69));
-
-// ---------------------------------------------------------------------------
 // Tangle gap healing: gossip over jittery links delivers transactions out
 // of order, so children routinely arrive before their parents and park in
 // the per-node gap pool (§IV-B's missing-predecessor analogue). For any

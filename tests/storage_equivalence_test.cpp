@@ -99,7 +99,7 @@ bool volatile_metric(const std::string& key) {
          key.find(".workers") != std::string::npos;
 }
 
-/// Same linear-scan filter as the state-sharding harness: drops wall-clock
+/// Same linear-scan filter as the traffic harness: drops wall-clock
 /// members, keeps everything else — including the storage.* gauges, which
 /// the determinism contract requires to be numerically identical across
 /// modes (byte accounting is pure arithmetic, never file-system feedback).

@@ -173,7 +173,7 @@ TEST(TipSelection, MrtsSelectsOnlyMostRecentTips) {
 
 TEST(TipSelection, DrawsIndependentOfHowTheTangleWasBuilt) {
   // Build the same 24-transaction history serially and through the
-  // parallel verify + state pipelines; each copy must then satisfy every
+  // parallel validation pipeline; each copy must then satisfy every
   // strategy with identical draws and identical selections.
   std::vector<TangleTx> txs;
   {
@@ -195,12 +195,8 @@ TEST(TipSelection, DrawsIndependentOfHowTheTangleWasBuilt) {
     if (parallel) {
       tangle->set_verify_pool(std::make_shared<support::ThreadPool>(4));
       tangle->set_parallel_validation(true);
-      tangle->set_parallel_state(true);
-      for (const Status& st : tangle->attach_batch(txs))
-        EXPECT_TRUE(st.ok());
-    } else {
-      for (const TangleTx& tx : txs) EXPECT_TRUE(tangle->attach(tx).ok());
     }
+    for (const TangleTx& tx : txs) EXPECT_TRUE(tangle->attach(tx).ok());
     return tangle;
   };
 

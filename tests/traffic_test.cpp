@@ -8,7 +8,7 @@
 //
 // Differential half: for every ledger family, one over-saturation traffic
 // run is replayed across the full determinism matrix
-//   DLT_VERIFY_THREADS ∈ {0, 2, 4} × DLT_PARALLEL_STATE ∈ {0, 1}
+//   DLT_VERIFY_THREADS ∈ {0, 2, 4} × verdict pipeline ∈ {off, on}
 //     × DLT_STORAGE ∈ {memory, disk}
 // and must produce byte-identical traces, equal RunMetrics (including the
 // admission tallies), and byte-identical filtered registry JSON. The
@@ -342,21 +342,21 @@ struct ScratchDir {
   std::string str() const { return path.string(); }
 };
 
-/// One cell of the determinism matrix: verify-thread count ×
-/// parallel-state toggle × storage mode. threads == 0 is the serial
-/// reference path.
+/// One cell of the determinism matrix: verify-thread count × verdict
+/// pipeline (parallel_validation; off = sigcache prefetch only) × storage
+/// mode. threads == 0 is the serial reference path.
 struct DiffMode {
   const char* name;
   std::size_t threads;
-  bool parallel_state;
+  bool pipeline;
   bool disk;
 };
 
 constexpr DiffMode kDiffModes[] = {
     {"t2-mem", 2, false, false},
-    {"t4-ps-mem", 4, true, false},
+    {"t4-pipe-mem", 4, true, false},
     {"serial-disk", 0, false, true},
-    {"t2-ps-disk", 2, true, true},
+    {"t2-pipe-disk", 2, true, true},
 };
 
 bool volatile_metric(const std::string& key) {
@@ -369,8 +369,8 @@ bool volatile_metric(const std::string& key) {
          key.compare(0, 9, "parallel.") == 0;
 }
 
-/// Same linear-scan registry filter as the state-sharding and storage
-/// harnesses: drop wall-clock members, keep everything else byte-exact.
+/// Same linear-scan registry filter as the storage harness: drop
+/// wall-clock members, keep everything else byte-exact.
 std::string filter_registry_json(const std::string& obj) {
   std::string out = "{";
   bool first = true;
@@ -456,7 +456,7 @@ template <typename Config>
 void apply_diff_mode(Config& cfg, const DiffMode& mode,
                      const ScratchDir* scratch) {
   cfg.crypto.verify_threads = mode.threads;
-  cfg.crypto.parallel_state = mode.parallel_state;
+  cfg.crypto.parallel_validation = mode.pipeline;
   if (mode.disk) {
     cfg.storage.mode = storage::StorageMode::kDisk;
     cfg.storage.path = scratch->str();

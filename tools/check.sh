@@ -18,11 +18,11 @@
 #
 # Each pass uses its own build directory so sanitizer flags never leak
 # into the primary build/ tree. --determinism replays the same seed at
-# two worker counts — for both the stateless validation pipeline and the
-# conflict-group state sharding (DLT_PARALLEL_STATE=1) — and requires
-# identical metrics + byte-identical traces (tools/determinism_gate.sh).
+# two worker counts through the stateless validation pipeline, on every
+# cluster bench, and requires identical metrics + byte-identical traces
+# (tools/determinism_gate.sh).
 # --tsan exercises the verify-pool data paths (sharded validation, batch
-# verification, sharded state application) under ThreadSanitizer; it is
+# verification) under ThreadSanitizer; it is
 # split from the default run because TSan is an order of magnitude
 # slower than the tier-1 suite.
 # --perf builds bench_simcore and bench_hotpath in a Release tree

@@ -3,21 +3,19 @@
 # different worker counts must emit byte-identical event traces and an
 # identical BENCH_*.json metrics section. Only wall-clock histograms
 # (profile.*, *_us) and the deliberately run-dependent
-# parallel.*.workers gauges are exempt.
+# parallel.validate.workers gauge are exempt.
 #
-# Two legs per paradigm:
-#   validation — DLT_VERIFY_THREADS alone (stateless verdict sharding),
-#                on the two drivers with crypto checks in the hot path.
-#   state      — DLT_PARALLEL_STATE=1 on top (conflict-group sharding of
-#                stateful application, ISSUE 5), on all three throughput
-#                benches: chain (block), dag (lattice), tangle.
-#   storage    — DLT_STORAGE=memory vs disk (pluggable persistence,
-#                ISSUE 9): flipping the storage mode must leave metrics
-#                and traces byte-identical.
+# Two legs:
+#   validation — DLT_VERIFY_THREADS (stateless verdict sharding) on every
+#                cluster bench: chain (block), dag (lattice), tangle,
+#                the adversarial lab and open-loop traffic.
+#   storage    — DLT_STORAGE=memory vs disk (pluggable persistence):
+#                flipping the storage mode must leave metrics and traces
+#                byte-identical.
 #
-# bench_openloop (E20, ISSUE 10) runs all three legs too: the open-loop
-# traffic engine and the admission queues must replay identically across
-# worker counts, state sharding, and storage modes.
+# bench_openloop (E20) runs both legs: the open-loop traffic engine and
+# the admission queues must replay identically across worker counts and
+# storage modes.
 #
 #   tools/determinism_gate.sh [build-dir]   # default: build
 #
@@ -31,26 +29,15 @@ BUILD="${1:-build}"
 [[ "$BUILD" = /* ]] || BUILD="$(pwd)/$BUILD"
 DIFF="$(pwd)/tools/bench_diff.py"
 
-# gate <bench-name> [state]: run the bench at 2 and 4 verify workers,
-# then demand identical metrics and byte-identical traces. With the
-# "state" leg, DLT_PARALLEL_STATE=1 shards stateful application by
-# conflict groups as well, and the parallel.state.workers gauge joins
-# the exemption list (its counters stay under exact compare).
+# gate <bench-name>: run the bench at 2 and 4 verify workers, then demand
+# identical metrics and byte-identical traces.
 gate() {
   local bench="$1"
-  local leg="${2:-validation}"
   local bin="$BUILD/bench/$bench"
 
   if [[ ! -x "$bin" ]]; then
     echo "determinism gate: $bin not built (build the bench targets first)" >&2
     exit 2
-  fi
-
-  local -a env_extra=()
-  local -a ignore=(--ignore metrics.gauges.parallel.validate.workers)
-  if [[ "$leg" == "state" ]]; then
-    env_extra=(DLT_PARALLEL_STATE=1)
-    ignore+=(--ignore metrics.gauges.parallel.state.workers)
   fi
 
   local work
@@ -61,18 +48,18 @@ gate() {
   for threads in 2 4; do
     local dir="$work/w$threads"
     mkdir -p "$dir"
-    echo "=== [determinism/$leg] $bench @ DLT_VERIFY_THREADS=$threads ==="
+    echo "=== [determinism/validation] $bench @ DLT_VERIFY_THREADS=$threads ==="
     (cd "$dir" &&
-     env "${env_extra[@]}" DLT_VERIFY_THREADS="$threads" DLT_TRACE=1 \
-       "$bin" >/dev/null)
+     env DLT_VERIFY_THREADS="$threads" DLT_TRACE=1 "$bin" >/dev/null)
   done
 
-  echo "=== [determinism/$leg] $bench metrics: exact diff (wall-clock + worker gauges exempt) ==="
-  python3 "$DIFF" --exact --quiet "${ignore[@]}" \
+  echo "=== [determinism/validation] $bench metrics: exact diff (wall-clock + worker gauges exempt) ==="
+  python3 "$DIFF" --exact --quiet \
+    --ignore metrics.gauges.parallel.validate.workers \
     "$work/w2/BENCH_${bench#bench_}.json" \
     "$work/w4/BENCH_${bench#bench_}.json"
 
-  echo "=== [determinism/$leg] $bench trace: byte compare ==="
+  echo "=== [determinism/validation] $bench trace: byte compare ==="
   cmp "$work/w2/TRACE_${bench#bench_}.jsonl" \
       "$work/w4/TRACE_${bench#bench_}.jsonl"
   echo "traces byte-identical"
@@ -148,14 +135,10 @@ gate_simcore() {
 }
 
 gate bench_throughput_chain
+gate bench_throughput_dag
 gate bench_throughput_tangle
 gate bench_adversarial
-gate bench_throughput_chain state
-gate bench_throughput_dag state
-gate bench_throughput_tangle state
-gate bench_adversarial state
 gate bench_openloop
-gate bench_openloop state
 gate_storage bench_throughput_chain
 gate_storage bench_throughput_tangle
 gate_storage bench_openloop
