@@ -1,7 +1,6 @@
 #include "core/tangle_cluster.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "crypto/hash.hpp"
@@ -26,32 +25,18 @@ Hash256 payment_payload(std::size_t from, std::size_t to,
                              ByteView{w.bytes().data(), w.size()});
 }
 
-/// One lifecycle sweep: recompute tip-cone confidence on the reference
-/// replica (same batched scan as fill_metrics) and stamp confirmation for
-/// every tracked transaction that crossed the threshold. Hashes are
-/// processed in sorted order so the confirm-event stream is canonical.
+/// One lifecycle sweep: stamp confirmation for every tracked transaction
+/// the reference replica's tip tally (Tangle::confirmed_by_tips, the same
+/// tally fill_metrics counts) has crossed. The tally comes back sorted by
+/// hash, so the confirm-event stream is canonical.
 void run_confirmation_sweep(Engine& e) {
   obs::LatencyTracker* tracker = e.lifecycle_tracker();
   if (!tracker || tracker->in_flight() == 0) return;
 
   const tangle::Tangle& tangle = e.node(0).tangle();
-  const std::vector<tangle::TxHash> tips = tangle.tips();
-  if (tips.empty()) return;
-  std::unordered_map<tangle::TxHash, std::size_t> approve_count;
-  for (const tangle::TxHash& tip : tips)
-    for (const tangle::TxHash& h : tangle.past_cone(tip))
-      ++approve_count[h];
-
-  const double threshold =
-      e.config().confirmation_threshold * static_cast<double>(tips.size());
-  std::vector<tangle::TxHash> crossed;
-  for (const auto& [hash, count] : approve_count) {
-    if (hash == tangle.genesis()) continue;
-    if (static_cast<double>(count) >= threshold) crossed.push_back(hash);
-  }
-  std::sort(crossed.begin(), crossed.end());
   const double now = e.simulation().now();
-  for (const tangle::TxHash& hash : crossed)
+  for (const tangle::TxHash& hash :
+       tangle.confirmed_by_tips(e.config().confirmation_threshold))
     tracker->on_confirm(obs::trace_id(hash), now, e.node(0).id());
 }
 
@@ -225,25 +210,10 @@ void TangleTraits::fill_metrics(const Engine& e, RunMetrics& m) {
   m.included = tangle.size() > 0 ? tangle.size() - 1 : 0;
   m.blocks_produced = m.included;
 
-  // Confirmed: one past-cone walk per tip accumulates, for every
-  // transaction, how many tips approve it; confidence = approvers / tips
-  // (confirmation_confidence, batched so the scan is O(tips × cone)
-  // instead of O(txs × tips × cone)).
-  const std::vector<tangle::TxHash> tips = tangle.tips();
-  std::unordered_map<tangle::TxHash, std::size_t> approve_count;
-  for (const tangle::TxHash& tip : tips)
-    for (const tangle::TxHash& h : tangle.past_cone(tip))
-      ++approve_count[h];
-  std::uint64_t confirmed = 0;
-  if (!tips.empty()) {
-    const double threshold =
-        e.config().confirmation_threshold * static_cast<double>(tips.size());
-    for (const auto& [hash, count] : approve_count) {
-      if (hash == tangle.genesis()) continue;
-      if (static_cast<double>(count) >= threshold) ++confirmed;
-    }
-  }
-  m.confirmed = confirmed;
+  // Confirmed: transactions at least confirmation_threshold of the tips
+  // approve (confirmation_confidence, tallied over the whole tangle).
+  m.confirmed =
+      tangle.confirmed_by_tips(e.config().confirmation_threshold).size();
 
   // Backlog: tips are exactly the transactions nothing approves yet.
   m.pending_end = tangle.tip_count();

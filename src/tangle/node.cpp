@@ -83,26 +83,27 @@ void TangleNode::handle_message(const net::Message& msg) {
 }
 
 void TangleNode::process_tx(const TangleTx& tx) {
-  if (tangle_.contains(tx.hash())) return;
+  // Hashed once here (and once more inside attach, which must not trust a
+  // caller-supplied hash); the gap pool keeps the hash with the tx.
+  const TxHash hash = tx.hash();
+  if (!tangle_.contains(hash) && park_or_attach(hash, tx)) retry_gaps(hash);
+}
+
+bool TangleNode::park_or_attach(const TxHash& hash, const TangleTx& tx) {
   // Park on the first missing parent rather than burn a signature/work
   // check on a transaction that cannot attach yet.
-  if (!tangle_.contains(tx.trunk)) {
-    gap_pool_[tx.trunk].push_back(tx);
+  for (const TxHash& parent : {tx.trunk, tx.branch}) {
+    if (tangle_.contains(parent)) continue;
+    gap_pool_[parent].push_back(Parked{hash, tx});
     obs::inc(obs_gap_parked_);
-    return;
+    return false;
   }
-  if (!tangle_.contains(tx.branch)) {
-    gap_pool_[tx.branch].push_back(tx);
-    obs::inc(obs_gap_parked_);
-    return;
-  }
-  if (tangle_.attach(tx).ok()) {
-    obs::inc(obs_received_);
-    if (config_.lifecycle && config_.lifecycle_observer)
-      config_.lifecycle->on_include(obs::trace_id(tx.hash()),
-                                    net_.simulation().now(), id_);
-    retry_gaps(tx.hash());
-  }
+  if (!tangle_.attach(tx).ok()) return false;
+  obs::inc(obs_received_);
+  if (config_.lifecycle && config_.lifecycle_observer)
+    config_.lifecycle->on_include(obs::trace_id(hash),
+                                  net_.simulation().now(), id_);
+  return true;
 }
 
 void TangleNode::retry_gaps(const TxHash& now_available) {
@@ -112,28 +113,11 @@ void TangleNode::retry_gaps(const TxHash& now_available) {
     ready.pop_front();
     auto it = gap_pool_.find(parent);
     if (it == gap_pool_.end()) continue;
-    std::vector<TangleTx> waiting = std::move(it->second);
+    std::vector<Parked> waiting = std::move(it->second);
     gap_pool_.erase(it);
-    for (const TangleTx& tx : waiting) {
-      if (tangle_.contains(tx.hash())) continue;
-      if (!tangle_.contains(tx.trunk)) {
-        gap_pool_[tx.trunk].push_back(tx);
-        obs::inc(obs_gap_parked_);
-        continue;
-      }
-      if (!tangle_.contains(tx.branch)) {
-        gap_pool_[tx.branch].push_back(tx);
-        obs::inc(obs_gap_parked_);
-        continue;
-      }
-      if (tangle_.attach(tx).ok()) {
-        obs::inc(obs_received_);
-        if (config_.lifecycle && config_.lifecycle_observer)
-          config_.lifecycle->on_include(obs::trace_id(tx.hash()),
-                                        net_.simulation().now(), id_);
-        ready.push_back(tx.hash());
-      }
-    }
+    for (const Parked& p : waiting)
+      if (!tangle_.contains(p.hash) && park_or_attach(p.hash, p.tx))
+        ready.push_back(p.hash);
   }
 }
 

@@ -89,6 +89,9 @@ class TangleNode {
  private:
   void handle_message(const net::Message& msg);
   void process_tx(const TangleTx& tx);
+  /// Parks `tx` (whose hash is `hash`) on its first missing parent, or
+  /// attaches it; true when it attached.
+  bool park_or_attach(const TxHash& hash, const TangleTx& tx);
   /// Re-attaches parked transactions whose parents became available,
   /// cascading (FIFO) through dependents of dependents.
   void retry_gaps(const TxHash& now_available);
@@ -103,7 +106,11 @@ class TangleNode {
   // Parked transactions keyed by the first missing parent (§IV-B gap
   // healing). A tx re-parks under its other parent if that one is also
   // missing when the first arrives.
-  std::unordered_map<TxHash, std::vector<TangleTx>> gap_pool_;
+  struct Parked {
+    TxHash hash;
+    TangleTx tx;
+  };
+  std::unordered_map<TxHash, std::vector<Parked>> gap_pool_;
 
   // Cached registry metrics (null when no probe is attached).
   obs::Counter* obs_issued_ = nullptr;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <deque>
+#include <optional>
 
 #include "crypto/hash.hpp"
 #include "obs/profile.hpp"
@@ -111,67 +111,110 @@ void TangleTx::sign(const crypto::KeyPair& key, Rng& rng) {
   signature = key.sign(hash().view(), rng);
 }
 
-bool TangleTx::verify_signature() const {
+bool TangleTx::verify_signature() const { return verify_signature(hash()); }
+
+bool TangleTx::verify_signature(const TxHash& tx_hash) const {
   if (crypto::account_of(pubkey) != issuer) return false;
-  return crypto::verify(pubkey, hash().view(), signature);
+  return crypto::verify(pubkey, tx_hash.view(), signature);
 }
 
 Tangle::Tangle(TangleParams params) : params_(std::move(params)) {
   TangleTx genesis;
   genesis.payload = crypto::tagged_hash("dlt/tangle-genesis", {});
   genesis_hash_ = genesis.hash();
-  txs_.emplace(genesis_hash_, genesis);
-  approvers_[genesis_hash_];
+  txs_.push_back(genesis);
+  Vertex& root = dag_.emplace_back();
+  root.hash = genesis_hash_;
+  root.weight = genesis.own_weight;
+  index_.emplace(genesis_hash_, 0);
   tips_.insert(genesis_hash_);
 }
 
 const TangleTx* Tangle::find(const TxHash& hash) const {
-  auto it = txs_.find(hash);
-  return it == txs_.end() ? nullptr : &it->second;
+  auto it = index_.find(hash);
+  return it == index_.end() ? nullptr : &txs_[it->second];
+}
+
+template <typename Enter, typename Visit>
+bool Tangle::walk_past_cone(std::initializer_list<Index> roots, Enter enter,
+                            Visit visit) const {
+  std::vector<bool> seen(dag_.size());
+  std::vector<Index> stack;
+  auto push = [&](Index i) {
+    if (seen[i] || !enter(i)) return;
+    seen[i] = true;
+    stack.push_back(i);
+  };
+  for (Index root : roots) push(root);
+  while (!stack.empty()) {
+    const Index i = stack.back();
+    stack.pop_back();
+    if (visit(i)) return true;
+    push(dag_[i].trunk);
+    push(dag_[i].branch);
+  }
+  return false;
 }
 
 std::unordered_set<TxHash> Tangle::past_cone(const TxHash& hash) const {
   std::unordered_set<TxHash> cone;
-  if (!contains(hash)) return cone;
-  std::deque<TxHash> frontier{hash};
-  while (!frontier.empty()) {
-    const TxHash cur = frontier.front();
-    frontier.pop_front();
-    if (!cone.insert(cur).second) continue;
-    if (cur == genesis_hash_) continue;
-    const TangleTx& tx = txs_.at(cur);
-    frontier.push_back(tx.trunk);
-    if (tx.branch != tx.trunk) frontier.push_back(tx.branch);
-  }
+  const auto it = index_.find(hash);
+  if (it == index_.end()) return cone;
+  walk_past_cone(
+      {it->second}, [](Index) { return true; },
+      [&](Index i) {
+        cone.insert(dag_[i].hash);
+        return false;
+      });
   return cone;
 }
+
+// Spend-key walks enter keyed vertices only: an unkeyed vertex's whole
+// past cone is key-free, so pruning it drops nothing.
 
 std::unordered_set<Hash256> Tangle::cone_spend_keys(
     const TxHash& hash) const {
   std::unordered_set<Hash256> keys;
-  for (const TxHash& h : past_cone(hash)) {
-    const TangleTx& tx = txs_.at(h);
-    if (!tx.spend_key.is_zero()) keys.insert(tx.spend_key);
-  }
+  const auto it = index_.find(hash);
+  if (it == index_.end()) return keys;
+  walk_past_cone(
+      {it->second}, [&](Index i) { return dag_[i].keyed; },
+      [&](Index i) {
+        const Hash256& key = txs_[i].spend_key;
+        if (!key.is_zero()) keys.insert(key);
+        return false;
+      });
   return keys;
 }
 
-bool Tangle::cone_conflicts(const TxHash& a, const TxHash& b) const {
+bool Tangle::cone_holds_key(std::initializer_list<Index> roots,
+                            std::span<const Hash256> keys) const {
+  return walk_past_cone(
+      roots, [&](Index i) { return dag_[i].keyed; },
+      [&](Index i) {
+        const Hash256& key = txs_[i].spend_key;
+        return !key.is_zero() &&
+               std::find(keys.begin(), keys.end(), key) != keys.end();
+      });
+}
+
+bool Tangle::cone_conflicts(Index a, Index b) const {
   // Two cones conflict if some spend key appears on BOTH sides via
-  // DIFFERENT transactions. Build key->tx maps and compare.
-  std::unordered_map<Hash256, TxHash> ka;
-  for (const TxHash& t : past_cone(a)) {
-    const TangleTx& tx = txs_.at(t);
-    if (!tx.spend_key.is_zero()) ka.emplace(tx.spend_key, t);
-  }
-  if (ka.empty()) return false;
-  for (const TxHash& t : past_cone(b)) {
-    const TangleTx& tx = txs_.at(t);
-    if (tx.spend_key.is_zero()) continue;
-    auto it = ka.find(tx.spend_key);
-    if (it != ka.end() && it->second != t) return true;
-  }
-  return false;
+  // DIFFERENT transactions. Build a key->tx map of one side and probe it.
+  if (!dag_[a].keyed || !dag_[b].keyed) return false;
+  auto keyed = [&](Index i) { return dag_[i].keyed; };
+  std::unordered_map<Hash256, Index> ka;
+  walk_past_cone({a}, keyed, [&](Index i) {
+    const Hash256& key = txs_[i].spend_key;
+    if (!key.is_zero()) ka.emplace(key, i);
+    return false;
+  });
+  return walk_past_cone({b}, keyed, [&](Index i) {
+    const Hash256& key = txs_[i].spend_key;
+    if (key.is_zero()) return false;
+    const auto it = ka.find(key);
+    return it != ka.end() && it->second != i;
+  });
 }
 
 void Tangle::set_probe(obs::Probe probe) {
@@ -182,12 +225,13 @@ void Tangle::set_probe(obs::Probe probe) {
 }
 
 Status Tangle::attach(const TangleTx& tx) {
-  Status st = attach_impl(tx);
+  const TxHash hash = tx.hash();
+  Status st = attach_impl(tx, hash);
   if (st.ok()) {
     obs::inc(obs_attached_);
     if (probe_.tracer && probe_.tracer->enabled())
       probe_.tracer->record(tx.timestamp, obs::EventType::kTipAttached,
-                            trace_node_, obs::trace_id(tx.hash()),
+                            trace_node_, obs::trace_id(hash),
                             tx.branch == tx.trunk ? 1 : 2);
   } else {
     obs::inc(obs_rejected_);
@@ -195,7 +239,8 @@ Status Tangle::attach(const TangleTx& tx) {
   return st;
 }
 
-core::StatelessVerdict Tangle::compute_verdict(const TangleTx& tx) const {
+core::StatelessVerdict Tangle::compute_verdict(const TangleTx& tx,
+                                               const TxHash& hash) const {
   // Shard the stateless checks; both are pure functions of `tx`, so the
   // workers share no mutable state (the verdict members are distinct
   // memory locations). The consume phase reports failures in the serial
@@ -207,7 +252,7 @@ core::StatelessVerdict Tangle::compute_verdict(const TangleTx& tx) const {
     obs::ProfileTimer timer(pv_.join_us);
     verify_pool_->parallel_for(n, [&](std::size_t k) {
       if (k == 0)
-        verdict.sig_ok = tx.verify_signature();
+        verdict.sig_ok = tx.verify_signature(hash);
       else
         verdict.work_ok = tx.verify_work(params_.work_bits);
     });
@@ -215,9 +260,9 @@ core::StatelessVerdict Tangle::compute_verdict(const TangleTx& tx) const {
   return verdict;
 }
 
-Status Tangle::check_stateless(const TangleTx& tx,
+Status Tangle::check_stateless(const TangleTx& tx, const TxHash& hash,
                                const core::StatelessVerdict* verdict) const {
-  const bool sig_ok = verdict ? verdict->sig_ok : tx.verify_signature();
+  const bool sig_ok = verdict ? verdict->sig_ok : tx.verify_signature(hash);
   if (!sig_ok) return make_error("bad-signature");
   if (params_.verify_work) {
     const bool work_ok =
@@ -233,18 +278,33 @@ Status Tangle::check_stateless(const TangleTx& tx,
   return Status::success();
 }
 
-void Tangle::apply_attached(const TangleTx& tx, const TxHash& hash) {
-  const bool trunk_was_tip = tips_.count(tx.trunk) != 0;
+void Tangle::apply_attached(const TangleTx& tx, const TxHash& hash,
+                            Index trunk, Index branch) {
+  const bool trunk_was_tip = dag_[trunk].approvers.empty();
   const bool branch_was_tip =
-      tx.branch != tx.trunk && tips_.count(tx.branch) != 0;
-  txs_.emplace(hash, tx);
-  approvers_[tx.trunk].push_back(hash);
-  if (tx.branch != tx.trunk) approvers_[tx.branch].push_back(hash);
-  approvers_[hash];
+      branch != trunk && dag_[branch].approvers.empty();
+  const auto index = static_cast<Index>(dag_.size());
+  // The past cone is fixed from here on, so adding the own weight along it
+  // once keeps every cumulative weight exact.
+  walk_past_cone(
+      {trunk, branch}, [](Index) { return true; },
+      [&](Index i) {
+        dag_[i].weight += tx.own_weight;
+        return false;
+      });
+  dag_[trunk].approvers.push_back(index);
+  if (branch != trunk) dag_[branch].approvers.push_back(index);
+  Vertex& v = dag_.emplace_back();
+  v.hash = hash;
+  v.trunk = trunk;
+  v.branch = branch;
+  v.weight = tx.own_weight;
+  v.keyed = !tx.spend_key.is_zero() || dag_[trunk].keyed || dag_[branch].keyed;
+  txs_.push_back(tx);
+  index_.emplace(hash, index);
   tips_.erase(tx.trunk);
   tips_.erase(tx.branch);
   tips_.insert(hash);
-  if (!tx.spend_key.is_zero()) spends_[tx.spend_key].push_back(hash);
   if (store_) {
     store_->log().append(storage::RecordType::kSite, hash, tx.serialize());
     if (trunk_was_tip) store_->state().erase(tx.trunk);
@@ -254,33 +314,31 @@ void Tangle::apply_attached(const TangleTx& tx, const TxHash& hash) {
   }
 }
 
-Status Tangle::attach_impl(const TangleTx& tx) {
-  const TxHash hash = tx.hash();
-  if (txs_.count(hash)) return make_error("duplicate");
+Status Tangle::attach_impl(const TangleTx& tx, const TxHash& hash) {
+  if (contains(hash)) return make_error("duplicate");
   std::optional<core::StatelessVerdict> verdict;
-  if (parallel_validation()) verdict = compute_verdict(tx);
-  if (Status st = check_stateless(tx, verdict ? &*verdict : nullptr);
+  if (parallel_validation()) verdict = compute_verdict(tx, hash);
+  if (Status st = check_stateless(tx, hash, verdict ? &*verdict : nullptr);
       !st.ok())
     return st;
 
-  if (!contains(tx.trunk)) return make_error("unknown-trunk");
-  if (!contains(tx.branch)) return make_error("unknown-branch");
+  const auto trunk = index_.find(tx.trunk);
+  if (trunk == index_.end()) return make_error("unknown-trunk");
+  const auto branch = index_.find(tx.branch);
+  if (branch == index_.end()) return make_error("unknown-branch");
   // Consistency: the combined past cone must be conflict-free, and the
   // new transaction must not double-spend a key already in that cone
   // (its own re-attachment under the same key elsewhere is the conflict
   // the network later resolves by starvation).
-  if (cone_conflicts(tx.trunk, tx.branch))
+  if (cone_conflicts(trunk->second, branch->second))
     return make_error("inconsistent-parents",
                       "trunk and branch cones double-spend");
-  if (!tx.spend_key.is_zero()) {
-    auto keys = cone_spend_keys(tx.trunk);
-    auto branch_keys = cone_spend_keys(tx.branch);
-    keys.insert(branch_keys.begin(), branch_keys.end());
-    if (keys.count(tx.spend_key))
-      return make_error("double-spend",
-                        "spend key already present in the approved cone");
-  }
-  apply_attached(tx, hash);
+  if (!tx.spend_key.is_zero() &&
+      cone_holds_key({trunk->second, branch->second},
+                     std::span(&tx.spend_key, 1)))
+    return make_error("double-spend",
+                      "spend key already present in the approved cone");
+  apply_attached(tx, hash, trunk->second, branch->second);
   return Status::success();
 }
 
@@ -293,7 +351,7 @@ void Tangle::attach_store(std::shared_ptr<storage::LedgerStore> store) {
   if (!store_) return;
   if (!store_->log().contains(storage::RecordType::kSite, genesis_hash_)) {
     store_->log().append(storage::RecordType::kSite, genesis_hash_,
-                         txs_.at(genesis_hash_).serialize());
+                         txs_.front().serialize());
     store_->state().put(genesis_hash_, {});
   }
   store_->commit();
@@ -312,7 +370,7 @@ std::size_t Tangle::replay_from_store() {
   for (const Bytes& raw : records) {
     auto tx = TangleTx::deserialize(raw);
     if (!tx) continue;
-    if (txs_.count(tx->hash())) continue;  // genesis / already replayed
+    if (contains(tx->hash())) continue;  // genesis / already replayed
     if (attach(*tx).ok()) ++accepted;
   }
   return accepted;
@@ -321,9 +379,9 @@ std::size_t Tangle::replay_from_store() {
 std::uint64_t Tangle::prune_history() {
   if (!store_) return 0;
   bool erased = false;
-  for (const auto& [hash, tx] : txs_) {
-    if (hash == genesis_hash_ || tips_.count(hash)) continue;
-    erased |= store_->log().erase(storage::RecordType::kSite, hash);
+  for (Index i = 1; i < dag_.size(); ++i) {
+    if (dag_[i].approvers.empty()) continue;  // a tip
+    erased |= store_->log().erase(storage::RecordType::kSite, dag_[i].hash);
   }
   if (!erased) return 0;
   const std::uint64_t reclaimed = store_->log().compact();
@@ -333,40 +391,66 @@ std::uint64_t Tangle::prune_history() {
 }
 
 std::size_t Tangle::cumulative_weight(const TxHash& hash) const {
-  if (!contains(hash)) return 0;
-  // Future-cone BFS over approvers, summing declared own weights (the
-  // genesis carries the default weight of 1, as does every vanilla tx).
-  std::unordered_set<TxHash> seen;
-  std::deque<TxHash> frontier{hash};
-  std::size_t weight = 0;
-  while (!frontier.empty()) {
-    const TxHash cur = frontier.front();
-    frontier.pop_front();
-    if (!seen.insert(cur).second) continue;
-    weight += static_cast<std::size_t>(txs_.at(cur).own_weight);
-    auto it = approvers_.find(cur);
-    if (it == approvers_.end()) continue;
-    for (const TxHash& child : it->second) frontier.push_back(child);
-  }
-  return weight;
+  const auto it = index_.find(hash);
+  return it == index_.end() ? 0 : dag_[it->second].weight;
 }
 
 double Tangle::confirmation_confidence(const TxHash& hash) const {
-  if (!contains(hash) || tips_.empty()) return 0.0;
+  const auto it = index_.find(hash);
+  if (it == index_.end() || tips_.empty()) return 0.0;
+  // A tip approves `hash` iff it lies in hash's future cone, and the tips
+  // are exactly the vertices without approvers: count those reachable
+  // along approver links.
+  std::vector<bool> seen(dag_.size());
+  std::vector<Index> stack{it->second};
+  seen[it->second] = true;
   std::size_t approving = 0;
-  for (const TxHash& tip : tips_) {
-    if (past_cone(tip).count(hash)) ++approving;
+  while (!stack.empty()) {
+    const Vertex& v = dag_[stack.back()];
+    stack.pop_back();
+    if (v.approvers.empty()) ++approving;
+    for (Index a : v.approvers) {
+      if (seen[a]) continue;
+      seen[a] = true;
+      stack.push_back(a);
+    }
   }
   return static_cast<double>(approving) / static_cast<double>(tips_.size());
 }
 
+std::vector<TxHash> Tangle::confirmed_by_tips(double threshold) const {
+  // One past-cone walk per tip counts, for every index, the tips that
+  // approve it.
+  std::vector<std::size_t> approve_count(dag_.size(), 0);
+  for (const TxHash& tip : tips_)
+    walk_past_cone(
+        {index_.at(tip)}, [](Index) { return true; },
+        [&](Index i) {
+          ++approve_count[i];
+          return false;
+        });
+  const double needed = threshold * static_cast<double>(tips_.size());
+  std::vector<TxHash> crossed;
+  for (Index i = 1; i < dag_.size(); ++i)
+    if (static_cast<double>(approve_count[i]) >= needed)
+      crossed.push_back(dag_[i].hash);
+  std::sort(crossed.begin(), crossed.end());
+  return crossed;
+}
+
 double Tangle::walk_confidence(const TxHash& hash, Rng& rng,
                                int samples) const {
-  if (!contains(hash) || samples <= 0) return 0.0;
+  const auto it = index_.find(hash);
+  if (it == index_.end() || samples <= 0) return 0.0;
+  const Index target = it->second;
   int approving = 0;
   for (int i = 0; i < samples; ++i) {
-    const TxHash tip = select_tip(rng);
-    if (past_cone(tip).count(hash)) ++approving;
+    // Ancestors precede descendants, so only indices >= target lead to it.
+    if (walk_past_cone(
+            {index_.at(select_tip(rng))},
+            [&](Index v) { return v >= target; },
+            [&](Index v) { return v == target; }))
+      ++approving;
   }
   return static_cast<double>(approving) / samples;
 }
@@ -385,13 +469,8 @@ TxHash Tangle::select_tip_with(TipStrategy strategy, Rng& rng,
     std::vector<TxHash> viable;
     viable.reserve(tips_.size());
     for (const TxHash& tip : tips_) {
-      if (!spend_keys.empty()) {
-        const auto cone_keys = cone_spend_keys(tip);
-        bool conflicted = false;
-        for (const Hash256& k : spend_keys)
-          if (cone_keys.count(k)) conflicted = true;
-        if (conflicted) continue;
-      }
+      if (!spend_keys.empty() && cone_holds_key({index_.at(tip)}, spend_keys))
+        continue;
       viable.push_back(tip);
     }
     // Every tip conflicted: genesis is always a clean attachment point
@@ -417,25 +496,20 @@ TxHash Tangle::select_tip_with(TipStrategy strategy, Rng& rng,
 
   // MCMC: biased random walk from genesis toward the tips, skipping
   // children whose cone conflicts with the issuer's intended spends.
-  TxHash current = genesis_hash_;
+  Index current = 0;
   for (;;) {
-    auto it = approvers_.find(current);
-    if (it == approvers_.end() || it->second.empty()) return current;
+    const std::vector<Index>& children = dag_[current].approvers;
+    if (children.empty()) return dag_[current].hash;
 
-    std::vector<TxHash> viable;
+    std::vector<Index> viable;
     std::vector<double> weight;
-    for (const TxHash& child : it->second) {
-      if (!spend_keys.empty()) {
-        const auto cone_keys = cone_spend_keys(child);
-        bool conflicted = false;
-        for (const Hash256& k : spend_keys)
-          if (cone_keys.count(k)) conflicted = true;
-        if (conflicted) continue;
-      }
+    for (Index child : children) {
+      if (!spend_keys.empty() && cone_holds_key({child}, spend_keys))
+        continue;
       viable.push_back(child);
-      weight.push_back(static_cast<double>(cumulative_weight(child)));
+      weight.push_back(static_cast<double>(dag_[child].weight));
     }
-    if (viable.empty()) return current;
+    if (viable.empty()) return dag_[current].hash;
 
     // Transition probability ~ exp(alpha * weight), normalized against
     // the max for numerical stability.

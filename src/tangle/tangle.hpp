@@ -17,8 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <initializer_list>
 #include <memory>
-#include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -60,6 +62,9 @@ struct TangleTx {
   bool verify_work(int difficulty_bits) const;
   void sign(const crypto::KeyPair& key, Rng& rng);
   bool verify_signature() const;
+  /// The same check against `tx_hash`, which must be this transaction's
+  /// hash(): callers that already hashed it skip a second tagged SHA-256.
+  bool verify_signature(const TxHash& tx_hash) const;
 
   /// Lossless storage codec (RecordType::kSite): the canonical fields with
   /// the timestamp double bit-cast, plus work/pubkey/signature.
@@ -101,14 +106,15 @@ class Tangle {
 
   const TangleParams& params() const { return params_; }
   const TxHash& genesis() const { return genesis_hash_; }
-  std::size_t size() const { return txs_.size(); }
+  std::size_t size() const { return dag_.size(); }
 
   /// Validates and attaches a transaction: signature, work, both parents
   /// present, and the union of the parents' past cones free of spend-key
   /// conflicts (with each other and with the new transaction).
   Status attach(const TangleTx& tx);
 
-  bool contains(const TxHash& hash) const { return txs_.count(hash) != 0; }
+  bool contains(const TxHash& hash) const { return index_.count(hash) != 0; }
+  /// The stored transaction; the pointer stays valid across later attaches.
   const TangleTx* find(const TxHash& hash) const;
 
   /// Transactions no one approves yet.
@@ -124,6 +130,11 @@ class Tangle {
   /// Fraction of current tips whose past cone contains `hash`; the
   /// tangle's confirmation confidence (compare §IV's depth rule).
   double confirmation_confidence(const TxHash& hash) const;
+
+  /// The confirmation tally over the whole tangle: every non-genesis
+  /// transaction that at least `threshold × tip_count()` of the current
+  /// tips approve (hold in their past cone), sorted by hash.
+  std::vector<TxHash> confirmed_by_tips(double threshold) const;
 
   /// Monte-Carlo confidence: the probability that a fresh transaction's
   /// tip-selection walk approves `hash`. Unlike the tip fraction, stale
@@ -143,9 +154,10 @@ class Tangle {
   /// Tip selection with an explicit strategy (ignores the configured one).
   /// RNG discipline, pinned by tests/tip_selection_test.cpp: `uniform` and
   /// `mrts` consume exactly one uniform01() draw per selection; `mcmc`
-  /// consumes one per walk step. Candidate orderings are canonical (sorted
-  /// by hash), so the draw count and the selected tip depend only on the
-  /// tangle contents and the RNG stream — never on worker counts.
+  /// consumes one per walk step. Candidate orderings are fixed: tips sorted
+  /// by hash for `uniform`/`mrts`, each vertex's approvers in attach order
+  /// for `mcmc`. So the draw count and the selected tip depend only on the
+  /// replica's attach history and the RNG stream — never on worker counts.
   TxHash select_tip_with(TipStrategy strategy, Rng& rng,
                          const std::vector<Hash256>& spend_keys = {}) const;
 
@@ -157,7 +169,7 @@ class Tangle {
 
   /// Storage model: one node per transaction.
   std::uint64_t stored_bytes() const {
-    return txs_.size() * TangleTx::kSerializedSize;
+    return size() * TangleTx::kSerializedSize;
   }
 
   // ---- Persistent storage (ISSUE 9) ---------------------------------------
@@ -206,25 +218,58 @@ class Tangle {
   }
 
  private:
-  /// Duplicate check + stateless checks + cone checks + apply.
-  Status attach_impl(const TangleTx& tx);
+  /// Position in attach order. Genesis is 0 and every transaction's
+  /// parents precede it.
+  using Index = std::uint32_t;
+
+  /// Per-index DAG record.
+  struct Vertex {
+    TxHash hash;
+    /// Parent indices; genesis names itself, so walks need no special case.
+    Index trunk = 0;
+    Index branch = 0;
+    /// Cumulative weight (own weights over the future cone), kept exact by
+    /// adding each new transaction's own weight along its past cone.
+    std::uint64_t weight = 0;
+    /// The past cone holds a spend key: own key || keyed[trunk] ||
+    /// keyed[branch]. A cone without one cannot conflict.
+    bool keyed = false;
+    /// Direct approvers in attach order (the MCMC walk's candidate order).
+    std::vector<Index> approvers;
+  };
+
+  /// Duplicate check + stateless checks + cone checks + apply. `hash` is
+  /// tx.hash(), computed by attach().
+  Status attach_impl(const TangleTx& tx, const TxHash& hash);
   /// Runs the two stateless checks across the verify pool into a verdict
   /// (signature first, then hashcash — the serial reporting order).
-  core::StatelessVerdict compute_verdict(const TangleTx& tx) const;
+  core::StatelessVerdict compute_verdict(const TangleTx& tx,
+                                         const TxHash& hash) const;
   /// Consumes a verdict (or runs the checks inline when null).
-  Status check_stateless(const TangleTx& tx,
+  Status check_stateless(const TangleTx& tx, const TxHash& hash,
                          const core::StatelessVerdict* verdict) const;
-  /// The mutation half of attach: inserts an already-validated tx.
-  void apply_attached(const TangleTx& tx, const TxHash& hash);
-  bool cone_conflicts(const TxHash& a, const TxHash& b) const;
+  /// The mutation half of attach: indexes an already-validated tx.
+  void apply_attached(const TangleTx& tx, const TxHash& hash, Index trunk,
+                      Index branch);
+
+  /// Depth-first walk over the past cone of `roots` (roots included), each
+  /// vertex once. Only vertices `enter` accepts join the walk, so callers
+  /// prune what cannot matter; a `visit` returning true stops the walk and
+  /// makes it return true. The visited bitmap is local to the call.
+  template <typename Enter, typename Visit>
+  bool walk_past_cone(std::initializer_list<Index> roots, Enter enter,
+                      Visit visit) const;
+  /// Some transaction in the past cone of `roots` carries one of `keys`.
+  bool cone_holds_key(std::initializer_list<Index> roots,
+                      std::span<const Hash256> keys) const;
+  bool cone_conflicts(Index a, Index b) const;
 
   TangleParams params_;
   TxHash genesis_hash_;
-  std::unordered_map<TxHash, TangleTx> txs_;
-  std::unordered_map<TxHash, std::vector<TxHash>> approvers_;  // children
+  std::deque<TangleTx> txs_;  // by index; a deque keeps find() stable
+  std::vector<Vertex> dag_;   // by index
+  std::unordered_map<TxHash, Index> index_;
   std::unordered_set<TxHash> tips_;
-  // spend_key -> txs carrying it (conflict detection).
-  std::unordered_map<Hash256, std::vector<TxHash>> spends_;
 
   obs::Probe probe_;
   std::uint32_t trace_node_ = 0;

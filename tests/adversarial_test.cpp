@@ -13,6 +13,7 @@
 //  - inclusion_gini and TipStationarity behave per their definitions.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/tangle_cluster.hpp"
 #include "obs/latency.hpp"
 #include "tangle/tip_selection.hpp"
+#include "tangle_oracle.hpp"
 
 namespace dlt {
 namespace {
@@ -63,8 +65,10 @@ struct TangleOutcome {
 
 /// Honest workload + adversary of the given kind/power. The adversary is
 /// always constructed — a zero-power one must not perturb the run.
-TangleOutcome run_tangle(core::TangleClusterConfig cfg, AdversaryKind kind,
-                         double power) {
+/// `inspect` sees the cluster after the run.
+TangleOutcome run_tangle(
+    core::TangleClusterConfig cfg, AdversaryKind kind, double power,
+    const std::function<void(const core::TangleCluster&)>& inspect = {}) {
   core::TangleCluster cluster(cfg);
 
   AdversaryConfig ac;
@@ -89,6 +93,7 @@ TangleOutcome run_tangle(core::TangleClusterConfig cfg, AdversaryKind kind,
   cluster.run_for(12.0);
 
   adversary.measure();
+  if (inspect) inspect(cluster);
 
   TangleOutcome out;
   out.trace = cluster.tracer().to_jsonl();
@@ -202,6 +207,34 @@ TEST(Adversarial, RaceTraceIdenticalAcrossCryptoModes) {
     expect_same_run(got, base);
     EXPECT_EQ(got.side_a, base.side_a);
     EXPECT_EQ(got.side_b, base.side_b);
+  }
+}
+
+// ------------------------------------------- index oracle, keyed cones
+
+TEST(Adversarial, KeyedConesMatchIndexOracleOnEveryReplica) {
+  // The parasite and race adversaries spend a contested key, so their
+  // cones are keyed; spam floods genesis with extra tips.
+  const struct {
+    AdversaryKind kind;
+    tangle::TipStrategy strategy;
+    double power;
+  } cases[] = {{AdversaryKind::kParasite, tangle::TipStrategy::kMcmc, 0.6},
+               {AdversaryKind::kSpam, tangle::TipStrategy::kUniform, 0.5},
+               {AdversaryKind::kRace, tangle::TipStrategy::kMcmc, 0.4}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.kind));
+    const TangleOutcome r = run_tangle(
+        tangle_config(c.strategy), c.kind, c.power,
+        [](const core::TangleCluster& cluster) {
+          for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+            SCOPED_TRACE("node " + std::to_string(i));
+            tangle::testutil::expect_index_matches_oracle(
+                cluster.node(i).tangle(),
+                cluster.config().confirmation_threshold);
+          }
+        });
+    EXPECT_GT(r.injected, 0u);
   }
 }
 

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "core/adversary.hpp"
 #include "core/chain_cluster.hpp"
 #include "core/lattice_cluster.hpp"
 #include "core/tangle_cluster.hpp"
+#include "tangle_oracle.hpp"
 
 namespace dlt::core {
 namespace {
@@ -275,28 +277,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelToggleProperty,
 // seed the pools must drain completely once the network quiesces, with
 // every replica converging on the same tangle.
 
-class TangleGapProperty : public ::testing::TestWithParam<std::uint64_t> {};
+class TangleGapProperty : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  /// A 5-replica cluster whose gossip reorders hard, run to quiescence.
+  static std::unique_ptr<TangleCluster> run_gap_cluster(std::uint64_t seed) {
+    TangleClusterConfig cfg;
+    cfg.node_count = 5;
+    cfg.account_count = 12;
+    cfg.params.work_bits = 2;
+    // Jitter comparable to the base latency: arrival order scrambles hard
+    // enough that parent-before-child cannot be assumed anywhere.
+    cfg.link = net::LinkParams{0.08, 0.08, 1e7};
+    cfg.seed = seed;
+    auto cluster = std::make_unique<TangleCluster>(cfg);
+    cluster->start();
+
+    Rng wl(seed * 13 + 7);
+    WorkloadConfig w;
+    w.account_count = 12;
+    w.tx_rate = 6.0;
+    w.duration = 20.0;
+    w.max_amount = 100;
+    cluster->schedule_workload(generate_payments(w, wl));
+    cluster->run_for(60.0);
+    return cluster;
+  }
+};
 
 TEST_P(TangleGapProperty, OutOfOrderDeliveryHealsAndConverges) {
-  TangleClusterConfig cfg;
-  cfg.node_count = 5;
-  cfg.account_count = 12;
-  cfg.params.work_bits = 2;
-  // Jitter comparable to the base latency: arrival order scrambles hard
-  // enough that parent-before-child cannot be assumed anywhere.
-  cfg.link = net::LinkParams{0.08, 0.08, 1e7};
-  cfg.seed = GetParam();
-  TangleCluster cluster(cfg);
-  cluster.start();
-
-  Rng wl(GetParam() * 13 + 7);
-  WorkloadConfig w;
-  w.account_count = 12;
-  w.tx_rate = 6.0;
-  w.duration = 20.0;
-  w.max_amount = 100;
-  cluster.schedule_workload(generate_payments(w, wl));
-  cluster.run_for(60.0);
+  const std::unique_ptr<TangleCluster> owned = run_gap_cluster(GetParam());
+  TangleCluster& cluster = *owned;
 
   // The sweep is only meaningful if reordering actually happened.
   const obs::Counter* parked =
@@ -312,6 +322,17 @@ TEST_P(TangleGapProperty, OutOfOrderDeliveryHealsAndConverges) {
   EXPECT_GT(size0, 1u);
   for (std::size_t i = 1; i < cluster.node_count(); ++i)
     EXPECT_EQ(cluster.node(i).tangle().size(), size0);
+}
+
+// Each replica attached the same transactions in its own gap-healed order,
+// so each built its own attach-order index: all must match the oracle.
+TEST_P(TangleGapProperty, EveryReplicaIndexMatchesOracle) {
+  const std::unique_ptr<TangleCluster> cluster = run_gap_cluster(GetParam());
+  for (std::size_t i = 0; i < cluster->node_count(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    tangle::testutil::expect_index_matches_oracle(
+        cluster->node(i).tangle(), cluster->config().confirmation_threshold);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TangleGapProperty,

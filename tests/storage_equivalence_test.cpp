@@ -28,6 +28,7 @@
 #include "core/workload.hpp"
 #include "lattice_test_util.hpp"
 #include "storage/ledger_store.hpp"
+#include "tangle_oracle.hpp"
 
 namespace dlt {
 namespace {
@@ -651,6 +652,66 @@ TEST(StoragePruning, TangleHeadOnlyPruneShrinksLogKeepsTips) {
   EXPECT_EQ(tangle.size(), size);
   for (const tangle::TxHash& tip : tips)
     EXPECT_TRUE(store->log().contains(storage::RecordType::kSite, tip));
+}
+
+TEST(StoragePruning, TangleIndexMatchesOracleAfterReplayAndPrune) {
+  // A weighted, keyed history written through to disk, then (a) replayed
+  // into a fresh replica by replay_from_store() and (b) attached to a
+  // memory-mode replica that prunes its log. Both indexes must match the
+  // oracle and agree on every cumulative weight.
+  tangle::TangleParams params;
+  params.work_bits = 2;
+  params.max_own_weight = 64;
+  const crypto::KeyPair issuer = crypto::KeyPair::from_seed(4);
+  ScratchDir scratch("tangle_oracle");
+  const storage::StorageConfig scfg = disk_config(scratch);
+
+  std::vector<tangle::TangleTx> accepted;
+  {
+    tangle::Tangle writer(params);
+    writer.attach_store(std::make_shared<storage::LedgerStore>(scfg, "tgl"));
+    Rng rng(8);
+    // Tips for three transactions are selected before any attaches, so
+    // the history is wide rather than a chain.
+    for (int i = 0; i < 60; i += 3) {
+      std::vector<tangle::TangleTx> batch;
+      for (int k = i; k < i + 3; ++k) {
+        Hash256 spend{};
+        if (k % 6 == 0)
+          spend = crypto::Sha256::digest(
+              as_bytes("oracle-coin-" + std::to_string(k / 6 % 2)));
+        std::vector<Hash256> avoid;
+        if (!spend.is_zero()) avoid.push_back(spend);
+        const tangle::TxHash trunk = writer.select_tip(rng, avoid);
+        const tangle::TxHash branch = writer.select_tip(rng, avoid);
+        batch.push_back(tangle::make_tx(
+            writer, issuer, trunk, branch,
+            crypto::Sha256::digest(as_bytes("or-" + std::to_string(k))),
+            static_cast<double>(k), rng, spend, 1 + rng.uniform(64)));
+      }
+      for (const tangle::TangleTx& tx : batch)
+        if (writer.attach(tx).ok()) accepted.push_back(tx);
+    }
+  }
+  ASSERT_GT(accepted.size(), 40u);
+
+  tangle::Tangle replayed(params);
+  replayed.attach_store(
+      std::make_shared<storage::LedgerStore>(scfg, "tgl", false));
+  EXPECT_EQ(replayed.replay_from_store(), accepted.size());
+  tangle::testutil::expect_index_matches_oracle(replayed);
+
+  tangle::Tangle pruned(params);
+  pruned.attach_store(std::make_shared<storage::LedgerStore>(
+      storage::StorageConfig{}, "prune-oracle"));
+  for (const tangle::TangleTx& tx : accepted)
+    ASSERT_TRUE(pruned.attach(tx).ok());
+  EXPECT_GT(pruned.prune_history(), 0u);
+  tangle::testutil::expect_index_matches_oracle(pruned);
+
+  for (const tangle::TangleTx& tx : accepted)
+    EXPECT_EQ(replayed.cumulative_weight(tx.hash()),
+              pruned.cumulative_weight(tx.hash()));
 }
 
 // ---------------------------------------- per-tx weights (PR 8 carry-over)

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "tangle/tangle.hpp"
+#include "tangle_oracle.hpp"
 
 namespace dlt::tangle {
 namespace {
@@ -217,6 +218,46 @@ TEST_F(TangleTest, SpendAwareTipSelectionAvoidsConflicts) {
 TEST_F(TangleTest, StorageModel) {
   grow(10);
   EXPECT_EQ(tangle.stored_bytes(), 11 * TangleTx::kSerializedSize);
+}
+
+TEST(TangleOracle, WeightedKeyedTangleMatchesOracle) {
+  // Own weights up to max_own_weight = 64, three contested coins and both
+  // walk strategies. Each round selects tips for three transactions before
+  // attaching any, like issuers racing on one view, so the tangle is wide:
+  // keyed cones, conflicting branches and rejected merges all occur, and
+  // the index must agree with the oracle throughout.
+  TangleParams p = cheap();
+  p.max_own_weight = 64;
+  Tangle tangle(p);
+  const crypto::KeyPair issuer = crypto::KeyPair::from_seed(5);
+  Rng rng(17);
+  std::size_t rejected = 0;
+  int i = 0;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<TangleTx> batch;
+    for (int k = 0; k < 3; ++k, ++i) {
+      Hash256 spend{};
+      if (i % 5 == 0)
+        spend = crypto::Sha256::digest(
+            as_bytes("oracle-coin-" + std::to_string(i / 5 % 3)));
+      std::vector<Hash256> avoid;
+      if (!spend.is_zero()) avoid.push_back(spend);
+      const TipStrategy strategy =
+          round % 3 == 0 ? TipStrategy::kUniform : TipStrategy::kMcmc;
+      const TxHash trunk = tangle.select_tip_with(strategy, rng, avoid);
+      const TxHash branch = tangle.select_tip_with(strategy, rng, avoid);
+      batch.push_back(make_tx(tangle, issuer, trunk, branch, payload_of(i), i,
+                              rng, spend, 1 + rng.uniform(64)));
+    }
+    for (const TangleTx& tx : batch)
+      if (!tangle.attach(tx).ok()) ++rejected;
+    if (round % 10 == 9) testutil::expect_index_matches_oracle(tangle);
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(tangle.size(), 100u);
+  EXPECT_GT(tangle.tip_count(), 1u);
+  for (double threshold : {0.0, 0.25, 1.0})
+    testutil::expect_index_matches_oracle(tangle, threshold);
 }
 
 }  // namespace

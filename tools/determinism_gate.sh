@@ -5,13 +5,17 @@
 # (profile.*, *_us) and the deliberately run-dependent
 # parallel.validate.workers gauge are exempt.
 #
-# Two legs:
+# Three legs:
 #   validation — DLT_VERIFY_THREADS (stateless verdict sharding) on every
 #                cluster bench: chain (block), dag (lattice), tangle,
 #                the adversarial lab and open-loop traffic.
 #   storage    — DLT_STORAGE=memory vs disk (pluggable persistence):
 #                flipping the storage mode must leave metrics and traces
 #                byte-identical.
+#   golden     — the tangle, adversarial and open-loop traces at the
+#                default configuration must match the digests pinned in
+#                tools/golden/traces.sha256, so a change that moves both
+#                sides of the other legs together still shows.
 #
 # bench_openloop (E20) runs both legs: the open-loop traffic engine and
 # the admission queues must replay identically across worker counts and
@@ -134,6 +138,38 @@ gate_simcore() {
     "$work/r1/BENCH_simcore.json" "$work/r2/BENCH_simcore.json"
 }
 
+# gate_golden: the pinned-digest leg. Every DLT_* variable is dropped, so
+# the runs are the default configuration whatever the caller exported.
+# Re-baselining means regenerating tools/golden/traces.sha256 (sha256sum
+# of the three TRACE_*.jsonl files from such a run) in a change that says
+# why.
+gate_golden() {
+  local golden
+  golden="$(pwd)/tools/golden/traces.sha256"
+  local -a clean_env=()
+  local name
+  for name in $(compgen -e); do
+    if [[ "$name" == DLT_* ]]; then clean_env+=(-u "$name"); fi
+  done
+
+  local work
+  work="$(mktemp -d)"
+  # shellcheck disable=SC2064
+  trap "rm -rf '$work'" RETURN
+  local bench
+  for bench in bench_throughput_tangle bench_adversarial bench_openloop; do
+    local bin="$BUILD/bench/$bench"
+    if [[ ! -x "$bin" ]]; then
+      echo "determinism gate: $bin not built (build the bench targets first)" >&2
+      exit 2
+    fi
+    echo "=== [determinism/golden] $bench @ default ==="
+    (cd "$work" && env "${clean_env[@]}" DLT_TRACE=1 "$bin" >/dev/null)
+  done
+  echo "=== [determinism/golden] trace digests vs tools/golden/traces.sha256 ==="
+  (cd "$work" && sha256sum -c "$golden")
+}
+
 gate bench_throughput_chain
 gate bench_throughput_dag
 gate bench_throughput_tangle
@@ -143,4 +179,5 @@ gate_storage bench_throughput_chain
 gate_storage bench_throughput_tangle
 gate_storage bench_openloop
 gate_simcore
+gate_golden
 echo "=== [determinism] OK ==="
