@@ -62,6 +62,7 @@ Result<Amount> UtxoSet::check_transaction(
 }
 
 TxUndo UtxoSet::apply_transaction(const UtxoTransaction& tx) {
+  ++generation_;
   TxUndo undo;
   for (const TxIn& in : tx.inputs) {
     auto it = map_.find(in.prevout);
@@ -81,6 +82,7 @@ TxUndo UtxoSet::apply_transaction(const UtxoTransaction& tx) {
 }
 
 void UtxoSet::revert_transaction(const TxUndo& undo) {
+  ++generation_;
   for (const Outpoint& op : undo.created) {
     auto it = map_.find(op);
     if (it != map_.end()) {

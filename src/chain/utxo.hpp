@@ -58,6 +58,15 @@ class UtxoSet {
   /// Reverts a transaction using its undo record (inverse order of apply).
   void revert_transaction(const TxUndo& undo);
 
+  /// Counts apply_transaction and revert_transaction calls, the only
+  /// mutations of the set. A cache of anything read from the set, such as
+  /// the cluster wallet's per-account coin lists, is current exactly while
+  /// this value is unchanged. The tip hash is not a substitute: a block
+  /// whose later transaction fails is unwound by revert_transaction, so the
+  /// tip stays put and no connect hook fires, yet the erase and re-insert
+  /// may reorder the wallet index that for_each_owned walks.
+  std::uint64_t generation() const { return generation_; }
+
   /// Sum of all unspent values (conservation checks in tests).
   Amount total_value() const;
 
@@ -67,7 +76,7 @@ class UtxoSet {
 
   /// Visits `owner`'s coins in the same wallet-index order as find_owned,
   /// without materializing a vector. `fn(outpoint, txout)` returns false
-  /// to stop early (e.g. once a coin selector has gathered enough value).
+  /// to stop early. The order stays fixed while generation() does.
   template <typename Fn>
   void for_each_owned(const crypto::AccountId& owner, Fn&& fn) const {
     auto idx = by_owner_.find(owner);
@@ -89,6 +98,7 @@ class UtxoSet {
   // Wallet index: owner -> outpoints. Kept in lockstep with map_.
   std::unordered_map<crypto::AccountId, std::unordered_set<Outpoint>>
       by_owner_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace dlt::chain

@@ -8,6 +8,27 @@ namespace {
 
 using Engine = ClusterEngine<ChainTraits>;
 
+// Account `from`'s coin list, rebuilt with one for_each_owned walk if node
+// 0's UTXO set changed since it was built or an eviction released one of
+// its reservations.
+ChainTraits::Wallet& current_wallet(Engine& e, std::size_t from) {
+  ChainTraits::State& state = e.state();
+  ChainTraits::Wallet& w = state.wallets[from];
+  const chain::UtxoSet& utxo = e.node(0).chain().utxo_set();
+  if (w.built && w.generation == utxo.generation()) return w;
+  w.coins.clear();
+  utxo.for_each_owned(
+      e.account(from).account_id(),
+      [&](const chain::Outpoint& op, const chain::TxOut& out) {
+        if (!state.reserved.count(op)) w.coins.push_back({op, out.value});
+        return true;
+      });
+  w.next = 0;
+  w.generation = utxo.generation();
+  w.built = true;
+  return w;
+}
+
 SubmitOutcome submit_utxo_payment(Engine& e, std::size_t from,
                                   std::size_t to, chain::Amount amount,
                                   chain::Amount fee = 1000) {
@@ -15,27 +36,26 @@ SubmitOutcome submit_utxo_payment(Engine& e, std::size_t from,
   ChainTraits::State& state = e.state();
   const crypto::KeyPair& key = e.account(from);
 
-  // Coin selection against the reference node's chainstate, skipping
-  // outpoints already committed to in-flight transactions. for_each_owned
-  // walks the same wallet-index order as find_owned but stops as soon as
-  // enough value is gathered, instead of materializing the whole wallet.
-  std::vector<std::pair<chain::Outpoint, chain::TxOut>> selected;
+  // Coin selection against the reference node's chainstate: the first
+  // coins in for_each_owned order that no in-flight transaction has
+  // reserved, up to the first that brings the total to amount + fee. The
+  // wallet list holds exactly those unreserved coins from its cursor on:
+  // within one UtxoSet generation the index order is fixed and only this
+  // wallet reserves the account's coins, taking them from the cursor.
+  ChainTraits::Wallet& w = current_wallet(e, from);
   chain::Amount gathered = 0;
-  node.chain().utxo_set().for_each_owned(
-      key.account_id(),
-      [&](const chain::Outpoint& op, const chain::TxOut& out) {
-        if (state.reserved.count(op)) return true;
-        selected.emplace_back(op, out);
-        gathered += out.value;
-        return gathered < amount + fee;
-      });
+  std::size_t end = w.next;
+  while (end < w.coins.size()) {
+    gathered += w.coins[end++].value;
+    if (gathered >= amount + fee) break;
+  }
   if (gathered < amount + fee)
     return SubmitOutcome{
         make_error("insufficient-funds", "wallet cannot cover amount+fee")};
 
   chain::UtxoTransaction tx;
-  for (const auto& [op, out] : selected)
-    tx.inputs.push_back(chain::TxIn{op, key.public_key(), {}});
+  for (std::size_t i = w.next; i < end; ++i)
+    tx.inputs.push_back(chain::TxIn{w.coins[i].op, key.public_key(), {}});
   tx.outputs.push_back(
       chain::TxOut{amount, e.account(to).account_id()});
   if (gathered > amount + fee)
@@ -43,12 +63,16 @@ SubmitOutcome submit_utxo_payment(Engine& e, std::size_t from,
         chain::TxOut{gathered - amount - fee, key.account_id()});
   tx.sign_all({key}, e.rng());
 
+  // The evict handler may drop this list during the submit; a dropped list
+  // is rebuilt on the next payment, so moving its cursor is harmless.
   Status st = node.submit_transaction(tx);
-  if (st.ok())
-    for (const auto& [op, out] : selected) state.reserved.insert(op);
+  if (st.ok()) {
+    for (const chain::TxIn& in : tx.inputs) state.reserved.insert(in.prevout);
+    w.next = end;
+  }
   // Reserved outpoints are released lazily: once spent they vanish from
-  // the UTXO set and future scans skip them anyway. Compact with a
-  // doubling threshold so the scan cost stays amortized O(1) per payment.
+  // the UTXO set and list rebuilds skip them anyway. Compact with a
+  // doubling threshold so the set stays proportional to the backlog.
   if (state.reserved.size() > state.reserved_compact_at) {
     for (auto it = state.reserved.begin(); it != state.reserved.end();) {
       it = node.chain().utxo_set().contains(*it) ? std::next(it)
@@ -116,6 +140,7 @@ void note_evicted(Engine& e, std::uint64_t id) {
 
 ChainTraits::State ChainTraits::make_state(Config& config) {
   State state;
+  state.wallets.resize(config.account_count);
   state.next_nonce.assign(config.account_count, 0);
   return state;
 }
@@ -197,9 +222,15 @@ void ChainTraits::after_topology(Engine& e) {
   e.node(0).utxo_pool().set_evict_handler(
       [&e](const chain::UtxoTransaction& tx) {
         // Release the wallet's coin reservations so the sender can
-        // rebuild the payment from the same outpoints.
+        // rebuild the payment from the same outpoints. A released coin
+        // sits before its owner's list cursor, so drop that list.
         ChainTraits::State& s = e.state();
-        for (const chain::TxIn& in : tx.inputs) s.reserved.erase(in.prevout);
+        for (const chain::TxIn& in : tx.inputs) {
+          if (s.reserved.erase(in.prevout) == 0) continue;
+          auto idx = s.account_index.find(crypto::account_of(in.pubkey));
+          if (idx != s.account_index.end())
+            s.wallets[idx->second].built = false;
+        }
         note_evicted(e, obs::trace_id(tx.id()));
       });
   e.node(0).account_pool().set_evict_handler(

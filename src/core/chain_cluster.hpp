@@ -66,16 +66,33 @@ struct ChainTraits {
   using Node = chain::ChainNode;
   using Amount = chain::Amount;
 
+  /// UTXO model: one workload account's spendable coins, in node 0's
+  /// for_each_owned order minus the reserved outpoints, as of UtxoSet
+  /// generation `generation`. Payments take coins from `next` on.
+  struct Wallet {
+    struct Coin {
+      chain::Outpoint op;
+      chain::Amount value = 0;
+    };
+    std::vector<Coin> coins;
+    std::size_t next = 0;
+    std::uint64_t generation = 0;
+    bool built = false;  // cleared when an eviction releases a reservation
+  };
+
   /// Driver-side wallet bookkeeping.
   struct State {
     // UTXO model: outpoints already committed to in-flight txs.
     std::unordered_set<chain::Outpoint> reserved;
     std::size_t reserved_compact_at = 8192;
+    // UTXO model: per workload account, built on its first payment.
+    std::vector<Wallet> wallets;
     // Account model: next nonce per workload account.
     std::vector<std::uint64_t> next_nonce;
     // Traffic engine (ISSUE 10): reverse account lookup so the mempool
-    // evict handler can roll a sender's wallet nonce back to the evicted
-    // slot (the wallet re-uses it, keeping the sender's queue gap-free).
+    // evict handlers can roll a sender's wallet nonce back to the evicted
+    // slot (the wallet re-uses it, keeping the sender's queue gap-free)
+    // and drop the coin list of a sender whose reservations they release.
     std::unordered_map<crypto::AccountId, std::size_t> account_index;
   };
 

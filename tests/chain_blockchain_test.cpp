@@ -192,6 +192,42 @@ TEST_F(BlockchainTest, InBlockDoubleSpendRejected) {
   EXPECT_EQ(chain.utxo_set().find_owned(keys[1].account_id()).size(), 1u);
 }
 
+TEST_F(BlockchainTest, UtxoGenerationMovesOnApplyAndRevert) {
+  UtxoSet utxo;
+  const std::uint64_t fresh = utxo.generation();
+  const TxUndo undo =
+      utxo.apply_transaction(UtxoTransaction::coinbase(miner, 50, 1));
+  const std::uint64_t applied = utxo.generation();
+  EXPECT_NE(applied, fresh);
+  utxo.revert_transaction(undo);
+  EXPECT_NE(utxo.generation(), applied);
+  EXPECT_EQ(utxo.size(), 0u);
+}
+
+TEST_F(BlockchainTest, RejectedBlockMovesUtxoGenerationNotTip) {
+  // The first payment applies, the second spends an outpoint that never
+  // existed, and the block unwinds: no new tip and no connect hook, yet
+  // the set was mutated and restored, so a cache keyed on the tip would
+  // miss the change.
+  const BlockHash tip = chain.tip_hash();
+  const std::uint64_t before = chain.utxo_set().generation();
+  const Outpoint genesis_coin =
+      chain.utxo_set().find_owned(keys[2].account_id()).front().first;
+  UtxoTransaction missing;
+  missing.inputs.push_back(TxIn{Outpoint{genesis_coin.txid, 999}, 0, {}});
+  missing.outputs.push_back(TxOut{1, keys[3].account_id()});
+  missing.sign_all({keys[2]}, rng);
+  UtxoTxList txs{
+      UtxoTransaction::coinbase(miner, chain.params().block_reward, 1),
+      make_spend(1, 2, 100'000), missing};
+  auto res = chain.submit(seal_block(chain, tip, std::move(txs), miner));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.error().code, "missing-utxo");
+  EXPECT_EQ(chain.tip_hash(), tip);
+  EXPECT_NE(chain.utxo_set().generation(), before);
+  EXPECT_EQ(chain.utxo_set().total_value(), 400'000u);
+}
+
 TEST_F(BlockchainTest, InBlockSpendOfEarlierOutputConnects) {
   // The second payment spends the output the first one created in the
   // same block.

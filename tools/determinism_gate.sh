@@ -12,10 +12,13 @@
 #   storage    — DLT_STORAGE=memory vs disk (pluggable persistence):
 #                flipping the storage mode must leave metrics and traces
 #                byte-identical.
-#   golden     — the tangle, adversarial and open-loop traces at the
-#                default configuration must match the digests pinned in
-#                tools/golden/traces.sha256, so a change that moves both
-#                sides of the other legs together still shows.
+#   golden     — the chain, tangle, adversarial and open-loop traces at
+#                the default configuration must match the digests pinned
+#                in tools/golden/traces.sha256, so a change that moves
+#                both sides of the other legs together still shows. The
+#                chain bench is the one that drives the UTXO wallet at
+#                scale (hundreds of coins per account, a growing backlog
+#                of reserved coins), so its digest pins coin selection.
 #
 # bench_openloop (E20) runs both legs: the open-loop traffic engine and
 # the admission queues must replay identically across worker counts and
@@ -141,7 +144,7 @@ gate_simcore() {
 # gate_golden: the pinned-digest leg. Every DLT_* variable is dropped, so
 # the runs are the default configuration whatever the caller exported.
 # Re-baselining means regenerating tools/golden/traces.sha256 (sha256sum
-# of the three TRACE_*.jsonl files from such a run) in a change that says
+# of the four TRACE_*.jsonl files from such a run) in a change that says
 # why.
 gate_golden() {
   local golden
@@ -157,7 +160,8 @@ gate_golden() {
   # shellcheck disable=SC2064
   trap "rm -rf '$work'" RETURN
   local bench
-  for bench in bench_throughput_tangle bench_adversarial bench_openloop; do
+  for bench in bench_throughput_chain bench_throughput_tangle \
+               bench_adversarial bench_openloop; do
     local bin="$BUILD/bench/$bench"
     if [[ ! -x "$bin" ]]; then
       echo "determinism gate: $bin not built (build the bench targets first)" >&2
