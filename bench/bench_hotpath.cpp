@@ -4,26 +4,16 @@
 //  1. Micro: ops/sec for the primitives (SHA-256, tagged hashing, digest
 //     memoization, PoW midstate, signature-cache hits vs real verifies).
 //  2. Macro: the same saturated 8-node ChainCluster run on one seed,
-//     caches off / on / on + verify threads / on + sharded validation
-//     pipeline. Final metrics must be bit-identical across all four (the
-//     caches and the pipeline are semantics-preserving); wall-clock and
-//     sigcache hit rate quantify the win.
-//  3. Parallel validation: a 2000-signature block connected serially vs
-//     through the sharded pipeline (cold sigcache per pass), recording
-//     the block-connect speedup and `parallel.validate.*` counters.
+//     caches off / on. Final metrics must be bit-identical across both
+//     (the caches are semantics-preserving); wall-clock and sigcache hit
+//     rate quantify the win.
 //
 // Results also land in BENCH_hotpath.json for tooling.
-#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "chain/blockchain.hpp"
 #include "chain/transaction.hpp"
 #include "core/chain_cluster.hpp"
 #include "core/json_report.hpp"
@@ -34,8 +24,6 @@
 #include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sigcache.hpp"
-#include "obs/metrics.hpp"
-#include "support/thread_pool.hpp"
 
 using namespace dlt;
 using namespace dlt::core;
@@ -199,8 +187,7 @@ struct ClusterRun {
   std::string trace_summary_json;
 };
 
-ClusterRun run_cluster(bool caches_on, std::size_t verify_threads,
-                       bool pipeline = false) {
+ClusterRun run_cluster(bool caches_on) {
   ChainClusterConfig cfg;
   cfg.params = chain::bitcoin_like();
   cfg.params.verify_pow = false;
@@ -218,8 +205,6 @@ ClusterRun run_cluster(bool caches_on, std::size_t verify_threads,
   cfg.genesis_outputs_per_account = 640;
   cfg.seed = 99;
   cfg.crypto.shared_sigcache = caches_on;
-  cfg.crypto.verify_threads = verify_threads;
-  cfg.crypto.parallel_validation = pipeline;
 
   crypto::DigestCache::set_enabled(caches_on);
   ClusterRun out;
@@ -250,157 +235,19 @@ ClusterRun run_cluster(bool caches_on, std::size_t verify_threads,
   return out;
 }
 
-// --------------------------------------------------------------------------
-// Parallel validation: one big block connected serially vs through the
-// sharded pipeline. Fresh chain + cold signature cache per pass so every
-// signature is a real group verify; the block object is reused so digest
-// memos are warm in both modes -- the timed difference is the sharding.
-
-struct ConnectResult {
-  double serial_ms = 0;    // wall per connect
-  double parallel_ms = 0;
-  double speedup = 0;
-  std::size_t workers = 0;
-  std::size_t cores = 0;   // hardware threads actually available
-  std::size_t checks_per_block = 0;
-  std::uint64_t pv_batches = 0;
-  std::uint64_t pv_checks = 0;
-};
-
-/// A sealed 1-block chain fixture: `payments` single-input payments, each
-/// spending its own genesis coin (one signature per payment).
-struct BigBlockFixture {
-  chain::ChainParams params;
-  chain::GenesisSpec genesis;
-  chain::Block block;
-  std::size_t payments = 0;
-};
-
-BigBlockFixture make_big_block(std::size_t tx_count) {
-  BigBlockFixture fx;
-  fx.params = chain::bitcoin_like();
-  fx.params.initial_difficulty = 4.0;
-  fx.params.retarget_window = 0;
-
-  const auto payer = crypto::KeyPair::from_seed(0xbeef);
-  const auto payee = crypto::KeyPair::from_seed(0xcafe);
-  for (std::size_t i = 0; i < tx_count; ++i)
-    fx.genesis.allocations.emplace_back(payer.account_id(), 10'000);
-
-  // Build and seal the block once against a reference instance; every
-  // timed pass replays it into a fresh chain with the identical genesis.
-  chain::Blockchain ref(fx.params, fx.genesis);
-  std::vector<chain::Outpoint> coins;
-  ref.utxo_set().for_each_owned(
-      payer.account_id(),
-      [&](const chain::Outpoint& op, const chain::TxOut&) {
-        coins.push_back(op);
-        return true;
-      });
-  fx.payments = coins.size();
-
-  Rng rng(71);
-  fx.block.txs = chain::UtxoTxList{};
-  auto& txs = fx.block.utxo_txs();
-  txs.push_back(chain::UtxoTransaction::coinbase(payee.account_id(),
-                                                 fx.params.block_reward, 1));
-  for (const chain::Outpoint& op : coins) {
-    chain::UtxoTransaction tx;
-    tx.inputs.push_back(chain::TxIn{op, payer.public_key(), {}});
-    tx.outputs.push_back(chain::TxOut{10'000, payee.account_id()});
-    tx.sign_all({payer}, rng);
-    txs.push_back(std::move(tx));
-  }
-  fx.block.header.height = 1;
-  fx.block.header.parent = ref.tip_hash();
-  fx.block.header.timestamp = fx.params.block_interval;
-  fx.block.header.difficulty = ref.next_difficulty(ref.tip_hash());
-  fx.block.header.proposer = payee.account_id();
-  fx.block.header.merkle_root = fx.block.compute_merkle_root();
-  for (std::uint64_t nonce = 0;; ++nonce) {
-    fx.block.header.nonce = nonce;
-    fx.block.header.invalidate_digests();
-    if (chain::meets_target(fx.block.header.pow_digest(),
-                            fx.block.header.difficulty))
-      break;
-  }
-  return fx;
-}
-
-ConnectResult bench_parallel_connect(std::size_t workers) {
-  const BigBlockFixture fx = make_big_block(2000);
-  const chain::ChainParams& params = fx.params;
-  const chain::GenesisSpec& genesis = fx.genesis;
-  const chain::Block& block = fx.block;
-  constexpr int kIters = 8;
-
-  ConnectResult out;
-  out.workers = workers;
-  out.cores = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  out.checks_per_block = fx.payments;
-
-  obs::MetricsRegistry reg;
-  auto seconds_per_connect = [&](std::size_t threads) {
-    auto pool = threads > 0 ? std::make_shared<support::ThreadPool>(threads)
-                            : nullptr;
-    double total = 0;
-    for (int it = -1; it < kIters; ++it) {  // it == -1 warms up
-      chain::Blockchain chain(params, genesis);
-      chain.set_sigcache(
-          std::make_shared<crypto::SignatureCache>(std::size_t{1} << 14));
-      if (pool) {
-        chain.set_verify_pool(pool);
-        chain.set_parallel_validation(true);
-      }
-      chain.set_metrics(&reg);
-      const double secs = time_seconds([&] {
-        if (!chain.submit(block).ok()) {
-          std::cerr << "parallel-connect bench: submit failed\n";
-          std::exit(2);
-        }
-      });
-      if (it >= 0) total += secs;
-    }
-    return total / kIters;
-  };
-
-  const double serial = seconds_per_connect(0);
-  const double parallel = seconds_per_connect(workers);
-  out.serial_ms = serial * 1e3;
-  out.parallel_ms = parallel * 1e3;
-  out.speedup = parallel > 0 ? serial / parallel : 0;
-  if (const auto* c = reg.find_counter("parallel.validate.batches"))
-    out.pv_batches = c->value();
-  if (const auto* c = reg.find_counter("parallel.validate.checks"))
-    out.pv_checks = c->value();
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // Single-config mode for profilers: run just one macro cluster pass.
   if (argc > 1) {
     const std::string mode = argv[1];
-    if (mode == "--connect") {
-      const ConnectResult c = bench_parallel_connect(4);
-      std::cout << mode << ": serial " << fmt(c.serial_ms, 2)
-                << " ms, pipeline " << fmt(c.parallel_ms, 2) << " ms, "
-                << fmt(c.speedup, 2) << "x\n";
-      return 0;
-    }
     ClusterRun r;
     if (mode == "--cluster-off")
-      r = run_cluster(false, 0);
+      r = run_cluster(false);
     else if (mode == "--cluster-on")
-      r = run_cluster(true, 0);
-    else if (mode == "--cluster-par")
-      r = run_cluster(true, 2);
-    else if (mode == "--cluster-pipe")
-      r = run_cluster(true, 4, /*pipeline=*/true);
+      r = run_cluster(true);
     else {
-      std::cerr << "usage: bench_hotpath [--connect|--cluster-off|"
-                   "--cluster-on|--cluster-par|--cluster-pipe]\n";
+      std::cerr << "usage: bench_hotpath [--cluster-off|--cluster-on]\n";
       return 2;
     }
     std::cout << mode << ": wall " << fmt(r.wall, 2) << " s, metrics "
@@ -436,14 +283,10 @@ int main(int argc, char** argv) {
 
   std::cout << "Macro: saturated 8-node bitcoin-like cluster, one seed, "
                "~25 tx/s offered for 240 s.\n";
-  const ClusterRun off = run_cluster(/*caches_on=*/false, 0);
-  const ClusterRun on = run_cluster(/*caches_on=*/true, 0);
-  const ClusterRun par = run_cluster(/*caches_on=*/true, 2);
-  const ClusterRun pipe = run_cluster(/*caches_on=*/true, 4, /*pipeline=*/true);
+  const ClusterRun off = run_cluster(/*caches_on=*/false);
+  const ClusterRun on = run_cluster(/*caches_on=*/true);
 
   const bool identical = on.fingerprint == off.fingerprint;
-  const bool par_identical = par.fingerprint == on.fingerprint;
-  const bool pipe_identical = pipe.fingerprint == on.fingerprint;
   const double speedup = on.wall > 0 ? off.wall / on.wall : 0;
 
   Table macro({"config", "wall s", "included", "sigcache hit rate",
@@ -453,71 +296,30 @@ int main(int argc, char** argv) {
   macro.row({"caches on", fmt(on.wall, 2), fmt_u(on.included),
              fmt(100 * on.hit_rate, 1) + "%",
              identical ? "identical" : "DIVERGED"});
-  macro.row({"caches on + 2 verify threads", fmt(par.wall, 2),
-             fmt_u(par.included), fmt(100 * par.hit_rate, 1) + "%",
-             par_identical ? "identical" : "DIVERGED"});
-  macro.row({"caches on + 4-worker pipeline", fmt(pipe.wall, 2),
-             fmt_u(pipe.included), fmt(100 * pipe.hit_rate, 1) + "%",
-             pipe_identical ? "identical" : "DIVERGED"});
   macro.print();
   std::cout << "\nSpeedup (off/on): " << fmt(speedup, 2) << "x over "
             << on.sig_checks << " signature checks\n";
-  if (!identical || !par_identical || !pipe_identical)
-    std::cout << "ERROR: cached/parallel run diverged from baseline -- "
+  if (!identical)
+    std::cout << "ERROR: cached run diverged from baseline -- "
                  "the caches are supposed to be semantics-preserving!\n";
-
-  std::cout << "\nParallel validation: one 2000-signature block, fresh "
-               "chain + cold sigcache per pass, serial vs sharded "
-               "pipeline.\n";
-  const ConnectResult conn = bench_parallel_connect(4);
-  Table conn_table({"mode", "ms/connect", "connects/s"});
-  conn_table.row({"serial", fmt(conn.serial_ms, 2),
-                  fmt(conn.serial_ms > 0 ? 1e3 / conn.serial_ms : 0, 1)});
-  conn_table.row({"pipeline (" + std::to_string(conn.workers) + " workers)",
-                  fmt(conn.parallel_ms, 2),
-                  fmt(conn.parallel_ms > 0 ? 1e3 / conn.parallel_ms : 0, 1)});
-  conn_table.print();
-  std::cout << "Block-connect speedup: " << fmt(conn.speedup, 2) << "x ("
-            << conn.checks_per_block << " checks/block, "
-            << conn.pv_batches << " pipelined batches, " << conn.pv_checks
-            << " sharded checks, " << conn.cores << " hardware threads)\n";
-  if (conn.cores < conn.workers)
-    std::cout << "NOTE: host has fewer hardware threads than workers; the "
-                 ">=1.5x target applies on >=4-core hosts.\n";
 
   JsonObject macro_json;
   macro_json.put("wall_seconds_caches_off", off.wall);
   macro_json.put("wall_seconds_caches_on", on.wall);
-  macro_json.put("wall_seconds_parallel", par.wall);
   macro_json.put("speedup", speedup);
   macro_json.put("sigcache_hit_rate", on.hit_rate);
   macro_json.put("sigcache_checks", on.sig_checks);
   macro_json.put("included_payments", on.included);
   macro_json.put("node_count", std::uint64_t{8});
   macro_json.put("metrics_identical", identical);
-  macro_json.put("parallel_metrics_identical", par_identical);
-  macro_json.put("wall_seconds_pipeline", pipe.wall);
-  macro_json.put("pipeline_metrics_identical", pipe_identical);
-
-  JsonObject pv_json;
-  pv_json.put("workers", static_cast<std::uint64_t>(conn.workers));
-  pv_json.put("hardware_threads", static_cast<std::uint64_t>(conn.cores));
-  pv_json.put("checks_per_block",
-              static_cast<std::uint64_t>(conn.checks_per_block));
-  pv_json.put("serial_ms_per_connect", conn.serial_ms);
-  pv_json.put("pipeline_ms_per_connect", conn.parallel_ms);
-  pv_json.put("block_connect_speedup", conn.speedup);
-  pv_json.put("batches", conn.pv_batches);
-  pv_json.put("checks", conn.pv_checks);
 
   report.put("bench", "hotpath");
   report.put_raw("micro", micro_json.to_string());
   report.put_raw("cluster", macro_json.to_string());
-  report.put_raw("parallel_validate", pv_json.to_string());
   report.put_raw("metrics", on.metrics_json);  // caches-on reference run
   report.put_raw("trace_summary", on.trace_summary_json);
   write_bench_report("hotpath", report);
   std::cout << "Wrote BENCH_hotpath.json\n";
 
-  return identical && par_identical && pipe_identical ? 0 : 1;
+  return identical ? 0 : 1;
 }

@@ -43,7 +43,6 @@ TpRun run(chain::ChainParams params, double offered_tps, double duration,
 
   ChainClusterConfig cfg;
   cfg.params = params;
-  apply_env_crypto(cfg.crypto);  // DLT_VERIFY_THREADS (determinism gate)
   storage::apply_env_storage(cfg.storage);  // DLT_STORAGE (disk legs)
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
   // DLT_TRACE_SINK streams the reference run write-through (ring optional).
@@ -182,7 +181,6 @@ int main() {
 
     ChainClusterConfig cfg;
     cfg.params = p;
-    apply_env_crypto(cfg.crypto);
     storage::apply_env_storage(cfg.storage);
     cfg.params.initial_difficulty = static_cast<double>(miners) * 1e6;
     cfg.node_count = std::max<std::size_t>(miners, 2);

@@ -39,7 +39,6 @@ struct TangleRun {
 TangleRun run(double offered_tps, double bandwidth, int work_bits,
               const std::string& trace_path = {}) {
   TangleClusterConfig cfg;
-  apply_env_crypto(cfg.crypto);  // DLT_VERIFY_THREADS (determinism gate)
   storage::apply_env_storage(cfg.storage);  // DLT_STORAGE (disk legs)
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
   // DLT_TRACE_SINK streams the reference run write-through (ring optional).
@@ -55,7 +54,7 @@ TangleRun run(double offered_tps, double bandwidth, int work_bits,
 
   // Cone walks are O(tangle size) per attach, so runtime grows
   // quadratically with duration × rate; keep the window tight enough for
-  // the determinism gate to run this bench at several worker counts.
+  // the determinism gate to run this bench three times.
   const double duration = 25.0;
   Rng wl_rng(4);
   WorkloadConfig wl;

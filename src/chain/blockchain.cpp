@@ -253,134 +253,12 @@ Status Blockchain::check_contextual(const Block& block,
 void Blockchain::set_metrics(obs::MetricsRegistry* metrics) {
   profile_connect_ =
       metrics ? &metrics->histogram("profile.connect_block_us") : nullptr;
-  profile_prefetch_ =
-      metrics ? &metrics->histogram("profile.prefetch_us") : nullptr;
-  pv_.wire(obs::Probe{metrics, nullptr, {}});
-}
-
-void Blockchain::prefetch_signatures(const Block& block) const {
-  if (!verify_pool_ || !sigcache_) return;
-  obs::ProfileTimer timer(profile_prefetch_);
-
-  // Collect the independent (pubkey, sighash, signature) checks in block
-  // order. Sighashes are memoized here, on the simulation thread, so the
-  // workers below never race on a DigestCache.
-  struct Check {
-    std::uint64_t pubkey;
-    Hash256 sighash;
-    crypto::Signature sig;
-  };
-  std::vector<Check> checks;
-  if (block.is_utxo()) {
-    const auto& txs = block.utxo_txs();
-    for (std::size_t i = 1; i < txs.size(); ++i) {
-      const Hash256 digest = txs[i].sighash();
-      for (const TxIn& in : txs[i].inputs)
-        if (!sigcache_->peek(in.pubkey, digest, in.signature))
-          checks.push_back(Check{in.pubkey, digest, in.signature});
-    }
-  } else {
-    for (const auto& tx : block.account_txs())
-      if (!sigcache_->peek(tx.pubkey, tx.sighash(), tx.signature))
-        checks.push_back(Check{tx.pubkey, tx.sighash(), tx.signature});
-  }
-  if (checks.empty()) return;
-
-  // Verify misses in parallel; each worker writes only its own slot.
-  std::vector<std::uint8_t> ok(checks.size(), 0);
-  verify_pool_->parallel_for(checks.size(), [&](std::size_t i) {
-    const Check& c = checks[i];
-    ok[i] = crypto::verify(c.pubkey, c.sighash.view(), c.sig) ? 1 : 0;
-  });
-
-  // Join in index order: stage successes in the cache; failures fall
-  // through to the serial path, which reports them exactly as before.
-  for (std::size_t i = 0; i < checks.size(); ++i)
-    if (ok[i])
-      sigcache_->insert(checks[i].pubkey, checks[i].sighash, checks[i].sig);
-}
-
-BlockVerdicts Blockchain::compute_verdicts(const Block& block) const {
-  BlockVerdicts verdicts;
-  // Collect: one job per signed input, in block order, on the simulation
-  // thread. Sighash memoization and sigcache probes happen here so workers
-  // only ever touch the immutable Job and their own verdict slot.
-  struct Job {
-    std::uint32_t tx;
-    std::uint32_t input;
-    std::uint64_t pubkey;
-    Hash256 sighash;
-    crypto::Signature sig;
-    bool cached;  // sigcache hit; worker skips the verify
-  };
-  std::vector<Job> jobs;
-  if (block.is_utxo()) {
-    const auto& txs = block.utxo_txs();
-    verdicts.txs.resize(txs.size());
-    for (std::size_t i = 1; i < txs.size(); ++i) {
-      const Hash256 digest = txs[i].sighash();
-      verdicts.txs[i].inputs.resize(txs[i].inputs.size());
-      for (std::size_t j = 0; j < txs[i].inputs.size(); ++j) {
-        const TxIn& in = txs[i].inputs[j];
-        const bool cached =
-            sigcache_ && sigcache_->contains(in.pubkey, digest, in.signature);
-        jobs.push_back(Job{static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(j), in.pubkey, digest,
-                           in.signature, cached});
-      }
-    }
-  } else {
-    const auto& txs = block.account_txs();
-    verdicts.txs.resize(txs.size());
-    for (std::size_t i = 0; i < txs.size(); ++i) {
-      const AccountTransaction& tx = txs[i];
-      const Hash256 digest = tx.sighash();
-      verdicts.txs[i].inputs.resize(1);
-      const bool cached =
-          sigcache_ && sigcache_->contains(tx.pubkey, digest, tx.signature);
-      jobs.push_back(Job{static_cast<std::uint32_t>(i), 0, tx.pubkey, digest,
-                         tx.signature, cached});
-    }
-  }
-  pv_.record_batch(jobs.size(), verify_pool_->thread_count());
-  if (jobs.empty()) return verdicts;
-
-  // Shard: workers call only pure functions and write disjoint slots.
-  obs::ProfileTimer timer(pv_.join_us);
-  verify_pool_->parallel_for(jobs.size(), [&](std::size_t k) {
-    const Job& job = jobs[k];
-    InputVerdict& iv = verdicts.txs[job.tx].inputs[job.input];
-    iv.signer = crypto::account_of(job.pubkey);
-    iv.sig_ok =
-        job.cached || crypto::verify(job.pubkey, job.sighash.view(), job.sig);
-  });
-
-  // Join in block order: fresh successes enter the cache exactly where the
-  // serial path's verify_cached would have inserted them.
-  if (sigcache_) {
-    for (const Job& job : jobs) {
-      if (job.cached) continue;
-      if (verdicts.txs[job.tx].inputs[job.input].sig_ok)
-        sigcache_->insert(job.pubkey, job.sighash, job.sig);
-    }
-  }
-  return verdicts;
 }
 
 Status Blockchain::connect_block(Record& rec) {
   const Block& block = rec.block;
   obs::ProfileTimer timer(profile_connect_);
-
-  // Stateless phase: either the full sharded pipeline (verdict slots feed
-  // the stateful phase below) or the prefetch-only reference.
-  BlockVerdicts verdicts;
-  if (parallel_validation())
-    verdicts = compute_verdicts(block);
-  else
-    prefetch_signatures(block);
-
-  const Status st = block.is_utxo() ? connect_utxo(rec, verdicts)
-                                    : connect_account(rec, verdicts);
+  const Status st = block.is_utxo() ? connect_utxo(rec) : connect_account(rec);
   if (!st.ok()) return st;
 
   persist_connect(rec);
@@ -388,7 +266,7 @@ Status Blockchain::connect_block(Record& rec) {
   return Status::success();
 }
 
-Status Blockchain::connect_utxo(Record& rec, const BlockVerdicts& verdicts) {
+Status Blockchain::connect_utxo(Record& rec) {
   const Block& block = rec.block;
   const std::uint32_t h = block.header.height;
   const auto& txs = block.utxo_txs();
@@ -397,8 +275,7 @@ Status Blockchain::connect_utxo(Record& rec, const BlockVerdicts& verdicts) {
   std::size_t applied = 0;
   Status failure = Status::success();
   for (std::size_t i = 1; i < txs.size(); ++i) {
-    auto fee =
-        utxo_.check_transaction(txs[i], h, sigcache_.get(), verdicts.tx(i));
+    auto fee = utxo_.check_transaction(txs[i], h, sigcache_.get());
     if (!fee) {
       failure = fee.error();
       break;
@@ -427,13 +304,13 @@ Status Blockchain::connect_utxo(Record& rec, const BlockVerdicts& verdicts) {
   return Status::success();
 }
 
-Status Blockchain::connect_account(Record& rec, const BlockVerdicts& verdicts) {
+Status Blockchain::connect_account(Record& rec) {
   const Block& block = rec.block;
   WorldState state = state_;
   const auto& txs = block.account_txs();
   for (std::size_t i = 0; i < txs.size(); ++i) {
     auto next = state.apply_transaction(txs[i], block.header.proposer, gas_,
-                                        sigcache_.get(), verdicts.tx(i));
+                                        sigcache_.get());
     if (!next) {
       rec.state_valid = false;
       return next.error();

@@ -20,13 +20,10 @@
 #include "chain/params.hpp"
 #include "chain/state.hpp"
 #include "chain/utxo.hpp"
-#include "chain/validation.hpp"
 #include "crypto/sigcache.hpp"
 #include "obs/metrics.hpp"
-#include "obs/parallel.hpp"
 #include "storage/ledger_store.hpp"
 #include "support/result.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt::chain {
 
@@ -197,28 +194,10 @@ class Blockchain {
     sigcache_ = std::move(cache);
   }
   crypto::SignatureCache* sigcache() const { return sigcache_.get(); }
-  /// Thread pool for batch signature verification during block connect.
-  /// With parallel validation off it drives the sigcache prefetch (needs a
-  /// sigcache to stage results); null = serial.
-  void set_verify_pool(std::shared_ptr<support::ThreadPool> pool) {
-    verify_pool_ = std::move(pool);
-  }
-
-  /// Switches block connect from prefetch-then-serial-verify to the full
-  /// sharded pipeline: stateless checks (signatures, signer derivation)
-  /// run across the verify pool and the serial state-application phase
-  /// consumes the joined verdicts. No-op without a verify pool. The
-  /// serial path remains the reference implementation; both produce
-  /// byte-identical traces, metrics, and ledger state for a given seed
-  /// (proven by tests/parallel_validation_test.cpp).
-  void set_parallel_validation(bool on) { parallel_validation_ = on; }
-  bool parallel_validation() const {
-    return parallel_validation_ && verify_pool_ != nullptr;
-  }
 
   /// Wall-clock profiling of the validation hot path. Durations land in
-  /// `profile.connect_block_us` / `profile.prefetch_us` histograms; they
-  /// never enter traces (see obs/profile.hpp). May be null.
+  /// the `profile.connect_block_us` histogram; they never enter traces
+  /// (see obs/profile.hpp). May be null.
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
@@ -244,8 +223,8 @@ class Blockchain {
   Status connect_block(Record& rec);
 
   /// The stateful phase, one per ledger model.
-  Status connect_utxo(Record& rec, const BlockVerdicts& verdicts);
-  Status connect_account(Record& rec, const BlockVerdicts& verdicts);
+  Status connect_utxo(Record& rec);
+  Status connect_account(Record& rec);
 
   void disconnect_tip();
 
@@ -256,20 +235,6 @@ class Blockchain {
   void persist_block(const Record& rec);
   void persist_connect(const Record& rec);
   void persist_disconnect(const Record& rec);
-
-  /// Batch-verifies the block's signatures across the verify pool, staging
-  /// successes in the sigcache so the serial validation below is all hits.
-  /// Purely a prefetch: failures are left for the serial path to diagnose
-  /// in block order, so determinism and error reporting are untouched.
-  void prefetch_signatures(const Block& block) const;
-
-  /// Parallel-validation collect/shard/join. On the simulation thread:
-  /// memoizes every sighash and probes the sigcache in block order (so
-  /// digest caches are never raced and hit/miss accounting matches the
-  /// serial path on valid blocks). Workers then run only pure functions
-  /// (crypto::verify, account_of) into pre-sized verdict slots; the join
-  /// inserts fresh successes into the sigcache in block order.
-  BlockVerdicts compute_verdicts(const Block& block) const;
 
   /// Attempts to make `candidate` the active tip (it must be heavier).
   /// Returns the reorg depth, or an error if its branch proved invalid.
@@ -301,12 +266,8 @@ class Blockchain {
   std::shared_ptr<storage::LedgerStore> store_;
 
   std::shared_ptr<crypto::SignatureCache> sigcache_;
-  std::shared_ptr<support::ThreadPool> verify_pool_;
-  bool parallel_validation_ = false;
 
   obs::Histogram* profile_connect_ = nullptr;
-  obs::Histogram* profile_prefetch_ = nullptr;
-  mutable obs::ParallelValidationMetrics pv_;
 };
 
 /// Builds the deterministic genesis block for a spec (shared by all nodes).

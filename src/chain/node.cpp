@@ -39,8 +39,6 @@ ChainNode::ChainNode(net::Network& network, const ChainParams& params,
   }
 
   chain_.set_sigcache(config_.sigcache);
-  chain_.set_verify_pool(config_.verify_pool);
-  chain_.set_parallel_validation(config_.parallel_validation);
   chain_.set_metrics(config_.probe.metrics);
   if (config_.store) chain_.attach_store(config_.store);
 

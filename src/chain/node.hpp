@@ -40,13 +40,6 @@ struct NodeConfig {
   /// Signature-verification cache, usually shared across the whole cluster
   /// (crypto/sigcache.hpp). Null = verify every signature from scratch.
   std::shared_ptr<crypto::SignatureCache> sigcache;
-  /// Thread pool for batch verification during block connect (needs
-  /// `sigcache` to stage results). Null = serial verification.
-  std::shared_ptr<support::ThreadPool> verify_pool;
-  /// Run the sharded parallel-validation pipeline in block connect instead
-  /// of the prefetch-only reference path. Needs `verify_pool`. Either
-  /// setting yields byte-identical simulation results for a given seed.
-  bool parallel_validation = false;
   /// Observability hookup (cluster-owned registry + tracer). A default
   /// probe is inert; see obs/probe.hpp.
   obs::Probe probe;

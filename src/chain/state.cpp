@@ -48,15 +48,8 @@ WorldState WorldState::with_account(const crypto::AccountId& id,
 
 Result<WorldState> WorldState::apply_transaction(
     const AccountTransaction& tx, const crypto::AccountId& fee_recipient,
-    const GasSchedule& gs, crypto::SignatureCache* sigcache,
-    const TxVerdict* verdict) const {
-  // Verdict slot, when present, is exactly verify_signature() pre-computed:
-  // signer-matches-from plus signature-over-sighash.
-  const InputVerdict* iv =
-      verdict && !verdict->inputs.empty() ? &verdict->inputs[0] : nullptr;
-  const bool sig_ok = iv ? (iv->signer == tx.from && iv->sig_ok)
-                         : tx.verify_signature(sigcache);
-  if (!sig_ok) return make_error("bad-signature");
+    const GasSchedule& gs, crypto::SignatureCache* sigcache) const {
+  if (!tx.verify_signature(sigcache)) return make_error("bad-signature");
 
   const std::optional<AccountState> sender = get(tx.from);
   if (!sender) return make_error("unknown-sender", "no such account");

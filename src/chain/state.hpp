@@ -13,7 +13,6 @@
 
 #include "chain/account_tx.hpp"
 #include "chain/params.hpp"
-#include "chain/validation.hpp"
 #include "crypto/trie.hpp"
 #include "support/result.hpp"
 
@@ -45,13 +44,11 @@ class WorldState {
   /// Validates and executes a transaction: signature, nonce, balance
   /// covering value + max fee. Returns the post state; fees are credited
   /// to `fee_recipient` and unused gas refunded to the sender. A shared
-  /// crypto::SignatureCache skips repeat signature verifications. When
-  /// `verdict` carries a pre-computed slot (parallel pipeline) the
-  /// signature check reads it instead of re-verifying.
+  /// crypto::SignatureCache skips repeat signature verifications.
   Result<WorldState> apply_transaction(
       const AccountTransaction& tx, const crypto::AccountId& fee_recipient,
-      const GasSchedule& gs = {}, crypto::SignatureCache* sigcache = nullptr,
-      const TxVerdict* verdict = nullptr) const;
+      const GasSchedule& gs = {},
+      crypto::SignatureCache* sigcache = nullptr) const;
 
   /// Credits `amount` (block reward).
   WorldState credit(const crypto::AccountId& id, Amount amount) const;

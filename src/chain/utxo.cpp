@@ -13,7 +13,7 @@ std::optional<TxOut> UtxoSet::get(const Outpoint& op) const {
 
 Result<Amount> UtxoSet::check_transaction(
     const UtxoTransaction& tx, std::uint32_t height,
-    crypto::SignatureCache* sigcache, const TxVerdict* verdict) const {
+    crypto::SignatureCache* sigcache) const {
   if (tx.lock_height > height)
     return make_error("premature", "lock_height above current height");
   if (tx.is_coinbase())
@@ -42,16 +42,10 @@ Result<Amount> UtxoSet::check_transaction(
     auto prev = map_.find(in.prevout);
     if (prev == map_.end())
       return make_error("missing-utxo", "input not in UTXO set");
-    const InputVerdict* iv =
-        verdict && i < verdict->inputs.size() ? &verdict->inputs[i] : nullptr;
-    const crypto::AccountId signer =
-        iv ? iv->signer : crypto::account_of(in.pubkey);
-    if (signer != prev->second.owner)
+    if (crypto::account_of(in.pubkey) != prev->second.owner)
       return make_error("wrong-owner", "pubkey does not own prevout");
-    const bool sig_ok =
-        iv ? iv->sig_ok
-           : crypto::verify_cached(sigcache, in.pubkey, digest, in.signature);
-    if (!sig_ok) return make_error("bad-signature");
+    if (!crypto::verify_cached(sigcache, in.pubkey, digest, in.signature))
+      return make_error("bad-signature");
     in_sum += prev->second.value;
   }
 

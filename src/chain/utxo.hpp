@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "chain/transaction.hpp"
-#include "chain/validation.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sigcache.hpp"
 #include "support/result.hpp"
@@ -43,14 +42,9 @@ class UtxoSet {
   /// inputs exist, signatures valid, owners match, no value inflation,
   /// lock height respected. Returns the fee (inputs - outputs). A shared
   /// crypto::SignatureCache skips repeat input-signature verifications.
-  /// When `verdict` is given (parallel pipeline), signer derivation and
-  /// signature checks are read from its pre-computed slots instead of
-  /// being recomputed; both are pure, so errors land at the same input
-  /// as the inline serial path.
   Result<Amount> check_transaction(
       const UtxoTransaction& tx, std::uint32_t height,
-      crypto::SignatureCache* sigcache = nullptr,
-      const TxVerdict* verdict = nullptr) const;
+      crypto::SignatureCache* sigcache = nullptr) const;
 
   /// Applies an already-checked transaction; returns its undo record.
   TxUndo apply_transaction(const UtxoTransaction& tx);

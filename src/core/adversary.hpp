@@ -35,7 +35,7 @@
 // actions run as simulation events on the serial sim thread. A zero-power
 // adversary schedules nothing and draws nothing, so its run is
 // byte-identical to the honest baseline; any-power runs are byte-identical
-// across DLT_VERIFY_THREADS settings (tests/adversarial_test.cpp).
+// across repeated runs of one seed (tests/adversarial_test.cpp).
 #pragma once
 
 #include <cstdint>

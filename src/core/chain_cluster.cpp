@@ -173,7 +173,6 @@ void ChainTraits::build_nodes(Engine& e) {
     }
   }
 
-  const ClusterCrypto& crypto = e.crypto_handles();
   for (std::size_t i = 0; i < config.node_count; ++i) {
     chain::NodeConfig nc;
     nc.wallet_seed = 0x4000 + i;  // validators sign with their stake key
@@ -183,14 +182,7 @@ void ChainTraits::build_nodes(Engine& e) {
           config.total_hashrate / static_cast<double>(config.miner_count);
       nc.solve_pow = config.params.verify_pow;
     }
-    nc.sigcache = crypto.sigcache;
-    // Batch verification stages results in a sigcache; give each node a
-    // private one if the cluster-wide cache is disabled.
-    if (crypto.verify_pool && !nc.sigcache)
-      nc.sigcache = std::make_shared<crypto::SignatureCache>(
-          config.crypto.sigcache_capacity);
-    nc.verify_pool = crypto.verify_pool;
-    nc.parallel_validation = config.crypto.parallel_validation;
+    nc.sigcache = e.sigcache_handle();
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
     if (config.traffic.enabled) {
@@ -291,11 +283,6 @@ void ChainTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
     ++adm.rejected;
     e.rejected_counter().inc();
   }
-}
-
-void ChainTraits::set_parallel_validation(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).chain().set_parallel_validation(on);
 }
 
 void ChainTraits::fill_metrics(const Engine& e, RunMetrics& m) {

@@ -38,7 +38,7 @@ struct ChainClusterConfig {
   /// 21k intrinsic gas; this reproduces that gas weighting (paper §VI-A).
   std::uint32_t account_tx_data_mean = 0;
 
-  /// Crypto hot-path knobs (shared sigcache, batch verification).
+  /// Crypto hot-path knob (the shared sigcache).
   CryptoConfig crypto{};
 
   /// Observability knobs (metrics registry is always on; tracing opt-in).
@@ -107,7 +107,6 @@ struct ChainTraits {
                                       Amount amount);
   static void submit_traffic(ClusterEngine<ChainTraits>& e,
                              const TrafficEvent& ev);
-  static void set_parallel_validation(ClusterEngine<ChainTraits>& e, bool on);
   static void fill_metrics(const ClusterEngine<ChainTraits>& e,
                            RunMetrics& m);
   static bool converged(const ClusterEngine<ChainTraits>& e);

@@ -1,7 +1,7 @@
 // Wiring shared by ChainCluster and LatticeCluster: network topology
 // construction, the deterministic workload-account key schedule, and the
-// crypto hot-path handles (shared sigcache + batch-verification pool) that
-// both cluster kinds thread through their nodes.
+// crypto hot-path knob (the shared sigcache) that both cluster kinds
+// thread through their nodes.
 #pragma once
 
 #include <cstdint>
@@ -17,50 +17,18 @@
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt::core {
 
 enum class Topology { kComplete, kRandom, kSmallWorld };
 
-/// Crypto hot-path knobs common to both cluster kinds.
+/// Crypto hot-path knob common to both cluster kinds.
 struct CryptoConfig {
   /// One signature-verification cache shared by every node: the first node
   /// to verify a (pubkey, sighash, signature) triple serves the other N-1.
   /// Disable for attack experiments that want per-node verification cost.
   bool shared_sigcache = true;
-  std::size_t sigcache_capacity = 1u << 18;
-  /// Total threads for batch signature verification during block connect
-  /// (0 = serial; 1 = a pool that runs inline, useful for differential
-  /// tests). Results join in index order, so RunMetrics and converged tips
-  /// are bit-identical to a serial run on the same seed.
-  std::size_t verify_threads = 0;
-  /// Run the full sharded validation pipeline (stateless checks across
-  /// the pool, verdicts consumed by the serial apply phase) instead of the
-  /// prefetch-only reference. Needs verify_threads >= 1.
-  bool parallel_validation = false;
 };
-
-/// Applies the environment overrides used by benches and the determinism
-/// gate, logging the resolved config (DLT_LOG_INFO) whenever any override
-/// was present:
-///  - DLT_VERIFY_THREADS=N (N > 0): sets verify_threads AND turns on the
-///    sharded pipeline — a single worker runs it inline. (Historically N=1
-///    silently kept the prefetch-only path; simulation output is
-///    byte-identical either way, so the pipeline is now the env default.)
-///  - DLT_PARALLEL_VALIDATION=1/true/on|0/false/off: explicit pipeline
-///    override, applied after DLT_VERIFY_THREADS. Enabling it with
-///    verify_threads still 0 bumps verify_threads to 1 so the pool exists.
-/// Unset/invalid values leave `config` untouched.
-void apply_env_crypto(CryptoConfig& config);
-
-/// Instantiated handles a cluster hands to each of its nodes.
-struct ClusterCrypto {
-  std::shared_ptr<crypto::SignatureCache> sigcache;
-  std::shared_ptr<support::ThreadPool> verify_pool;
-};
-
-ClusterCrypto make_cluster_crypto(const CryptoConfig& config);
 
 /// Observability knobs common to both cluster kinds. The registry is
 /// always on (cheap: pointer-cached counters); tracing is opt-in because

@@ -2,7 +2,7 @@
 //
 // ChainCluster, LatticeCluster and TangleCluster used to duplicate the
 // simulation loop, topology construction, workload scheduling, crypto
-// wiring (shared sigcache + verify pool), observability plumbing and
+// wiring (the shared sigcache), observability plumbing and
 // RunMetrics assembly. ClusterEngine<Traits> owns all of that once; a
 // LedgerTraits type supplies only the ledger-specific policy — node
 // construction, payment submission, metric extraction and the convergence
@@ -72,7 +72,6 @@ struct SubmitOutcome {
 ///                  // open-loop arrival → admission pipeline (ISSUE 10):
 ///                  // classify into engine.admission() and stamp the
 ///                  // lifecycle tracker with the arrival's fee class
-///   static void set_parallel_validation(ClusterEngine&, bool);
 ///   static void fill_metrics(const ClusterEngine&, RunMetrics&);
 ///   static bool converged(const ClusterEngine&);
 ///
@@ -93,7 +92,9 @@ class ClusterEngine {
   explicit ClusterEngine(Config config)
       : config_(std::move(config)),
         rng_(config_.seed),
-        crypto_(make_cluster_crypto(config_.crypto)),
+        sigcache_(config_.crypto.shared_sigcache
+                      ? std::make_shared<crypto::SignatureCache>()
+                      : nullptr),
         obs_(config_.obs),
         state_(Traits::make_state(config_)) {
     submitted_ = &obs_.metrics.counter("cluster.submitted");
@@ -190,13 +191,6 @@ class ClusterEngine {
   /// Runs the simulation for `seconds` of simulated time.
   void run_for(double seconds) { sim_.run_until(sim_.now() + seconds); }
 
-  /// Toggles the sharded validation pipeline on every node (no-op per node
-  /// without a verify pool). Safe mid-run: either mode yields
-  /// byte-identical simulation output for a given seed.
-  void set_parallel_validation(bool on) {
-    Traits::set_parallel_validation(*this, on);
-  }
-
   /// Snapshot of aggregated metrics (reference view: node 0). The engine
   /// fills the ledger-independent fields; Traits::fill_metrics the rest.
   RunMetrics metrics() const {
@@ -221,10 +215,8 @@ class ClusterEngine {
 
   /// The cluster-wide signature cache (null when crypto.shared_sigcache is
   /// off); benches read its hit-rate stats.
-  crypto::SignatureCache* sigcache() { return crypto_.sigcache.get(); }
-  const crypto::SignatureCache* sigcache() const {
-    return crypto_.sigcache.get();
-  }
+  crypto::SignatureCache* sigcache() { return sigcache_.get(); }
+  const crypto::SignatureCache* sigcache() const { return sigcache_.get(); }
 
   /// Cluster-wide observability state (nodes and the network feed it).
   obs::MetricsRegistry& metrics_registry() { return obs_.metrics; }
@@ -267,8 +259,10 @@ class ClusterEngine {
   Config& config() { return config_; }
   const Config& config() const { return config_; }
   Rng& rng() { return rng_; }
-  ClusterCrypto& crypto_handles() { return crypto_; }
-  const ClusterCrypto& crypto_handles() const { return crypto_; }
+  /// The shared cache itself, for handing to every node.
+  const std::shared_ptr<crypto::SignatureCache>& sigcache_handle() const {
+    return sigcache_;
+  }
   ClusterObs& obs() { return obs_; }
   State& state() { return state_; }
   const State& state() const { return state_; }
@@ -296,12 +290,12 @@ class ClusterEngine {
     });
   }
 
-  // Declaration order is load-bearing: rng_ before crypto_/obs_ (ctor init
-  // list), sim_ before net_ (network holds a reference), nodes_ after net_
-  // (nodes deregister against a live network on destruction).
+  // Declaration order is load-bearing: rng_ before sigcache_/obs_ (ctor
+  // init list), sim_ before net_ (network holds a reference), nodes_ after
+  // net_ (nodes deregister against a live network on destruction).
   Config config_;
   Rng rng_;
-  ClusterCrypto crypto_;
+  std::shared_ptr<crypto::SignatureCache> sigcache_;
   ClusterObs obs_;
   State state_;
   sim::Simulation sim_;

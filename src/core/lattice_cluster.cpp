@@ -88,16 +88,13 @@ std::string LatticeTraits::system_name(const Config&) { return "nano-like"; }
 
 void LatticeTraits::build_nodes(Engine& e) {
   const Config& config = e.config();
-  const ClusterCrypto& crypto = e.crypto_handles();
   const crypto::KeyPair& genesis_key = e.state().genesis_key;
 
   for (std::size_t i = 0; i < config.node_count; ++i) {
     lattice::LatticeNodeConfig nc;
     if (i < config.roles.size()) nc.role = config.roles[i];
     nc.solve_work = config.params.verify_work;
-    nc.sigcache = crypto.sigcache;
-    nc.verify_pool = crypto.verify_pool;
-    nc.parallel_validation = config.crypto.parallel_validation;
+    nc.sigcache = e.sigcache_handle();
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
     // Every node gets a store (memory mode by default) so storage.* gauges
@@ -181,11 +178,6 @@ void LatticeTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
   }
   ++adm.admitted;
   arm_drain(e, owner);
-}
-
-void LatticeTraits::set_parallel_validation(Engine& e, bool on) {
-  for (std::size_t i = 0; i < e.node_count(); ++i)
-    e.node(i).ledger().set_parallel_validation(on);
 }
 
 void LatticeTraits::fill_metrics(const Engine& e, RunMetrics& m) {

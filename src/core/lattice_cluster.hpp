@@ -35,7 +35,7 @@ struct LatticeClusterConfig {
   /// Per-node role assignment (defaults to all historical, §V-B).
   std::vector<lattice::NodeRole> roles;
 
-  /// Crypto hot-path knobs (shared sigcache for block + vote checks).
+  /// Crypto hot-path knob (shared sigcache for block + vote checks).
   CryptoConfig crypto{};
 
   /// Observability knobs (metrics registry is always on; tracing opt-in).
@@ -81,8 +81,6 @@ struct LatticeTraits {
                                       Amount amount);
   static void submit_traffic(ClusterEngine<LatticeTraits>& e,
                              const TrafficEvent& ev);
-  static void set_parallel_validation(ClusterEngine<LatticeTraits>& e,
-                                      bool on);
   static void fill_metrics(const ClusterEngine<LatticeTraits>& e,
                            RunMetrics& m);
   static bool converged(const ClusterEngine<LatticeTraits>& e);

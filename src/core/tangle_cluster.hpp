@@ -35,8 +35,8 @@ struct TangleClusterConfig {
   /// times. Only scheduled when lifecycle tracking is on; 0 = never.
   double confirmation_sweep_interval = 1.0;
 
-  /// Crypto hot-path knobs (verify pool for the sharded sig+work checks;
-  /// the tangle does not use a sigcache — its signatures are one-shot).
+  /// Crypto hot-path knob, unused here: the tangle does not use a
+  /// sigcache — its signatures are one-shot.
   CryptoConfig crypto{};
 
   /// Observability knobs (metrics registry is always on; tracing opt-in).
@@ -84,8 +84,6 @@ struct TangleTraits {
                                       Amount amount);
   static void submit_traffic(ClusterEngine<TangleTraits>& e,
                              const TrafficEvent& ev);
-  static void set_parallel_validation(ClusterEngine<TangleTraits>& e,
-                                      bool on);
   static void fill_metrics(const ClusterEngine<TangleTraits>& e,
                            RunMetrics& m);
   static bool converged(const ClusterEngine<TangleTraits>& e);

@@ -13,9 +13,8 @@
 //    a correctness bug, not just a perf bug.
 //  - Copies keep the memo: the copied content is byte-identical, so the
 //    cached digest still matches.
-//  - A cached object must not be hashed concurrently with first computation
-//    from another thread; the batch-verification pool only touches digests
-//    that were computed (and thus memoized) on the simulation thread.
+//  - Not thread-safe: the memo slot is written on first use, so hash an
+//    object from one thread only (the simulation thread).
 #pragma once
 
 #include <atomic>

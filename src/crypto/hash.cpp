@@ -10,8 +10,8 @@ namespace {
 // block, so a context captured after it has empty buffers and costs two
 // compressions to build. Tags form a small fixed vocabulary ("dlt/..."),
 // so each thread memoizes one midstate per tag and every tagged hash pays
-// only the compressions over `data`. thread_local keeps the map safe under
-// the batch-verification thread pool without locking.
+// only the compressions over `data`. thread_local keeps the map safe to
+// use from any thread without locking.
 Sha256 tag_midstate(std::string_view tag) {
   thread_local std::unordered_map<std::string, Sha256Midstate> memo;
   const std::string key(tag);

@@ -32,17 +32,12 @@ SignatureCache::SignatureCache(std::size_t max_entries, std::uint64_t salt)
 
 bool SignatureCache::contains(std::uint64_t pubkey, const Hash256& sighash,
                               const Signature& sig) {
-  const bool found = peek(pubkey, sighash, sig);
+  const bool found = set_.find(Entry{pubkey, sighash, sig}) != set_.end();
   if (found)
     ++stats_.hits;
   else
     ++stats_.misses;
   return found;
-}
-
-bool SignatureCache::peek(std::uint64_t pubkey, const Hash256& sighash,
-                          const Signature& sig) const {
-  return set_.find(Entry{pubkey, sighash, sig}) != set_.end();
 }
 
 void SignatureCache::insert(std::uint64_t pubkey, const Hash256& sighash,

@@ -44,11 +44,6 @@ class SignatureCache {
   bool contains(std::uint64_t pubkey, const Hash256& sighash,
                 const Signature& sig);
 
-  /// Lookup without touching stats; used by batch prefetch so each check
-  /// is counted exactly once whether verification runs serially or not.
-  bool peek(std::uint64_t pubkey, const Hash256& sighash,
-            const Signature& sig) const;
-
   /// Records a *successful* verification. Never insert failures.
   void insert(std::uint64_t pubkey, const Hash256& sighash,
               const Signature& sig);

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "obs/profile.hpp"
 #include "support/serialize.hpp"
 
 namespace dlt::lattice {
@@ -84,59 +83,12 @@ std::optional<LatticeBlock> Ledger::block_at_root(const Root& root) const {
   return *succ;
 }
 
-Ledger::StatelessVerdict Ledger::compute_verdict(
-    const LatticeBlock& block) const {
-  // Collect, on the simulation thread: memoize the content hash, derive
-  // the signer (thread-local memo) and probe the sigcache in the same
-  // order the serial path would.
-  const BlockHash hash = block.hash();
-  const bool owner_ok = crypto::account_of(block.pubkey) == block.account;
-  const bool cached =
-      owner_ok && sigcache_ &&
-      sigcache_->contains(block.pubkey, hash, block.signature);
-
-  enum : std::size_t { kSig = 0, kWork = 1 };
-  std::size_t kinds[2];
-  std::size_t n = 0;
-  if (owner_ok && !cached) kinds[n++] = kSig;
-  if (params_.verify_work) kinds[n++] = kWork;
-  pv_.record_batch(n, verify_pool_->thread_count());
-
-  // Shard: only pure functions, each job writing its own slot.
-  std::uint8_t ok[2] = {0, 0};
-  if (n > 0) {
-    obs::ProfileTimer timer(pv_.join_us);
-    verify_pool_->parallel_for(n, [&](std::size_t k) {
-      if (kinds[k] == kSig)
-        ok[kSig] =
-            crypto::verify(block.pubkey, hash.view(), block.signature) ? 1 : 0;
-      else
-        ok[kWork] = block.verify_work(params_.work_bits) ? 1 : 0;
-    });
-  }
-
-  StatelessVerdict v;
-  v.sig_ok = owner_ok && (cached || ok[kSig] != 0);
-  v.work_ok = !params_.verify_work || ok[kWork] != 0;
-  // Join: a fresh success enters the cache exactly where verify_cached
-  // would have inserted it on the serial path.
-  if (owner_ok && !cached && ok[kSig] != 0 && sigcache_)
-    sigcache_->insert(block.pubkey, hash, block.signature);
-  return v;
-}
-
-Status Ledger::validate(const LatticeBlock& block,
-                        const StatelessVerdict* verdict) const {
-  const bool sig_ok =
-      verdict ? verdict->sig_ok : block.verify_signature(sigcache_.get());
-  if (!sig_ok) return make_error("bad-signature");
-  if (params_.verify_work) {
-    const bool work_ok =
-        verdict ? verdict->work_ok : block.verify_work(params_.work_bits);
-    if (!work_ok)
-      return make_error("insufficient-work",
-                        "anti-spam hashcash below threshold");
-  }
+Status Ledger::validate(const LatticeBlock& block) const {
+  if (!block.verify_signature(sigcache_.get()))
+    return make_error("bad-signature");
+  if (params_.verify_work && !block.verify_work(params_.work_bits))
+    return make_error("insufficient-work",
+                      "anti-spam hashcash below threshold");
 
   const auto pending = [this](const BlockHash& link) -> const PendingInfo* {
     auto it = pending_.find(link);
@@ -220,10 +172,7 @@ Status Ledger::process(const LatticeBlock& block) {
   const BlockHash hash = block.hash();
   if (locations_.count(hash)) return make_error("duplicate");
 
-  std::optional<StatelessVerdict> verdict;
-  if (parallel_validation()) verdict = compute_verdict(block);
-  if (Status st = validate(block, verdict ? &*verdict : nullptr); !st.ok())
-    return st;
+  if (Status st = validate(block); !st.ok()) return st;
   apply_validated(block, hash);
   return Status::success();
 }

@@ -10,12 +10,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/validation.hpp"
 #include "lattice/block.hpp"
-#include "obs/parallel.hpp"
 #include "storage/ledger_store.hpp"
 #include "support/result.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt::lattice {
 
@@ -78,24 +75,6 @@ class Ledger {
     sigcache_ = std::move(cache);
   }
   crypto::SignatureCache* sigcache() const { return sigcache_.get(); }
-
-  /// Thread pool the parallel-validation pipeline shards stateless checks
-  /// (signature + hashcash) across. Null = serial.
-  void set_verify_pool(std::shared_ptr<support::ThreadPool> pool) {
-    verify_pool_ = std::move(pool);
-  }
-  /// Switches process() to the sharded pipeline: the two stateless checks
-  /// of a block run across the verify pool and validate() consumes the
-  /// joined verdict. No-op without a pool; either setting yields
-  /// byte-identical ledger state and traces for a given input sequence.
-  void set_parallel_validation(bool on) { parallel_validation_ = on; }
-  bool parallel_validation() const {
-    return parallel_validation_ && verify_pool_ != nullptr;
-  }
-  /// Wires the `parallel.validate.*` metrics. May be null.
-  void set_metrics(obs::MetricsRegistry* metrics) {
-    pv_.wire(obs::Probe{metrics, nullptr, {}});
-  }
 
   // ---- Queries -----------------------------------------------------------
   const AccountInfo* account(const crypto::AccountId& id) const;
@@ -184,21 +163,9 @@ class Ledger {
     std::uint32_t height = 0;
   };
 
-  /// Joined results of the stateless checks for one block (the shared
-  /// single-signature verdict from core/validation.hpp).
-  using StatelessVerdict = core::StatelessVerdict;
-
-  /// Runs the stateless checks across the verify pool: the content hash is
-  /// memoized and the sigcache probed on the calling (simulation) thread,
-  /// workers evaluate only pure functions, and fresh signature successes
-  /// enter the cache at the join — exactly where the serial path's
-  /// verify_cached would insert them.
-  StatelessVerdict compute_verdict(const LatticeBlock& block) const;
-
-  /// Checks `block` against the live ledger maps. The stateless checks read
-  /// `verdict` when given and run inline otherwise.
-  Status validate(const LatticeBlock& block,
-                  const StatelessVerdict* verdict) const;
+  /// Checks `block` against the live ledger maps: signature and hashcash
+  /// first, then the per-type state rules.
+  Status validate(const LatticeBlock& block) const;
   /// The mutation half of process(): applies an already-validated block.
   void apply_validated(const LatticeBlock& block, const BlockHash& hash);
   void apply_weight_change(const crypto::AccountId& old_rep, Amount old_bal,
@@ -224,9 +191,6 @@ class Ledger {
   std::uint64_t pruned_blocks_ = 0;
   std::shared_ptr<storage::LedgerStore> store_;
   std::shared_ptr<crypto::SignatureCache> sigcache_;
-  std::shared_ptr<support::ThreadPool> verify_pool_;
-  bool parallel_validation_ = false;
-  mutable obs::ParallelValidationMetrics pv_;
 };
 
 }  // namespace dlt::lattice

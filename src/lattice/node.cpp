@@ -35,9 +35,6 @@ LatticeNode::LatticeNode(net::Network& network, const LatticeParams& params,
               supply),
       rng_(std::move(rng)) {
   ledger_.set_sigcache(config_.sigcache);
-  ledger_.set_verify_pool(config_.verify_pool);
-  ledger_.set_parallel_validation(config_.parallel_validation);
-  ledger_.set_metrics(config_.probe.metrics);
   if (config_.store) ledger_.attach_store(config_.store);
   if (config_.probe) {
     obs_blocks_received_ = config_.probe.counter("lattice.blocks_received");

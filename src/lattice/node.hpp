@@ -48,13 +48,6 @@ struct LatticeNodeConfig {
   /// Signature-verification cache for block and vote checks, usually
   /// shared across the whole cluster (crypto/sigcache.hpp). May be null.
   std::shared_ptr<crypto::SignatureCache> sigcache;
-  /// Thread pool for the ledger's parallel-validation pipeline. May be
-  /// null (serial validation).
-  std::shared_ptr<support::ThreadPool> verify_pool;
-  /// Shard each block's stateless checks across `verify_pool` before the
-  /// serial apply phase. Needs the pool; simulation output is
-  /// byte-identical either way for a given seed.
-  bool parallel_validation = false;
   /// Per-node persistent store (storage/ledger_store.hpp); handed to the
   /// ledger via Ledger::attach_store. Null = no write-through.
   std::shared_ptr<storage::LedgerStore> store;

@@ -6,9 +6,8 @@
 //  - Timestamps come from sim::Simulation::now() ONLY — never wall clock.
 //    Wall-clock profiling (obs::ProfileTimer) feeds the MetricsRegistry
 //    and is kept out of traces by construction.
-//  - Events are recorded on the serial simulation thread in event-firing
-//    order. Worker threads (the verify-pool prefetch) never record, so a
-//    trace from a parallel run is byte-identical to a serial run.
+//  - Events are recorded on the single simulation thread in event-firing
+//    order.
 //  - With the tracer disabled the record path is a single branch; no
 //    RunMetrics value may change based on whether tracing is on.
 //

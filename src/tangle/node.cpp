@@ -27,8 +27,6 @@ TangleNode::TangleNode(net::Network& network, const TangleParams& params,
       select_rng_(rng_.fork()) {
   tangle_.set_probe(config_.probe);
   tangle_.set_trace_node(id_);
-  tangle_.set_verify_pool(config_.verify_pool);
-  tangle_.set_parallel_validation(config_.parallel_validation);
   if (config_.store) tangle_.attach_store(config_.store);
   if (config_.probe) {
     obs_issued_ = config_.probe.counter("tangle.txs_issued");

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <optional>
 
 #include "crypto/hash.hpp"
-#include "obs/profile.hpp"
 #include "support/serialize.hpp"
 
 namespace dlt::tangle {
@@ -221,7 +219,6 @@ void Tangle::set_probe(obs::Probe probe) {
   probe_ = probe;
   obs_attached_ = probe_.counter("tangle.attached");
   obs_rejected_ = probe_.counter("tangle.rejected");
-  pv_.wire(probe_);
 }
 
 Status Tangle::attach(const TangleTx& tx) {
@@ -239,36 +236,10 @@ Status Tangle::attach(const TangleTx& tx) {
   return st;
 }
 
-core::StatelessVerdict Tangle::compute_verdict(const TangleTx& tx,
-                                               const TxHash& hash) const {
-  // Shard the stateless checks; both are pure functions of `tx`, so the
-  // workers share no mutable state (the verdict members are distinct
-  // memory locations). The consume phase reports failures in the serial
-  // order (signature before work).
-  const std::size_t n = params_.verify_work ? 2 : 1;
-  core::StatelessVerdict verdict;
-  pv_.record_batch(n, verify_pool_->thread_count());
-  {
-    obs::ProfileTimer timer(pv_.join_us);
-    verify_pool_->parallel_for(n, [&](std::size_t k) {
-      if (k == 0)
-        verdict.sig_ok = tx.verify_signature(hash);
-      else
-        verdict.work_ok = tx.verify_work(params_.work_bits);
-    });
-  }
-  return verdict;
-}
-
-Status Tangle::check_stateless(const TangleTx& tx, const TxHash& hash,
-                               const core::StatelessVerdict* verdict) const {
-  const bool sig_ok = verdict ? verdict->sig_ok : tx.verify_signature(hash);
-  if (!sig_ok) return make_error("bad-signature");
-  if (params_.verify_work) {
-    const bool work_ok =
-        verdict ? verdict->work_ok : tx.verify_work(params_.work_bits);
-    if (!work_ok) return make_error("insufficient-work");
-  }
+Status Tangle::check_stateless(const TangleTx& tx, const TxHash& hash) const {
+  if (!tx.verify_signature(hash)) return make_error("bad-signature");
+  if (params_.verify_work && !tx.verify_work(params_.work_bits))
+    return make_error("insufficient-work");
   // Weight policy: a declared weight of zero would make the transaction
   // invisible to the walk; one above the cap is the large-weight-spam
   // vector (an attacker buying cumulative weight per unit of hashcash).
@@ -316,11 +287,7 @@ void Tangle::apply_attached(const TangleTx& tx, const TxHash& hash,
 
 Status Tangle::attach_impl(const TangleTx& tx, const TxHash& hash) {
   if (contains(hash)) return make_error("duplicate");
-  std::optional<core::StatelessVerdict> verdict;
-  if (parallel_validation()) verdict = compute_verdict(tx, hash);
-  if (Status st = check_stateless(tx, hash, verdict ? &*verdict : nullptr);
-      !st.ok())
-    return st;
+  if (Status st = check_stateless(tx, hash); !st.ok()) return st;
 
   const auto trunk = index_.find(tx.trunk);
   if (trunk == index_.end()) return make_error("unknown-trunk");

@@ -25,15 +25,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/validation.hpp"
 #include "crypto/hashcash.hpp"
 #include "crypto/keys.hpp"
-#include "obs/parallel.hpp"
 #include "obs/probe.hpp"
 #include "storage/ledger_store.hpp"
 #include "support/result.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace dlt::tangle {
 
@@ -157,7 +154,7 @@ class Tangle {
   /// consumes one per walk step. Candidate orderings are fixed: tips sorted
   /// by hash for `uniform`/`mrts`, each vertex's approvers in attach order
   /// for `mcmc`. So the draw count and the selected tip depend only on the
-  /// replica's attach history and the RNG stream — never on worker counts.
+  /// replica's attach history and the RNG stream.
   TxHash select_tip_with(TipStrategy strategy, Rng& rng,
                          const std::vector<Hash256>& spend_keys = {}) const;
 
@@ -204,19 +201,6 @@ class Tangle {
   /// attach order is visible in traces.
   void set_trace_node(std::uint32_t node) { trace_node_ = node; }
 
-  /// Thread pool for the parallel-validation pipeline. Null = serial.
-  void set_verify_pool(std::shared_ptr<support::ThreadPool> pool) {
-    verify_pool_ = std::move(pool);
-  }
-  /// Shards attach()'s stateless checks (signature + hashcash, both pure —
-  /// TangleTx::hash() recomputes rather than memoizes) across the verify
-  /// pool before the serial cone/conflict phase. Needs the pool; attach
-  /// outcomes are identical either way.
-  void set_parallel_validation(bool on) { parallel_validation_ = on; }
-  bool parallel_validation() const {
-    return parallel_validation_ && verify_pool_ != nullptr;
-  }
-
  private:
   /// Position in attach order. Genesis is 0 and every transaction's
   /// parents precede it.
@@ -241,13 +225,8 @@ class Tangle {
   /// Duplicate check + stateless checks + cone checks + apply. `hash` is
   /// tx.hash(), computed by attach().
   Status attach_impl(const TangleTx& tx, const TxHash& hash);
-  /// Runs the two stateless checks across the verify pool into a verdict
-  /// (signature first, then hashcash — the serial reporting order).
-  core::StatelessVerdict compute_verdict(const TangleTx& tx,
-                                         const TxHash& hash) const;
-  /// Consumes a verdict (or runs the checks inline when null).
-  Status check_stateless(const TangleTx& tx, const TxHash& hash,
-                         const core::StatelessVerdict* verdict) const;
+  /// Signature, then hashcash, then the own-weight policy.
+  Status check_stateless(const TangleTx& tx, const TxHash& hash) const;
   /// The mutation half of attach: indexes an already-validated tx.
   void apply_attached(const TangleTx& tx, const TxHash& hash, Index trunk,
                       Index branch);
@@ -276,10 +255,6 @@ class Tangle {
   std::shared_ptr<storage::LedgerStore> store_;
   obs::Counter* obs_attached_ = nullptr;
   obs::Counter* obs_rejected_ = nullptr;
-
-  std::shared_ptr<support::ThreadPool> verify_pool_;
-  bool parallel_validation_ = false;
-  mutable obs::ParallelValidationMetrics pv_;
 };
 
 /// Convenience issuer: builds, works and signs a transaction approving

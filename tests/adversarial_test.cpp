@@ -2,10 +2,9 @@
 //
 //  - a zero-power adversary of every kind is byte-identical (trace and
 //    metrics) to a run with no adversary constructed at all;
-//  - any-power attack runs are byte-identical across the crypto modes
-//    {serial, 2 verify threads, 4 threads + parallel state} — the
-//    adversary draws only from its private RNG stream and acts only on
-//    the serial sim thread;
+//  - any-power attack runs are byte-identical when rerun on the same
+//    seed — the adversary draws only from its private RNG stream and acts
+//    only on the sim thread;
 //  - the measured safety metrics move the right way: parasite flip
 //    probability is monotone nondecreasing in attacker power, the honest
 //    tip share under spam is monotone nonincreasing, under both tip
@@ -30,15 +29,6 @@ namespace {
 using core::AdversaryConfig;
 using core::AdversaryKind;
 using core::TangleAdversary;
-
-/// Crypto-mode axis of the differential matrix (the test-side mirror of
-/// DLT_VERIFY_THREADS).
-struct Mode {
-  const char* name;
-  std::size_t threads;
-};
-
-constexpr Mode kModes[] = {{"w2", 2}, {"w4", 4}};
 
 core::TangleClusterConfig tangle_config(tangle::TipStrategy strategy) {
   core::TangleClusterConfig cfg;
@@ -154,43 +144,33 @@ TEST(Adversarial, ZeroPowerIsByteIdenticalToHonestBaseline) {
   }
 }
 
-// ------------------------------------- crypto-mode trace differential
+// ------------------------------------------ same-seed rerun differential
 
-TEST(Adversarial, ParasiteTraceIdenticalAcrossCryptoModes) {
-  core::TangleClusterConfig cfg = tangle_config(tangle::TipStrategy::kMcmc);
+TEST(Adversarial, ParasiteTraceIdenticalOnRerun) {
+  const core::TangleClusterConfig cfg =
+      tangle_config(tangle::TipStrategy::kMcmc);
   const TangleOutcome base = run_tangle(cfg, AdversaryKind::kParasite, 0.6);
   EXPECT_GT(base.injected, 0u);
 
-  for (const Mode& mode : kModes) {
-    SCOPED_TRACE(mode.name);
-    core::TangleClusterConfig mc = cfg;
-    mc.crypto.verify_threads = mode.threads;
-    mc.crypto.parallel_validation = true;
-    const TangleOutcome got = run_tangle(mc, AdversaryKind::kParasite, 0.6);
-    expect_same_run(got, base);
-    EXPECT_EQ(got.flip, base.flip);
-  }
+  const TangleOutcome got = run_tangle(cfg, AdversaryKind::kParasite, 0.6);
+  expect_same_run(got, base);
+  EXPECT_EQ(got.flip, base.flip);
 }
 
-TEST(Adversarial, SpamTraceIdenticalAcrossCryptoModes) {
-  core::TangleClusterConfig cfg =
+TEST(Adversarial, SpamTraceIdenticalOnRerun) {
+  const core::TangleClusterConfig cfg =
       tangle_config(tangle::TipStrategy::kUniform);
   const TangleOutcome base = run_tangle(cfg, AdversaryKind::kSpam, 0.5);
   EXPECT_GT(base.injected, 0u);
 
-  for (const Mode& mode : kModes) {
-    SCOPED_TRACE(mode.name);
-    core::TangleClusterConfig mc = cfg;
-    mc.crypto.verify_threads = mode.threads;
-    mc.crypto.parallel_validation = true;
-    const TangleOutcome got = run_tangle(mc, AdversaryKind::kSpam, 0.5);
-    expect_same_run(got, base);
-    EXPECT_EQ(got.share, base.share);
-  }
+  const TangleOutcome got = run_tangle(cfg, AdversaryKind::kSpam, 0.5);
+  expect_same_run(got, base);
+  EXPECT_EQ(got.share, base.share);
 }
 
-TEST(Adversarial, RaceTraceIdenticalAcrossCryptoModes) {
-  core::TangleClusterConfig cfg = tangle_config(tangle::TipStrategy::kMcmc);
+TEST(Adversarial, RaceTraceIdenticalOnRerun) {
+  const core::TangleClusterConfig cfg =
+      tangle_config(tangle::TipStrategy::kMcmc);
   const TangleOutcome base = run_tangle(cfg, AdversaryKind::kRace, 0.4);
   EXPECT_EQ(base.injected, 2u);  // one conflicting spend per side
   EXPECT_GE(base.side_a, 0.0);
@@ -198,16 +178,10 @@ TEST(Adversarial, RaceTraceIdenticalAcrossCryptoModes) {
   EXPECT_GE(base.side_b, 0.0);
   EXPECT_LE(base.side_b, 1.0);
 
-  for (const Mode& mode : kModes) {
-    SCOPED_TRACE(mode.name);
-    core::TangleClusterConfig mc = cfg;
-    mc.crypto.verify_threads = mode.threads;
-    mc.crypto.parallel_validation = true;
-    const TangleOutcome got = run_tangle(mc, AdversaryKind::kRace, 0.4);
-    expect_same_run(got, base);
-    EXPECT_EQ(got.side_a, base.side_a);
-    EXPECT_EQ(got.side_b, base.side_b);
-  }
+  const TangleOutcome got = run_tangle(cfg, AdversaryKind::kRace, 0.4);
+  expect_same_run(got, base);
+  EXPECT_EQ(got.side_a, base.side_a);
+  EXPECT_EQ(got.side_b, base.side_b);
 }
 
 // ------------------------------------------- index oracle, keyed cones
@@ -352,22 +326,16 @@ TEST(Adversarial, ZeroPowerSelfishMinerIsByteIdenticalToHonestBaseline) {
   EXPECT_EQ(got.revenue, 0.0);
 }
 
-TEST(Adversarial, SelfishMinerTraceIdenticalAcrossCryptoModes) {
-  core::ChainClusterConfig cfg = selfish_config();
+TEST(Adversarial, SelfishMinerTraceIdenticalOnRerun) {
+  const core::ChainClusterConfig cfg = selfish_config();
   const SelfishOutcome base = run_selfish(cfg, 0.45);
   EXPECT_GT(base.mined, 0u);
 
-  for (const Mode& mode : kModes) {
-    SCOPED_TRACE(mode.name);
-    core::ChainClusterConfig mc = cfg;
-    mc.crypto.verify_threads = mode.threads;
-    mc.crypto.parallel_validation = true;
-    const SelfishOutcome got = run_selfish(mc, 0.45);
-    EXPECT_EQ(got.trace, base.trace);
-    EXPECT_EQ(got.tip, base.tip);
-    EXPECT_EQ(got.mined, base.mined);
-    EXPECT_EQ(got.revenue, base.revenue);
-  }
+  const SelfishOutcome got = run_selfish(cfg, 0.45);
+  EXPECT_EQ(got.trace, base.trace);
+  EXPECT_EQ(got.tip, base.tip);
+  EXPECT_EQ(got.mined, base.mined);
+  EXPECT_EQ(got.revenue, base.revenue);
 }
 
 // ------------------------------------------------- fairness / stationarity

@@ -370,6 +370,99 @@ TEST_F(BlockchainTest, RenderTreeShowsBranches) {
   EXPECT_NE(tree.find("h=1"), std::string::npos);
 }
 
+// ------------------------------------------- block-level bad signatures
+
+/// Re-solves a block whose body was edited after sealing (merkle root and
+/// header hash change; the PoW payload is re-derived from scratch).
+void reseal(Block& b) {
+  b.header.merkle_root = b.compute_merkle_root();
+  b.header.invalidate_digests();
+  for (std::uint64_t nonce = 0;; ++nonce) {
+    b.header.nonce = nonce;
+    if (meets_target(b.header.pow_digest(), b.header.difficulty)) break;
+  }
+}
+
+TEST(TamperedSignature, UtxoBlockRejected) {
+  const auto keys = make_keys(2);
+  const GenesisSpec genesis = fund_all(keys, 1'000'000);
+  const crypto::AccountId miner = keys[0].account_id();
+  Rng rng(5);
+  Blockchain chain(cheap_pow_utxo(), genesis);
+
+  const auto [coin, out] = chain.utxo_set().find_owned(miner).front();
+  UtxoTransaction spend;
+  spend.inputs.push_back(TxIn{coin, keys[0].public_key(), {}});
+  spend.outputs.push_back(TxOut{out.value, keys[1].account_id()});
+  spend.sign_all({keys[0]}, rng);
+  const Block good = seal_block(
+      chain, chain.tip_hash(),
+      UtxoTxList{
+          UtxoTransaction::coinbase(miner, chain.params().block_reward, 1),
+          spend},
+      miner);
+  ASSERT_TRUE(chain.submit(good).ok());
+
+  // The child extends `good` (so rejection happens in the connect phase,
+  // not on a side chain) spending one of keys[1]'s coins; its signature
+  // gets one bit flipped and the block is resealed so only the state
+  // phase can reject it.
+  const auto [coin2, out2] =
+      chain.utxo_set().find_owned(keys[1].account_id()).front();
+  UtxoTransaction spend2;
+  spend2.inputs.push_back(TxIn{coin2, keys[1].public_key(), {}});
+  spend2.outputs.push_back(TxOut{out2.value, keys[0].account_id()});
+  spend2.sign_all({keys[1]}, rng);
+  Block bad = seal_block(
+      chain, chain.tip_hash(),
+      UtxoTxList{
+          UtxoTransaction::coinbase(miner, chain.params().block_reward, 2),
+          spend2},
+      miner);
+  std::get<UtxoTxList>(bad.txs)[1].inputs[0].signature.s ^= 1;
+  std::get<UtxoTxList>(bad.txs)[1].invalidate_digests();
+  reseal(bad);
+
+  const BlockHash tip = chain.tip_hash();
+  auto res = chain.submit(bad);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.error().code, "bad-signature");
+  EXPECT_EQ(chain.tip_hash(), tip);
+}
+
+TEST(TamperedSignature, AccountBlockRejected) {
+  const auto keys = make_keys(2);
+  const crypto::AccountId proposer = keys[0].account_id();
+  Rng rng(6);
+  Blockchain chain(testutil::cheap_pow_account(), fund_all(keys, 1'000'000));
+
+  auto make_payment = [&](std::uint64_t nonce) {
+    AccountTransaction tx;
+    tx.to = keys[1].account_id();
+    tx.value = 500;
+    tx.nonce = nonce;
+    tx.gas_limit = tx.intrinsic_gas();
+    tx.gas_price = 1;
+    tx.sign(keys[0], rng);
+    return tx;
+  };
+
+  const Block good = testutil::seal_account_tip(
+      chain, AccountTxList{make_payment(0)}, proposer);
+  ASSERT_TRUE(chain.submit(good).ok());
+  Block bad = testutil::seal_account_tip(
+      chain, AccountTxList{make_payment(1)}, proposer);
+  std::get<AccountTxList>(bad.txs)[0].signature.s ^= 1;
+  std::get<AccountTxList>(bad.txs)[0].invalidate_digests();
+  reseal(bad);
+
+  const BlockHash tip = chain.tip_hash();
+  auto res = chain.submit(bad);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.error().code, "bad-signature");
+  EXPECT_EQ(chain.tip_hash(), tip);
+}
+
 TEST(Difficulty, RetargetMovesTowardTarget) {
   ChainParams p = bitcoin_like();
   // Blocks came twice as fast as intended -> difficulty doubles.

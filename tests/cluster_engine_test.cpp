@@ -12,8 +12,8 @@
 //   - an equal RunMetrics snapshot
 //
 // for both ledger kinds. The tangle (which never had a legacy driver)
-// is pinned the other way: serial vs 2 vs 4 verify workers must agree
-// byte-for-byte, the same invariance the determinism gate enforces.
+// is pinned the other way: two runs of the same seed must agree
+// byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <cassert>
@@ -90,7 +90,9 @@ class LegacyChainCluster {
   explicit LegacyChainCluster(ChainClusterConfig config)
       : config_(std::move(config)),
         rng_(config_.seed),
-        crypto_(make_cluster_crypto(config_.crypto)),
+        sigcache_(config_.crypto.shared_sigcache
+                      ? std::make_shared<crypto::SignatureCache>()
+                      : nullptr),
         obs_(config_.obs) {
     submitted_ = &obs_.metrics.counter("cluster.submitted");
     rejected_ = &obs_.metrics.counter("cluster.rejected");
@@ -127,12 +129,7 @@ class LegacyChainCluster {
             config_.total_hashrate / static_cast<double>(config_.miner_count);
         nc.solve_pow = config_.params.verify_pow;
       }
-      nc.sigcache = crypto_.sigcache;
-      if (crypto_.verify_pool && !nc.sigcache)
-        nc.sigcache = std::make_shared<crypto::SignatureCache>(
-            config_.crypto.sigcache_capacity);
-      nc.verify_pool = crypto_.verify_pool;
-      nc.parallel_validation = config_.crypto.parallel_validation;
+      nc.sigcache = sigcache_;
       nc.probe = obs_.probe();
       nodes_.push_back(std::make_unique<chain::ChainNode>(
           *net_, config_.params, genesis, nc, rng_.fork(), stakes));
@@ -283,7 +280,7 @@ class LegacyChainCluster {
 
   ChainClusterConfig config_;
   Rng rng_;
-  ClusterCrypto crypto_;
+  std::shared_ptr<crypto::SignatureCache> sigcache_;
   ClusterObs obs_;
   sim::Simulation sim_;
   std::unique_ptr<net::Network> net_;
@@ -304,7 +301,9 @@ class LegacyLatticeCluster {
   explicit LegacyLatticeCluster(LatticeClusterConfig config)
       : config_(std::move(config)),
         rng_(config_.seed),
-        crypto_(make_cluster_crypto(config_.crypto)),
+        sigcache_(config_.crypto.shared_sigcache
+                      ? std::make_shared<crypto::SignatureCache>()
+                      : nullptr),
         obs_(config_.obs),
         genesis_key_(crypto::KeyPair::from_seed(0x6e5)) {
     submitted_ = &obs_.metrics.counter("cluster.submitted");
@@ -324,9 +323,7 @@ class LegacyLatticeCluster {
       lattice::LatticeNodeConfig nc;
       if (i < config_.roles.size()) nc.role = config_.roles[i];
       nc.solve_work = config_.params.verify_work;
-      nc.sigcache = crypto_.sigcache;
-      nc.verify_pool = crypto_.verify_pool;
-      nc.parallel_validation = config_.crypto.parallel_validation;
+      nc.sigcache = sigcache_;
       nc.probe = obs_.probe();
       nodes_.push_back(std::make_unique<lattice::LatticeNode>(
           *net_, config_.params, genesis_key_, config_.supply, nc,
@@ -450,7 +447,7 @@ class LegacyLatticeCluster {
  private:
   LatticeClusterConfig config_;
   Rng rng_;
-  ClusterCrypto crypto_;
+  std::shared_ptr<crypto::SignatureCache> sigcache_;
   ClusterObs obs_;
   crypto::KeyPair genesis_key_;
   sim::Simulation sim_;
@@ -593,12 +590,11 @@ TEST(ClusterEngineParity, LatticeMatchesLegacyDriver) {
 }
 
 // ---------------------------------------------------------------------------
-// Tangle worker-count invariance: the third ledger has no legacy driver,
-// so its determinism pin is serial vs 2 vs 4 verify workers — the same
-// invariance tools/determinism_gate.sh checks on the bench binary.
+// Tangle rerun invariance: the third ledger has no legacy driver, so its
+// determinism pin is two runs of the same seed.
 // ---------------------------------------------------------------------------
 
-TangleClusterConfig parity_tangle_config(std::size_t verify_threads) {
+TangleClusterConfig parity_tangle_config() {
   TangleClusterConfig cfg;
   cfg.node_count = 4;
   cfg.account_count = 12;
@@ -607,8 +603,6 @@ TangleClusterConfig parity_tangle_config(std::size_t verify_threads) {
   cfg.link = net::LinkParams{0.04, 0.01, 1e7};
   cfg.seed = 7;
   cfg.obs.trace_capacity = 1u << 20;
-  cfg.crypto.verify_threads = verify_threads;
-  cfg.crypto.parallel_validation = verify_threads > 0;
   return cfg;
 }
 
@@ -618,8 +612,8 @@ struct TangleRunResult {
   bool converged = false;
 };
 
-TangleRunResult run_tangle(std::size_t verify_threads) {
-  TangleCluster cluster(parity_tangle_config(verify_threads));
+TangleRunResult run_tangle() {
+  TangleCluster cluster(parity_tangle_config());
   cluster.start();
   Rng wl_rng(4);
   WorkloadConfig wl;
@@ -636,30 +630,25 @@ TangleRunResult run_tangle(std::size_t verify_threads) {
   return out;
 }
 
-TEST(ClusterEngineParity, TangleInvariantAcrossVerifyWorkerCounts) {
-  const TangleRunResult serial = run_tangle(0);
-  const TangleRunResult two = run_tangle(2);
-  const TangleRunResult four = run_tangle(4);
+TEST(ClusterEngineParity, TangleIdenticalOnRerun) {
+  const TangleRunResult first = run_tangle();
+  const TangleRunResult second = run_tangle();
 
-  ASSERT_FALSE(serial.trace.empty());
-  EXPECT_GT(serial.metrics.included, 0u);
-  EXPECT_TRUE(serial.converged);
-  EXPECT_TRUE(two.converged);
-  EXPECT_TRUE(four.converged);
+  ASSERT_FALSE(first.trace.empty());
+  EXPECT_GT(first.metrics.included, 0u);
+  EXPECT_TRUE(first.converged);
+  EXPECT_TRUE(second.converged);
 
-  EXPECT_EQ(serial.trace, two.trace);
-  EXPECT_EQ(serial.trace, four.trace);
-  expect_metrics_equal(serial.metrics, two.metrics);
-  expect_metrics_equal(serial.metrics, four.metrics);
+  EXPECT_EQ(first.trace, second.trace);
+  expect_metrics_equal(first.metrics, second.metrics);
 }
 
 // ---------------------------------------------------------------------------
 // Lifecycle-latency determinism (ISSUE 7 tentpole acceptance): the
 // latency.* registry section — reservoir-sampled percentiles included —
-// must be byte-identical across serial, 2/4 verify-worker and
-// parallel-state runs of the same seed, for all three ledgers. (The full
-// registry export can't be compared here: parallel.* instrumentation
-// counters legitimately differ across worker counts.)
+// must be byte-identical across two runs of the same seed, for all three
+// ledgers. (The full registry export can't be compared here: the
+// wall-clock profile.* histograms legitimately differ between runs.)
 // ---------------------------------------------------------------------------
 
 /// Extracts every "latency.*" member (histograms and the in-flight gauge)
@@ -675,21 +664,13 @@ std::string latency_json(const obs::MetricsRegistry& reg) {
   return out;
 }
 
-constexpr std::size_t kVerifyThreads[] = {0, 2, 4};
-
-void apply_threads(CryptoConfig& crypto, std::size_t verify_threads) {
-  crypto.verify_threads = verify_threads;
-  crypto.parallel_validation = verify_threads > 0;
-}
-
-TEST(LifecycleLatency, ChainDeterministicAcrossParallelModes) {
+TEST(LifecycleLatency, ChainDeterministicOnRerun) {
   std::string reference_latency, reference_trace;
-  for (const std::size_t threads : kVerifyThreads) {
+  for (int run = 0; run < 2; ++run) {
     ChainClusterConfig cfg = parity_chain_config();
     // Small percentile reservoir so the capped sampling path itself is
     // under the determinism pin, not just exact accumulation.
     cfg.obs.latency_sample_cap = 32;
-    apply_threads(cfg.crypto, threads);
     ChainCluster cluster(cfg);
     cluster.start();
     Rng wl_rng(7);
@@ -710,16 +691,15 @@ TEST(LifecycleLatency, ChainDeterministicAcrossParallelModes) {
       EXPECT_NE(latency.find("latency.submit_to_confirm"),
                 std::string::npos);
     } else {
-      EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << threads;
+      EXPECT_EQ(latency, reference_latency);
       EXPECT_EQ(trace, reference_trace);
     }
   }
 }
 
-TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
+TEST(LifecycleLatency, LatticeDeterministicOnRerun) {
   std::string reference_latency, reference_trace;
-  for (const std::size_t threads : kVerifyThreads) {
+  for (int run = 0; run < 2; ++run) {
     LatticeClusterConfig cfg;
     cfg.node_count = 4;
     cfg.representative_count = 3;
@@ -728,7 +708,6 @@ TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
     cfg.seed = 2024;
     cfg.obs.trace_capacity = 1u << 20;
     cfg.obs.latency_sample_cap = 32;
-    apply_threads(cfg.crypto, threads);
     LatticeCluster cluster(cfg);
     cluster.fund_accounts();
     Rng wl_rng(11);
@@ -747,17 +726,16 @@ TEST(LifecycleLatency, LatticeDeterministicAcrossParallelModes) {
       reference_latency = latency;
       reference_trace = trace;
     } else {
-      EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << threads;
+      EXPECT_EQ(latency, reference_latency);
       EXPECT_EQ(trace, reference_trace);
     }
   }
 }
 
-TEST(LifecycleLatency, TangleDeterministicAcrossParallelModes) {
+TEST(LifecycleLatency, TangleDeterministicOnRerun) {
   std::string reference_latency, reference_trace;
-  for (const std::size_t threads : kVerifyThreads) {
-    TangleClusterConfig cfg = parity_tangle_config(threads);
+  for (int run = 0; run < 2; ++run) {
+    TangleClusterConfig cfg = parity_tangle_config();
     cfg.obs.latency_sample_cap = 32;
     TangleCluster cluster(cfg);
     cluster.start();
@@ -778,8 +756,7 @@ TEST(LifecycleLatency, TangleDeterministicAcrossParallelModes) {
       reference_latency = latency;
       reference_trace = trace;
     } else {
-      EXPECT_EQ(latency, reference_latency)
-          << "verify_threads=" << threads;
+      EXPECT_EQ(latency, reference_latency);
       EXPECT_EQ(trace, reference_trace);
     }
   }

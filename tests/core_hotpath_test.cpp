@@ -1,6 +1,6 @@
 // Determinism guarantees of the crypto hot-path layer: a cluster run must
 // be bit-identical whether signature verification goes through the shared
-// cache, the parallel batch-verification pool, or neither.
+// cache or not, and whether digests are memoized or not.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -30,11 +30,9 @@ std::string fingerprint(const RunMetrics& m) {
   return os.str();
 }
 
-ChainClusterConfig hotpath_chain_config(chain::TxModel model) {
+ChainClusterConfig hotpath_chain_config() {
   ChainClusterConfig cfg;
   cfg.params = chain::bitcoin_like();
-  cfg.params.tx_model = model;
-  if (model == chain::TxModel::kAccount) cfg.params = chain::ethereum_like();
   cfg.params.verify_pow = false;
   cfg.params.block_interval = 20.0;
   cfg.params.retarget_window = 0;
@@ -78,30 +76,15 @@ void expect_identical(const ChainOutcome& a, const ChainOutcome& b) {
   EXPECT_EQ(a.converged, b.converged);
 }
 
-TEST(HotPathDeterminism, ParallelBatchVerifyMatchesSerialUtxo) {
-  ChainClusterConfig serial = hotpath_chain_config(chain::TxModel::kUtxo);
-  ChainClusterConfig parallel = serial;
-  parallel.crypto.verify_threads = 2;
-  expect_identical(run_chain(serial), run_chain(parallel));
-}
-
-TEST(HotPathDeterminism, ParallelBatchVerifyMatchesSerialAccount) {
-  ChainClusterConfig serial = hotpath_chain_config(chain::TxModel::kAccount);
-  ChainClusterConfig parallel = serial;
-  parallel.crypto.verify_threads = 4;
-  expect_identical(run_chain(serial), run_chain(parallel));
-}
-
 TEST(HotPathDeterminism, SigcacheOnOffIdenticalOutcome) {
-  ChainClusterConfig with = hotpath_chain_config(chain::TxModel::kUtxo);
+  ChainClusterConfig with = hotpath_chain_config();
   ChainClusterConfig without = with;
   without.crypto.shared_sigcache = false;
   expect_identical(run_chain(with), run_chain(without));
 }
 
 TEST(HotPathDeterminism, DigestMemoOnOffIdenticalOutcome) {
-  const ChainClusterConfig cfg =
-      hotpath_chain_config(chain::TxModel::kUtxo);
+  const ChainClusterConfig cfg = hotpath_chain_config();
   const ChainOutcome memoized = run_chain(cfg);
   crypto::DigestCache::set_enabled(false);
   const ChainOutcome uncached = run_chain(cfg);

@@ -1,7 +1,7 @@
 // Observability layer (ISSUE 2): metrics registry semantics, tracer ring
 // behaviour, JSONL escaping, and the determinism contract — identical
-// seeds give byte-identical traces, parallel verification included, and
-// tracing on/off never changes a RunMetrics value.
+// seeds give byte-identical traces, and tracing on/off never changes a
+// RunMetrics value.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -480,16 +480,6 @@ TEST(TraceDeterminism, IdenticalSeedsGiveByteIdenticalJsonl) {
   const std::string a = run_traced_chain(traced_fork_config());
   const std::string b = run_traced_chain(traced_fork_config());
   EXPECT_EQ(a, b);
-}
-
-TEST(TraceDeterminism, ParallelVerifyMatchesSerialTrace) {
-  core::ChainClusterConfig serial = traced_fork_config();
-  serial.crypto.verify_threads = 0;
-  core::ChainClusterConfig parallel = traced_fork_config();
-  parallel.crypto.verify_threads = 2;
-  // Worker threads never record; the trace is made on the sim thread in
-  // event-firing order, so the files are byte-identical.
-  EXPECT_EQ(run_traced_chain(serial), run_traced_chain(parallel));
 }
 
 TEST(TraceDeterminism, LatticeIdenticalSeedsGiveByteIdenticalJsonl) {

@@ -162,115 +162,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LatticeProperty,
                          ::testing::Values(7, 77, 777, 7777));
 
 // ---------------------------------------------------------------------------
-// Parallel-validation toggling: flipping the sharded pipeline on and off
-// MID-RUN (between simulation segments) must leave every invariant — and
-// the exact final state — untouched, because both modes are proven
-// equivalent per block. The toggled run is compared against a plain
-// serial run of the same seed.
-
-class ParallelToggleProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(ParallelToggleProperty, UtxoChainToggleMidRunMatchesSerial) {
-  const std::uint64_t seed = GetParam();
-  auto run = [&](bool toggled) {
-    ChainClusterConfig cfg;
-    cfg.params = chain::bitcoin_like();
-    cfg.params.verify_pow = false;
-    cfg.params.retarget_window = 0;
-    cfg.params.block_interval = 25.0;
-    cfg.params.initial_difficulty = 1e6;
-    cfg.node_count = 4;
-    cfg.miner_count = 2;
-    cfg.total_hashrate = 1e6 / 25.0;
-    cfg.account_count = 10;
-    cfg.initial_balance = 1'000'000;
-    cfg.genesis_outputs_per_account = 4;
-    cfg.seed = seed;
-    if (toggled) {
-      // A 2-thread pool exists from the start; whether connects route
-      // through it is flipped randomly between segments below.
-      cfg.crypto.verify_threads = 2;
-      cfg.crypto.parallel_validation = false;
-    }
-    ChainCluster cluster(cfg);
-    cluster.start();
-    Rng wl(seed * 31 + 1);
-    WorkloadConfig w;
-    w.account_count = 10;
-    w.tx_rate = 1.0;
-    w.duration = 400.0;
-    w.max_amount = 5000;
-    cluster.schedule_workload(generate_payments(w, wl));
-    if (toggled) {
-      Rng toggle_rng(seed ^ 0x70661e);
-      for (int segment = 0; segment < 8; ++segment) {
-        cluster.set_parallel_validation(toggle_rng.uniform(2) == 1);
-        cluster.run_for(75.0);
-      }
-    } else {
-      cluster.run_for(600.0);
-    }
-    cluster.run_for(200.0);  // quiesce
-    EXPECT_TRUE(cluster.converged()) << "toggled=" << toggled;
-    const auto& bc = cluster.node(0).chain();
-    const chain::Amount genesis_total = 10ull * 4ull * 1'000'000ull;
-    EXPECT_EQ(bc.utxo_set().total_value(),
-              genesis_total + static_cast<chain::Amount>(bc.height()) *
-                                  bc.params().block_reward)
-        << "toggled=" << toggled;
-    return std::pair{bc.tip_hash(), bc.utxo_set().total_value()};
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST_P(ParallelToggleProperty, LatticeToggleMidRunMatchesSerial) {
-  const std::uint64_t seed = GetParam();
-  auto run = [&](bool toggled) {
-    LatticeClusterConfig cfg;
-    cfg.node_count = 4;
-    cfg.representative_count = 2;
-    cfg.account_count = 10;
-    cfg.params.work_bits = 2;
-    cfg.seed = seed;
-    if (toggled) {
-      cfg.crypto.verify_threads = 2;
-      cfg.crypto.parallel_validation = false;
-    }
-    LatticeCluster cluster(cfg);
-    cluster.fund_accounts();
-    Rng wl(seed * 7 + 3);
-    WorkloadConfig w;
-    w.account_count = 10;
-    w.tx_rate = 1.5;
-    w.duration = 60.0;
-    cluster.schedule_workload(generate_payments(w, wl));
-    if (toggled) {
-      Rng toggle_rng(seed ^ 0x70661e);
-      for (int segment = 0; segment < 6; ++segment) {
-        cluster.set_parallel_validation(toggle_rng.uniform(2) == 1);
-        cluster.run_for(20.0);
-      }
-    } else {
-      cluster.run_for(120.0);
-    }
-    for (std::size_t i = 0; i < cluster.node_count(); ++i)
-      EXPECT_TRUE(cluster.node(i).ledger().conserves_value())
-          << "node=" << i << " toggled=" << toggled;
-    EXPECT_TRUE(cluster.converged()) << "toggled=" << toggled;
-    std::vector<lattice::Amount> balances;
-    for (std::size_t a = 0; a < 10; ++a)
-      balances.push_back(cluster.node(0).ledger().balance_of(
-          cluster.account(a).account_id()));
-    return balances;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelToggleProperty,
-                         ::testing::Values(19, 38, 57));
-
-// ---------------------------------------------------------------------------
 // Tangle gap healing: gossip over jittery links delivers transactions out
 // of order, so children routinely arrive before their parents and park in
 // the per-node gap pool (§IV-B's missing-predecessor analogue). For any

@@ -96,8 +96,7 @@ void expect_run_metrics_eq(const core::RunMetrics& a,
 
 bool volatile_metric(const std::string& key) {
   return key.find("profile.") != std::string::npos ||
-         key.find("_us") != std::string::npos ||
-         key.find(".workers") != std::string::npos;
+         key.find("_us") != std::string::npos;
 }
 
 /// Same linear-scan filter as the traffic harness: drops wall-clock

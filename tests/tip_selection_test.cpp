@@ -6,7 +6,7 @@
 //    selection, genesis fallback: zero), so a strategy swap can never
 //    shift any other consumer's stream;
 //  - draws and selected tips are identical whether the tangle was built
-//    serially or through the parallel validation/state pipelines;
+//    live or replayed from its transactions;
 //  - on a star tangle (all tips weight 1) the MCMC walk degenerates to
 //    the uniform distribution — measured over thousands of draws.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
-#include "support/thread_pool.hpp"
 #include "tangle/tip_selection.hpp"
 
 namespace dlt::tangle {
@@ -169,49 +168,37 @@ TEST(TipSelection, MrtsSelectsOnlyMostRecentTips) {
   }
 }
 
-// --------------------------------------- parallel-built == serial-built
+// ---------------------------------------------- live-built == replayed
 
 TEST(TipSelection, DrawsIndependentOfHowTheTangleWasBuilt) {
-  // Build the same 24-transaction history serially and through the
-  // parallel validation pipeline; each copy must then satisfy every
-  // strategy with identical draws and identical selections.
+  // Grow a 24-transaction history live (selecting tips as it grows), then
+  // replay the same transactions into a fresh tangle; both copies must
+  // satisfy every strategy with identical draws and identical selections.
+  Tangle live(cheap_params());
   std::vector<TangleTx> txs;
-  {
-    Tangle ref(cheap_params());
-    const crypto::KeyPair issuer = crypto::KeyPair::from_seed(2);
-    Rng rng(19);
-    for (int i = 0; i < 24; ++i) {
-      const TxHash trunk = ref.select_tip(rng);
-      const TxHash branch = ref.select_tip(rng);
-      TangleTx tx = make_tx(ref, issuer, trunk, branch, payload_for(i),
-                            1.0 + i, rng);
-      EXPECT_TRUE(ref.attach(tx).ok());
-      txs.push_back(tx);
-    }
+  const crypto::KeyPair issuer = crypto::KeyPair::from_seed(2);
+  Rng rng(19);
+  for (int i = 0; i < 24; ++i) {
+    const TxHash trunk = live.select_tip(rng);
+    const TxHash branch = live.select_tip(rng);
+    TangleTx tx = make_tx(live, issuer, trunk, branch, payload_for(i),
+                          1.0 + i, rng);
+    EXPECT_TRUE(live.attach(tx).ok());
+    txs.push_back(tx);
   }
 
-  auto build = [&](bool parallel) {
-    auto tangle = std::make_unique<Tangle>(cheap_params());
-    if (parallel) {
-      tangle->set_verify_pool(std::make_shared<support::ThreadPool>(4));
-      tangle->set_parallel_validation(true);
-    }
-    for (const TangleTx& tx : txs) EXPECT_TRUE(tangle->attach(tx).ok());
-    return tangle;
-  };
-
-  const auto serial = build(false);
-  const auto parallel = build(true);
-  EXPECT_EQ(serial->tips(), parallel->tips());
+  Tangle replayed(cheap_params());
+  for (const TangleTx& tx : txs) EXPECT_TRUE(replayed.attach(tx).ok());
+  EXPECT_EQ(live.tips(), replayed.tips());
 
   for (TipStrategy s :
        {TipStrategy::kMcmc, TipStrategy::kUniform, TipStrategy::kMrts}) {
     SCOPED_TRACE(to_string(s));
     Rng a(23), b(23);
     const Rng before = a;
-    const TxHash pick_serial = serial->select_tip_with(s, a);
-    const TxHash pick_parallel = parallel->select_tip_with(s, b);
-    EXPECT_EQ(pick_serial, pick_parallel);
+    const TxHash pick_live = live.select_tip_with(s, a);
+    const TxHash pick_replayed = replayed.select_tip_with(s, b);
+    EXPECT_EQ(pick_live, pick_replayed);
     EXPECT_EQ(draws_consumed(before, a), draws_consumed(before, b));
   }
 }

@@ -7,12 +7,11 @@
 // Zipf rank-frequency, the MMPP mean rate, the diurnal phase split.
 //
 // Differential half: for every ledger family, one over-saturation traffic
-// run is replayed across the full determinism matrix
-//   DLT_VERIFY_THREADS ∈ {0, 2, 4} × verdict pipeline ∈ {off, on}
-//     × DLT_STORAGE ∈ {memory, disk}
-// and must produce byte-identical traces, equal RunMetrics (including the
-// admission tallies), and byte-identical filtered registry JSON. The
-// admission counters must reconcile exactly in every configuration:
+// run is replayed with the storage layer in memory and in disk mode
+// (DLT_STORAGE ∈ {memory, disk}) and must produce byte-identical traces,
+// equal RunMetrics (including the admission tallies), and byte-identical
+// filtered registry JSON. The admission counters must reconcile exactly in
+// both modes:
 //   submitted == admitted + rejected + evicted + backpressured.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -342,31 +341,10 @@ struct ScratchDir {
   std::string str() const { return path.string(); }
 };
 
-/// One cell of the determinism matrix: verify-thread count × verdict
-/// pipeline (parallel_validation; off = sigcache prefetch only) × storage
-/// mode. threads == 0 is the serial reference path.
-struct DiffMode {
-  const char* name;
-  std::size_t threads;
-  bool pipeline;
-  bool disk;
-};
-
-constexpr DiffMode kDiffModes[] = {
-    {"t2-mem", 2, false, false},
-    {"t4-pipe-mem", 4, true, false},
-    {"serial-disk", 0, false, true},
-    {"t2-pipe-disk", 2, true, true},
-};
-
 bool volatile_metric(const std::string& key) {
-  // profile/_us/workers are wall-clock members; parallel.* counts the
-  // parallel machinery's own batching, which differs by execution mode
-  // even when the simulation outcome is byte-identical.
+  // profile/_us are wall-clock members.
   return key.find("profile.") != std::string::npos ||
-         key.find("_us") != std::string::npos ||
-         key.find(".workers") != std::string::npos ||
-         key.compare(0, 9, "parallel.") == 0;
+         key.find("_us") != std::string::npos;
 }
 
 /// Same linear-scan registry filter as the storage harness: drop
@@ -453,14 +431,21 @@ void expect_admission_contract(const TrafficOutcome& o, const char* mode) {
 }
 
 template <typename Config>
-void apply_diff_mode(Config& cfg, const DiffMode& mode,
-                     const ScratchDir* scratch) {
-  cfg.crypto.verify_threads = mode.threads;
-  cfg.crypto.parallel_validation = mode.pipeline;
-  if (mode.disk) {
-    cfg.storage.mode = storage::StorageMode::kDisk;
-    cfg.storage.path = scratch->str();
-  }
+void use_disk(Config& cfg, const ScratchDir& scratch) {
+  cfg.storage.mode = storage::StorageMode::kDisk;
+  cfg.storage.path = scratch.str();
+}
+
+/// The memory-mode run is the reference; the disk-mode replay must match
+/// it, and both must satisfy the admission contract.
+template <typename Run>
+void expect_storage_modes_agree(Run run) {
+  const TrafficOutcome memory = run(false);
+  expect_admission_contract(memory, "memory");
+  EXPECT_GT(memory.metrics.confirmed, 0u);
+  const TrafficOutcome disk = run(true);
+  expect_outcome_eq(disk, memory, "disk");
+  expect_admission_contract(disk, "disk");
 }
 
 /// Over-saturation traffic shape shared by the differential runs: arrivals
@@ -477,8 +462,8 @@ core::TrafficConfig saturating_traffic(double rate, double duration,
 
 // ---- chain (account model) ----
 
-TrafficOutcome run_chain_account(const DiffMode& mode, bool enable_mode) {
-  ScratchDir scratch(std::string("chain_") + mode.name);
+TrafficOutcome run_chain_account(bool disk) {
+  ScratchDir scratch("chain_disk");
   core::ChainClusterConfig cfg;
   cfg.params = chain::pos_like();
   cfg.params.verify_pow = false;
@@ -495,7 +480,7 @@ TrafficOutcome run_chain_account(const DiffMode& mode, bool enable_mode) {
   cfg.seed = 77;
   cfg.obs.trace_capacity = 1u << 16;
   cfg.traffic = saturating_traffic(60.0, 15.0, 6 * 1024);
-  if (enable_mode) apply_diff_mode(cfg, mode, &scratch);
+  if (disk) use_disk(cfg, scratch);
 
   core::ChainCluster cluster(cfg);
   cluster.start();
@@ -512,21 +497,13 @@ TrafficOutcome run_chain_account(const DiffMode& mode, bool enable_mode) {
 }
 
 TEST(TrafficDifferential, ChainAccountMatrix) {
-  const TrafficOutcome ref =
-      run_chain_account(DiffMode{"ref", 0, false, false}, false);
-  expect_admission_contract(ref, "ref");
-  EXPECT_GT(ref.metrics.confirmed, 0u);
-  for (const DiffMode& mode : kDiffModes) {
-    const TrafficOutcome got = run_chain_account(mode, true);
-    expect_outcome_eq(got, ref, mode.name);
-    expect_admission_contract(got, mode.name);
-  }
+  expect_storage_modes_agree(run_chain_account);
 }
 
 // ---- chain (UTXO model: fee-market eviction with input unreserve) ----
 
-TrafficOutcome run_chain_utxo(const DiffMode& mode, bool enable_mode) {
-  ScratchDir scratch(std::string("utxo_") + mode.name);
+TrafficOutcome run_chain_utxo(bool disk) {
+  ScratchDir scratch("utxo_disk");
   core::ChainClusterConfig cfg;
   cfg.params = chain::bitcoin_like();
   cfg.params.verify_pow = false;
@@ -544,7 +521,7 @@ TrafficOutcome run_chain_utxo(const DiffMode& mode, bool enable_mode) {
   cfg.seed = 78;
   cfg.obs.trace_capacity = 1u << 16;
   cfg.traffic = saturating_traffic(50.0, 15.0, 8 * 1024);
-  if (enable_mode) apply_diff_mode(cfg, mode, &scratch);
+  if (disk) use_disk(cfg, scratch);
 
   core::ChainCluster cluster(cfg);
   cluster.start();
@@ -561,21 +538,13 @@ TrafficOutcome run_chain_utxo(const DiffMode& mode, bool enable_mode) {
 }
 
 TEST(TrafficDifferential, ChainUtxoMatrix) {
-  const TrafficOutcome ref =
-      run_chain_utxo(DiffMode{"ref", 0, false, false}, false);
-  expect_admission_contract(ref, "ref");
-  EXPECT_GT(ref.metrics.confirmed, 0u);
-  for (const DiffMode& mode : kDiffModes) {
-    const TrafficOutcome got = run_chain_utxo(mode, true);
-    expect_outcome_eq(got, ref, mode.name);
-    expect_admission_contract(got, mode.name);
-  }
+  expect_storage_modes_agree(run_chain_utxo);
 }
 
 // ---- lattice ----
 
-TrafficOutcome run_lattice(const DiffMode& mode, bool enable_mode) {
-  ScratchDir scratch(std::string("lattice_") + mode.name);
+TrafficOutcome run_lattice(bool disk) {
+  ScratchDir scratch("lattice_disk");
   core::LatticeClusterConfig cfg;
   cfg.node_count = 3;
   cfg.representative_count = 2;
@@ -584,7 +553,7 @@ TrafficOutcome run_lattice(const DiffMode& mode, bool enable_mode) {
   cfg.seed = 79;
   cfg.obs.trace_capacity = 1u << 16;
   cfg.traffic = saturating_traffic(60.0, 12.0, 2 * 1024);
-  if (enable_mode) apply_diff_mode(cfg, mode, &scratch);
+  if (disk) use_disk(cfg, scratch);
 
   core::LatticeCluster cluster(cfg);
   cluster.fund_accounts();
@@ -601,32 +570,23 @@ TrafficOutcome run_lattice(const DiffMode& mode, bool enable_mode) {
 }
 
 TEST(TrafficDifferential, LatticeMatrix) {
-  const TrafficOutcome ref = run_lattice(DiffMode{"ref", 0, false, false},
-                                         false);
-  expect_admission_contract(ref, "ref");
-  EXPECT_GT(ref.metrics.confirmed, 0u);
-  for (const DiffMode& mode : kDiffModes) {
-    const TrafficOutcome got = run_lattice(mode, true);
-    expect_outcome_eq(got, ref, mode.name);
-    expect_admission_contract(got, mode.name);
-  }
+  expect_storage_modes_agree(run_lattice);
 }
 
 // ---- tangle ----
 
-TrafficOutcome run_tangle(const DiffMode& mode, bool enable_mode) {
-  ScratchDir scratch(std::string("tangle_") + mode.name);
+TrafficOutcome run_tangle(bool disk) {
+  ScratchDir scratch("tangle_disk");
   core::TangleClusterConfig cfg;
   cfg.node_count = 3;
   cfg.account_count = 12;
   cfg.params.work_bits = 2;
   cfg.seed = 80;
   cfg.obs.trace_capacity = 1u << 16;
-  // Short window: MCMC attach cost grows with cone size, and the matrix
-  // replays this run five times.
+  // Short window: MCMC attach cost grows with cone size.
   cfg.traffic = saturating_traffic(60.0, 6.0, 1536);
   cfg.traffic.drain_burst = 2;
-  if (enable_mode) apply_diff_mode(cfg, mode, &scratch);
+  if (disk) use_disk(cfg, scratch);
 
   core::TangleCluster cluster(cfg);
   cluster.start();
@@ -643,15 +603,7 @@ TrafficOutcome run_tangle(const DiffMode& mode, bool enable_mode) {
 }
 
 TEST(TrafficDifferential, TangleMatrix) {
-  const TrafficOutcome ref = run_tangle(DiffMode{"ref", 0, false, false},
-                                        false);
-  expect_admission_contract(ref, "ref");
-  EXPECT_GT(ref.metrics.confirmed, 0u);
-  for (const DiffMode& mode : kDiffModes) {
-    const TrafficOutcome got = run_tangle(mode, true);
-    expect_outcome_eq(got, ref, mode.name);
-    expect_admission_contract(got, mode.name);
-  }
+  expect_storage_modes_agree(run_tangle);
 }
 
 // Enabling traffic must not shift the cluster RNG chain: a no-traffic run

@@ -18,7 +18,7 @@ Usage:
   tools/bench_diff.py old/BENCH_throughput_chain.json new/BENCH_throughput_chain.json
   tools/bench_diff.py --threshold 10 old.json new.json
   tools/bench_diff.py --exact a/BENCH_x.json b/BENCH_x.json   # byte-level determinism
-  tools/bench_diff.py --exact --ignore cluster.parallel.validate.workers a.json b.json
+  tools/bench_diff.py --exact --ignore metrics.gauges.storage.segments a.json b.json
 """
 
 import argparse
@@ -100,7 +100,7 @@ def smaller_is_better(path):
 
 
 def classify(path, old, new, threshold_pct):
-    """Returns (delta_pct, verdict) with verdict in ok/regressed/improved."""
+    """Returns (delta_pct, status) with status in ok/regressed/improved."""
     if old == new:
         return 0.0, "ok"
     if old == 0.0:
@@ -175,14 +175,14 @@ def main():
             continue
         old, new = old_metrics[path], new_metrics[path]
         threshold = 0.0 if args.exact else args.threshold
-        delta, verdict = classify(path, old, new, threshold)
+        delta, status = classify(path, old, new, threshold)
         profile = is_profile(path)
         if profile and not args.include_profile:
-            if verdict in ("regressed", "improved"):
-                verdict = "profile-noise"
-        elif verdict == "regressed" or (args.exact and verdict == "improved"):
+            if status in ("regressed", "improved"):
+                status = "profile-noise"
+        elif status == "regressed" or (args.exact and status == "improved"):
             regressions.append(path)
-        rows.append((path, old, new, delta, verdict))
+        rows.append((path, old, new, delta, status))
 
     def fmt(v):
         if v is None:
@@ -190,13 +190,13 @@ def main():
         return f"{v:.6g}"
 
     shown = 0
-    for path, old, new, delta, verdict in rows:
-        if args.quiet and verdict in ("ok", "profile-noise", "ignored"):
+    for path, old, new, delta, status in rows:
+        if args.quiet and status in ("ok", "profile-noise", "ignored"):
             continue
-        if verdict == "ok" and delta == 0.0 and not args.exact:
+        if status == "ok" and delta == 0.0 and not args.exact:
             continue  # unchanged: keep output focused on movement
         delta_s = "-" if delta is None else f"{delta:+.2f}%"
-        print(f"{verdict:>13}  {path}: {fmt(old)} -> {fmt(new)} ({delta_s})")
+        print(f"{status:>13}  {path}: {fmt(old)} -> {fmt(new)} ({delta_s})")
         shown += 1
     if shown == 0:
         print("no metric movement")

@@ -4,27 +4,22 @@
 #
 #   tools/check.sh                # tier-1 + asan + ubsan
 #   tools/check.sh --fast         # tier-1 only
-#   tools/check.sh --determinism  # tier-1 + parallel-pipeline gates
-#   tools/check.sh --tsan         # tier-1 + ThreadSanitizer pass
+#   tools/check.sh --determinism  # tier-1 + determinism gates
 #   tools/check.sh --perf         # tier-1 + Release perf gate
 #   tools/check.sh --latency      # tier-1 + lifecycle-latency pipeline gate
 #   tools/check.sh --attacks      # tier-1 + adversarial-suite safety gate
 #   tools/check.sh --storage      # tier-1 + §V on-disk ledger-size gate
 #   tools/check.sh --traffic      # tier-1 + E20 open-loop admission gate
 #
-# Flags combine: `tools/check.sh --determinism --tsan` runs the tier-1
+# Flags combine: `tools/check.sh --determinism --attacks` runs the tier-1
 # suite once, then both extra passes in one invocation. Any extra flag
 # implies --fast (the asan/ubsan pair stays opt-out via the plain run).
 #
 # Each pass uses its own build directory so sanitizer flags never leak
-# into the primary build/ tree. --determinism replays the same seed at
-# two worker counts through the stateless validation pipeline, on every
-# cluster bench, and requires identical metrics + byte-identical traces
-# (tools/determinism_gate.sh).
-# --tsan exercises the verify-pool data paths (sharded validation, batch
-# verification) under ThreadSanitizer; it is
-# split from the default run because TSan is an order of magnitude
-# slower than the tier-1 suite.
+# into the primary build/ tree. --determinism replays each cluster
+# bench's seed in memory and disk storage mode and checks the default
+# traces against the pinned golden digests, requiring identical metrics +
+# byte-identical traces (tools/determinism_gate.sh).
 # --perf builds bench_simcore and bench_hotpath in a Release tree
 # (build-perf) and gates on the recorded scheduler speedup: the slab
 # engine must hold >= 2x events/sec over the embedded legacy scheduler.
@@ -57,7 +52,6 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 FAST=0
 DETERMINISM=0
-TSAN=0
 PERF=0
 LATENCY=0
 ATTACKS=0
@@ -67,14 +61,13 @@ for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
     --determinism) FAST=1; DETERMINISM=1 ;;
-    --tsan) FAST=1; TSAN=1 ;;
     --perf) FAST=1; PERF=1 ;;
     --latency) FAST=1; LATENCY=1 ;;
     --attacks) FAST=1; ATTACKS=1 ;;
     --storage) FAST=1; STORAGE=1 ;;
     --traffic) FAST=1; TRAFFIC=1 ;;
     *)
-      echo "usage: tools/check.sh [--fast] [--determinism] [--tsan] [--perf] [--latency] [--attacks] [--storage] [--traffic]" >&2
+      echo "usage: tools/check.sh [--fast] [--determinism] [--perf] [--latency] [--attacks] [--storage] [--traffic]" >&2
       exit 2
       ;;
   esac
@@ -316,10 +309,6 @@ EOF
     echo "FAIL: bench_diff did not flag the confirmed-count drop" >&2; exit 1; }
   rm -rf "$latdir"
   echo "=== [latency] OK ==="
-fi
-
-if [[ "$TSAN" == "1" ]]; then
-  run_pass tsan build-tsan -DDLT_SANITIZE=thread
 fi
 
 if [[ "$FAST" == "0" ]]; then

@@ -1,28 +1,23 @@
 #!/usr/bin/env bash
-# Determinism gate for the parallel pipelines: the same seed run at two
-# different worker counts must emit byte-identical event traces and an
-# identical BENCH_*.json metrics section. Only wall-clock histograms
-# (profile.*, *_us) and the deliberately run-dependent
-# parallel.validate.workers gauge are exempt.
+# Determinism gate: runs of the same seed must emit byte-identical event
+# traces and an identical BENCH_*.json metrics section. Only wall-clock
+# histograms (profile.*, *_us) are exempt.
 #
 # Three legs:
-#   validation — DLT_VERIFY_THREADS (stateless verdict sharding) on every
-#                cluster bench: chain (block), dag (lattice), tangle,
-#                the adversarial lab and open-loop traffic.
-#   storage    — DLT_STORAGE=memory vs disk (pluggable persistence):
+#   storage    — DLT_STORAGE=memory vs disk (pluggable persistence) on the
+#                chain, dag (lattice), tangle and open-loop benches:
 #                flipping the storage mode must leave metrics and traces
 #                byte-identical.
-#   golden     — the chain, tangle, adversarial and open-loop traces at
-#                the default configuration must match the digests pinned
-#                in tools/golden/traces.sha256, so a change that moves
-#                both sides of the other legs together still shows. The
-#                chain bench is the one that drives the UTXO wallet at
-#                scale (hundreds of coins per account, a growing backlog
-#                of reserved coins), so its digest pins coin selection.
-#
-# bench_openloop (E20) runs both legs: the open-loop traffic engine and
-# the admission queues must replay identically across worker counts and
-# storage modes.
+#   simcore    — two bench_simcore runs agree on their fire-order
+#                checksums.
+#   golden     — the chain, dag, tangle, adversarial and open-loop traces
+#                at the default configuration must match the digests
+#                pinned in tools/golden/traces.sha256, so a change that
+#                moves both sides of the storage leg together still
+#                shows. The chain bench is the one that drives the UTXO
+#                wallet at scale (hundreds of coins per account, a growing
+#                backlog of reserved coins), so its digest pins coin
+#                selection.
 #
 #   tools/determinism_gate.sh [build-dir]   # default: build
 #
@@ -35,42 +30,6 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 [[ "$BUILD" = /* ]] || BUILD="$(pwd)/$BUILD"
 DIFF="$(pwd)/tools/bench_diff.py"
-
-# gate <bench-name>: run the bench at 2 and 4 verify workers, then demand
-# identical metrics and byte-identical traces.
-gate() {
-  local bench="$1"
-  local bin="$BUILD/bench/$bench"
-
-  if [[ ! -x "$bin" ]]; then
-    echo "determinism gate: $bin not built (build the bench targets first)" >&2
-    exit 2
-  fi
-
-  local work
-  work="$(mktemp -d)"
-  # shellcheck disable=SC2064  # expand $work now; one trap per subshell run
-  trap "rm -rf '$work'" RETURN
-
-  for threads in 2 4; do
-    local dir="$work/w$threads"
-    mkdir -p "$dir"
-    echo "=== [determinism/validation] $bench @ DLT_VERIFY_THREADS=$threads ==="
-    (cd "$dir" &&
-     env DLT_VERIFY_THREADS="$threads" DLT_TRACE=1 "$bin" >/dev/null)
-  done
-
-  echo "=== [determinism/validation] $bench metrics: exact diff (wall-clock + worker gauges exempt) ==="
-  python3 "$DIFF" --exact --quiet \
-    --ignore metrics.gauges.parallel.validate.workers \
-    "$work/w2/BENCH_${bench#bench_}.json" \
-    "$work/w4/BENCH_${bench#bench_}.json"
-
-  echo "=== [determinism/validation] $bench trace: byte compare ==="
-  cmp "$work/w2/TRACE_${bench#bench_}.jsonl" \
-      "$work/w4/TRACE_${bench#bench_}.jsonl"
-  echo "traces byte-identical"
-}
 
 # gate_storage <bench-name>: run the same bench with the storage layer in
 # memory and in disk mode (DLT_STORAGE, ISSUE 9) and demand identical
@@ -89,8 +48,7 @@ gate_storage() {
     exit 2
   fi
 
-  local -a ignore=(--ignore metrics.gauges.parallel.validate.workers
-                   --ignore metrics.gauges.storage.segments)
+  local -a ignore=(--ignore metrics.gauges.storage.segments)
 
   local work
   work="$(mktemp -d)"
@@ -102,8 +60,7 @@ gate_storage() {
     mkdir -p "$dir"
     echo "=== [determinism/storage] $bench @ DLT_STORAGE=$mode ==="
     (cd "$dir" &&
-     env DLT_STORAGE="$mode" DLT_VERIFY_THREADS=2 DLT_TRACE=1 \
-       "$bin" >/dev/null)
+     env DLT_STORAGE="$mode" DLT_TRACE=1 "$bin" >/dev/null)
   done
 
   echo "=== [determinism/storage] $bench metrics: exact diff (segment counts exempt) ==="
@@ -144,7 +101,7 @@ gate_simcore() {
 # gate_golden: the pinned-digest leg. Every DLT_* variable is dropped, so
 # the runs are the default configuration whatever the caller exported.
 # Re-baselining means regenerating tools/golden/traces.sha256 (sha256sum
-# of the four TRACE_*.jsonl files from such a run) in a change that says
+# of the five TRACE_*.jsonl files from such a run) in a change that says
 # why.
 gate_golden() {
   local golden
@@ -160,8 +117,8 @@ gate_golden() {
   # shellcheck disable=SC2064
   trap "rm -rf '$work'" RETURN
   local bench
-  for bench in bench_throughput_chain bench_throughput_tangle \
-               bench_adversarial bench_openloop; do
+  for bench in bench_throughput_chain bench_throughput_dag \
+               bench_throughput_tangle bench_adversarial bench_openloop; do
     local bin="$BUILD/bench/$bench"
     if [[ ! -x "$bin" ]]; then
       echo "determinism gate: $bin not built (build the bench targets first)" >&2
@@ -174,12 +131,8 @@ gate_golden() {
   (cd "$work" && sha256sum -c "$golden")
 }
 
-gate bench_throughput_chain
-gate bench_throughput_dag
-gate bench_throughput_tangle
-gate bench_adversarial
-gate bench_openloop
 gate_storage bench_throughput_chain
+gate_storage bench_throughput_dag
 gate_storage bench_throughput_tangle
 gate_storage bench_openloop
 gate_simcore
