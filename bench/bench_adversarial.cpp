@@ -29,7 +29,6 @@
 #include "core/json_report.hpp"
 #include "core/table.hpp"
 #include "obs/trace.hpp"
-#include "tangle/tip_selection.hpp"
 #include "storage/config.hpp"
 
 using namespace dlt;

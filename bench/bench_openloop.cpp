@@ -183,7 +183,7 @@ Row run_chain(double rate, const std::string& trace_path = {}) {
 // nano-like lattice: admission queues in front of each owner node,
 // aggregate service 4 nodes x 4/0.2 s = 80 tx/s but Zipf-skewed onto the
 // hot owner, which saturates well below that.
-Row run_lattice(double rate) {
+Row run_lattice(double rate, const std::string& trace_path = {}) {
   LatticeClusterConfig cfg;
   cfg.node_count = 4;
   cfg.representative_count = 2;
@@ -198,12 +198,12 @@ Row run_lattice(double rate) {
   cluster.fund_accounts();
   cluster.schedule_traffic();
   cluster.run_for(kDagDuration + 20.0);  // vote quorum settles fast
-  return collect(cluster, "nano-like", rate, kDagDuration, {});
+  return collect(cluster, "nano-like", rate, kDagDuration, trace_path);
 }
 
 // iota-like tangle: same per-issuer admission queues; confirmation is the
 // recurring tip-cone confidence sweep on the reference replica.
-Row run_tangle(double rate) {
+Row run_tangle(double rate, const std::string& trace_path = {}) {
   TangleClusterConfig cfg;
   cfg.node_count = 4;
   cfg.account_count = kAccounts;
@@ -219,7 +219,7 @@ Row run_tangle(double rate) {
   cluster.start();
   cluster.schedule_traffic();
   cluster.run_for(kTangleDuration + 20.0);
-  return collect(cluster, "iota-like", rate, kTangleDuration, {});
+  return collect(cluster, "iota-like", rate, kTangleDuration, trace_path);
 }
 
 std::string class_summary(const Row& r) {
@@ -266,10 +266,20 @@ int main() {
     }
     rows.push_back(std::move(r));
   }
+  // The saturated top points also export their traces, so the golden
+  // digests pin the lattice and tangle admission queues too.
   for (double rate : dag_sweep)
-    rows.push_back(timed("lattice", rate, [&] { return run_lattice(rate); }));
+    rows.push_back(timed("lattice", rate, [&] {
+      return run_lattice(rate, rate == dag_sweep[2]
+                                   ? "TRACE_openloop_lattice.jsonl"
+                                   : "");
+    }));
   for (double rate : tangle_sweep)
-    rows.push_back(timed("tangle", rate, [&] { return run_tangle(rate); }));
+    rows.push_back(timed("tangle", rate, [&] {
+      return run_tangle(rate, rate == tangle_sweep[2]
+                                  ? "TRACE_openloop_tangle.jsonl"
+                                  : "");
+    }));
 
   Table t({"system", "offered", "fired/s", "achieved", "admitted", "rejected",
            "evicted", "backpressure", "p50 s", "p99 s", "class p99s"});

@@ -189,19 +189,15 @@ void ChainTraits::build_nodes(Engine& e) {
       nc.mempool_capacity_bytes = config.traffic.queue_capacity_bytes;
       nc.mempool_replacement = true;
     }
-    // Every node gets a store (memory mode by default) so storage.* gauges
-    // appear in every report and the memory/disk differential stays a pure
-    // config flip (ISSUE 9).
-    nc.store = std::make_shared<storage::LedgerStore>(
-        config.storage, system_name(config) + "-s" +
-                            std::to_string(config.seed) + "/node" +
-                            std::to_string(i));
-    nc.store->attach_probe(e.node_probe(i));
+    nc.store = e.make_node_store(i);
     e.add_node(std::make_unique<chain::ChainNode>(
         e.network(), config.params, genesis, nc, e.rng().fork(), stakes));
   }
 }
 
+// Chain confirmation (depth-k) is detected by ChainNode's block-connect
+// hook, which calls the tracker directly; after topology only the traffic
+// engine's evict handlers need installing.
 void ChainTraits::after_topology(Engine& e) {
   if (!e.config().traffic.enabled) return;
   // Node 0 takes every engine submission, so only its evict handlers
@@ -241,10 +237,6 @@ void ChainTraits::after_topology(Engine& e) {
       });
 }
 
-// Chain confirmation (depth-k) is detected by ChainNode's block-connect
-// hook, which calls the tracker directly; nothing extra to install.
-void ChainTraits::wire_lifecycle(Engine&) {}
-
 void ChainTraits::start(Engine& e) {
   for (std::size_t i = 0; i < e.node_count(); ++i) e.node(i).start();
 }
@@ -270,13 +262,7 @@ void ChainTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
   AdmissionStats& adm = e.admission();
   if (out.status.ok()) {
     ++adm.admitted;
-    if (obs::LatencyTracker* t = e.lifecycle_tracker()) {
-      const double now = e.simulation().now();
-      t->on_submit(out.tx_id, now, out.node,
-                   static_cast<std::uint64_t>(ev.from), ev.fee_class);
-      if (out.admitted) t->on_admit(out.tx_id, now, out.node);
-      if (out.included) t->on_include(out.tx_id, now, out.node);
-    }
+    e.record_submission(out, e.simulation().now(), ev.from, ev.fee_class);
   } else if (out.status.error().code == "mempool-full") {
     ++adm.backpressured;
   } else {

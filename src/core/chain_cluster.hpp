@@ -16,7 +16,8 @@
 
 namespace dlt::core {
 
-struct ChainClusterConfig {
+/// ClusterConfig's shared fields plus the chain's own.
+struct ChainClusterConfig : ClusterConfig {
   chain::ChainParams params;
   std::size_t node_count = 8;
   std::size_t miner_count = 4;     // PoW: nodes [0, miner_count) mine
@@ -24,11 +25,6 @@ struct ChainClusterConfig {
   std::size_t validator_count = 4; // PoS: staked nodes
   chain::Amount stake_per_validator = 1'000'000;
 
-  Topology topology = Topology::kComplete;
-  net::LinkParams link{};
-  std::size_t random_degree = 4;
-
-  std::size_t account_count = 50;
   chain::Amount initial_balance = 10'000'000;
   /// UTXO model: number of independent genesis coins per account (each of
   /// initial_balance). Saturation benches need many spendable outpoints.
@@ -37,26 +33,6 @@ struct ChainClusterConfig {
   /// in [0, 2*mean]). Real Ethereum transactions average well above the
   /// 21k intrinsic gas; this reproduces that gas weighting (paper §VI-A).
   std::uint32_t account_tx_data_mean = 0;
-
-  /// Crypto hot-path knob (the shared sigcache).
-  CryptoConfig crypto{};
-
-  /// Observability knobs (metrics registry is always on; tracing opt-in).
-  ObsConfig obs{};
-
-  /// Persistence mode for every node's ledger store (ISSUE 9). Memory mode
-  /// (default) keeps the same write-through accounting in RAM; disk mode
-  /// adds the segmented log + mmap state backend. Byte-identical traces
-  /// either way; see storage/config.hpp and apply_env_storage.
-  storage::StorageConfig storage{};
-
-  /// Open-loop traffic engine + admission control (ISSUE 10). When
-  /// enabled, every node's mempool runs the byte-capacity fee market
-  /// (traffic.queue_capacity_bytes, replacement on) and
-  /// ClusterEngine::schedule_traffic() drives arrivals.
-  TrafficConfig traffic{};
-
-  std::uint64_t seed = 42;
 };
 
 /// Ledger policy plugged into ClusterEngine (see cluster_engine.hpp for
@@ -100,7 +76,6 @@ struct ChainTraits {
   static std::string system_name(const Config& config);
   static void build_nodes(ClusterEngine<ChainTraits>& e);
   static void after_topology(ClusterEngine<ChainTraits>& e);
-  static void wire_lifecycle(ClusterEngine<ChainTraits>& e);
   static void start(ClusterEngine<ChainTraits>& e);
   static SubmitOutcome submit_payment(ClusterEngine<ChainTraits>& e,
                                       std::size_t from, std::size_t to,

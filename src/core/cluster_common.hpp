@@ -1,7 +1,7 @@
-// Wiring shared by ChainCluster and LatticeCluster: network topology
-// construction, the deterministic workload-account key schedule, and the
-// crypto hot-path knob (the shared sigcache) that both cluster kinds
-// thread through their nodes.
+// Wiring shared by ChainCluster, LatticeCluster and TangleCluster: the
+// config fields the engine reads, network topology construction, the
+// deterministic workload-account key schedule, and the crypto hot-path
+// knob (the shared sigcache) the cluster kinds thread through their nodes.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/traffic.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sigcache.hpp"
 #include "net/network.hpp"
@@ -16,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
+#include "storage/config.hpp"
 #include "support/rng.hpp"
 
 namespace dlt::core {
@@ -55,6 +57,39 @@ struct ObsConfig {
   /// Per-histogram percentile sample cap for the latency.* histograms
   /// (deterministic reservoir above it; 0 = exact, unbounded).
   std::size_t latency_sample_cap = 1u << 16;
+};
+
+/// The config fields ClusterEngine itself reads, the same for every
+/// ledger. ChainClusterConfig, LatticeClusterConfig and TangleClusterConfig
+/// inherit them and add their own (node_count among them: its default
+/// differs per ledger).
+struct ClusterConfig {
+  Topology topology = Topology::kComplete;
+  net::LinkParams link{};
+  std::size_t random_degree = 4;
+
+  std::size_t account_count = 50;
+
+  /// Crypto hot-path knob (the shared sigcache; the tangle has none, its
+  /// signatures are one-shot).
+  CryptoConfig crypto{};
+
+  /// Observability knobs (metrics registry is always on; tracing opt-in).
+  ObsConfig obs{};
+
+  /// Persistence mode for every node's ledger store. Memory mode
+  /// (default) keeps the same write-through accounting in RAM; disk mode
+  /// adds the segmented log + mmap state backend. Byte-identical traces
+  /// either way; see storage/config.hpp and apply_env_storage.
+  storage::StorageConfig storage{};
+
+  /// Open-loop traffic engine + admission control, driven by
+  /// ClusterEngine::schedule_traffic(). The chain's mempools run the
+  /// byte-capacity fee market; the lattice and tangle park arrivals in
+  /// the engine's per-node AdmissionQueues (ClusterEngine::enqueue_traffic).
+  TrafficConfig traffic{};
+
+  std::uint64_t seed = 42;
 };
 
 /// Cluster-owned observability state. Nodes and the network hold

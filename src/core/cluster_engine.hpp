@@ -1,12 +1,13 @@
 // The generic cluster engine: one driver for all three ledger paradigms.
 //
-// ChainCluster, LatticeCluster and TangleCluster used to duplicate the
-// simulation loop, topology construction, workload scheduling, crypto
-// wiring (the shared sigcache), observability plumbing and
-// RunMetrics assembly. ClusterEngine<Traits> owns all of that once; a
-// LedgerTraits type supplies only the ledger-specific policy — node
-// construction, payment submission, metric extraction and the convergence
-// predicate. See DESIGN.md "Engine layering" for the traits contract.
+// ClusterEngine<Traits> owns what ChainCluster, LatticeCluster and
+// TangleCluster have in common: the simulation loop, topology
+// construction, workload scheduling, crypto wiring (the shared sigcache),
+// observability plumbing, node-store setup, the lifecycle submission
+// stamp, the DAG admission queues and RunMetrics assembly. A LedgerTraits
+// type supplies only the ledger-specific policy — node construction,
+// payment submission, metric extraction and the convergence predicate.
+// See DESIGN.md "Engine layering" for the traits contract.
 //
 // Determinism contract (inherited from the pre-refactor drivers and pinned
 // by tests/cluster_engine_test.cpp): for a given seed, the engine performs
@@ -22,7 +23,9 @@
 // downstream draw, so traces would diverge; keep this sequence frozen.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,6 +35,7 @@
 #include "core/workload.hpp"
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
+#include "storage/ledger_store.hpp"
 #include "support/result.hpp"
 
 namespace dlt::core {
@@ -54,8 +58,8 @@ struct SubmitOutcome {
 /// Generic cluster driver parameterized by a ledger policy. `Traits` must
 /// provide (see ChainTraits / LatticeTraits / TangleTraits):
 ///
-///   using Config;  // cluster config: seed, node_count, account_count,
-///                  // topology/link/random_degree, crypto, obs, ...
+///   using Config;  // derives from ClusterConfig (the fields the engine
+///                  // reads) and adds node_count plus its own fields
 ///   using Node;    // per-node network participant type
 ///   using Amount;  // payment amount type
 ///   struct State;  // driver-side bookkeeping (wallets, nonces, ...)
@@ -64,23 +68,21 @@ struct SubmitOutcome {
 ///   static std::string system_name(const Config&);
 ///   static void build_nodes(ClusterEngine&);    // forks rng per node
 ///   static void after_topology(ClusterEngine&); // e.g. auto-start
-///   static void wire_lifecycle(ClusterEngine&); // confirmation events
 ///   static void start(ClusterEngine&);
 ///   static SubmitOutcome submit_payment(ClusterEngine&, std::size_t from,
 ///                                       std::size_t to, Amount);
 ///   static void submit_traffic(ClusterEngine&, const TrafficEvent&);
 ///                  // open-loop arrival → admission pipeline (ISSUE 10):
-///                  // classify into engine.admission() and stamp the
-///                  // lifecycle tracker with the arrival's fee class
+///                  // the chain offers it to its mempool fee market; the
+///                  // lattice and tangle have no mempool and hand it to
+///                  // enqueue_traffic
 ///   static void fill_metrics(const ClusterEngine&, RunMetrics&);
 ///   static bool converged(const ClusterEngine&);
 ///
-/// wire_lifecycle is the confirmation-event trait hook (ISSUE 7): called
-/// once after topology when lifecycle tracking is enabled, it installs
-/// whatever per-ledger machinery turns "confirmed" into
-/// LatencyTracker::on_confirm calls (the chain and lattice confirm from
-/// existing node hooks, so theirs are no-ops; the tangle schedules a
-/// recurring tip-cone coverage sweep).
+/// after_topology also installs whatever per-ledger machinery turns
+/// "confirmed" into LatencyTracker::on_confirm calls when lifecycle
+/// tracking is on: the chain and lattice confirm from existing node
+/// hooks; the tangle schedules a recurring tip-cone coverage sweep.
 template <typename Traits>
 class ClusterEngine {
  public:
@@ -116,8 +118,6 @@ class ClusterEngine {
                    config_.random_degree, rng_);
 
     Traits::after_topology(*this);
-
-    if (obs_.lifecycle.enabled()) Traits::wire_lifecycle(*this);
   }
 
   // ---- Generic driver surface (identical across ledger kinds) -----------
@@ -144,16 +144,7 @@ class ClusterEngine {
     SubmitOutcome out = Traits::submit_payment(*this, from, to, amount);
     if (out.status.ok()) {
       submitted_->inc();
-      if (obs_.lifecycle.enabled()) {
-        const double now = sim_.now();
-        // Tagged with the sending account so per-issuer inclusion rates
-        // (fairness.inclusion_gini, core/adversary.hpp) are attributable.
-        obs_.lifecycle.on_submit(out.tx_id, now, out.node,
-                                 static_cast<std::uint64_t>(from));
-        if (out.admitted) obs_.lifecycle.on_admit(out.tx_id, now, out.node);
-        if (out.included)
-          obs_.lifecycle.on_include(out.tx_id, now, out.node);
-      }
+      record_submission(out, sim_.now(), from);
     } else {
       rejected_->inc();
     }
@@ -272,10 +263,108 @@ class ClusterEngine {
   void add_node(std::unique_ptr<Node> node) {
     nodes_.push_back(std::move(node));
   }
+  /// Node `i`'s ledger store, named `<system>-s<seed>/node<i>`, with its
+  /// probe attached. Every node gets one (memory mode by default) so
+  /// storage.* gauges appear in every report and the memory/disk
+  /// differential stays a pure config flip.
+  std::shared_ptr<storage::LedgerStore> make_node_store(std::size_t i) {
+    auto store = std::make_shared<storage::LedgerStore>(
+        config_.storage, Traits::system_name(config_) + "-s" +
+                             std::to_string(config_.seed) + "/node" +
+                             std::to_string(i));
+    store->attach_probe(node_probe(i));
+    return store;
+  }
   obs::Counter& submitted_counter() { return *submitted_; }
   obs::Counter& rejected_counter() { return *rejected_; }
 
+  /// Registers a submitted transaction with the lifecycle tracker: the
+  /// submit stamp at `submitted_at`, tagged with the sending account (so
+  /// per-issuer inclusion rates, fairness.inclusion_gini, are
+  /// attributable) and the fee class, plus admit/include stamps now for
+  /// the stages the ledger completed inside the submit call.
+  void record_submission(
+      const SubmitOutcome& out, double submitted_at, std::size_t from,
+      std::uint32_t fee_class = obs::LatencyTracker::kNoClass) {
+    if (!obs_.lifecycle.enabled()) return;
+    const double now = sim_.now();
+    obs_.lifecycle.on_submit(out.tx_id, submitted_at, out.node,
+                             static_cast<std::uint64_t>(from), fee_class);
+    if (out.admitted) obs_.lifecycle.on_admit(out.tx_id, now, out.node);
+    if (out.included) obs_.lifecycle.on_include(out.tx_id, now, out.node);
+  }
+
+  /// The admission pipeline of the ledgers without a mempool (lattice,
+  /// tangle), whose issuers are the validators: a submit there applies
+  /// synchronously, so the arrival parks in the byte-capacity
+  /// AdmissionQueue of node `ev.from % node_count()` instead, and a drain
+  /// event every traffic.drain_interval submits up to traffic.drain_burst
+  /// queued payments through Traits::submit_payment. Offered load past
+  /// that service rate queues, evicts or backpressures rather than being
+  /// absorbed instantly. Queue-evicted payments never reached the ledger,
+  /// so they have no lifecycle entry; only the tallies move.
+  void enqueue_traffic(const TrafficEvent& ev) {
+    const TrafficConfig& tc = config_.traffic;
+    if (queues_.empty()) {
+      queues_.assign(nodes_.size(), AdmissionQueue(tc.queue_capacity_bytes));
+      drain_armed_.assign(nodes_.size(), 0);
+    }
+    const std::size_t owner = ev.from % nodes_.size();
+    QueuedPayment p;
+    p.submit_time = sim_.now();
+    p.from = ev.from;
+    p.to = ev.to;
+    p.amount = ev.amount;
+    p.fee_class = ev.fee_class;
+    p.fee = tc.base_fee * fee_class_multiplier(ev.fee_class);
+    p.bytes = tc.payment_bytes;
+    std::vector<QueuedPayment> evicted;
+    const auto res = queues_[owner].push(p, &evicted);
+    for (std::size_t i = 0; i < evicted.size(); ++i) {
+      if (admission_.admitted > 0) --admission_.admitted;
+      ++admission_.evicted;
+    }
+    if (res == AdmissionQueue::Push::kBackpressured) {
+      ++admission_.backpressured;
+      return;
+    }
+    ++admission_.admitted;
+    arm_drain(owner);
+  }
+
  private:
+  void arm_drain(std::size_t owner) {
+    if (drain_armed_[owner]) return;
+    drain_armed_[owner] = 1;
+    sim_.schedule_in(config_.traffic.drain_interval,
+                     [this, owner] { drain_queue(owner); });
+  }
+
+  // Submit is stamped at ENQUEUE time, so submit→confirm includes the
+  // admission-queue wait: the open-loop latency of interest.
+  void drain_queue(std::size_t owner) {
+    drain_armed_[owner] = 0;
+    AdmissionQueue& q = queues_[owner];
+    const std::size_t burst =
+        std::max<std::size_t>(1, config_.traffic.drain_burst);
+    for (std::size_t i = 0; i < burst; ++i) {
+      QueuedPayment p;
+      if (!q.pop(p)) break;
+      const SubmitOutcome out = Traits::submit_payment(
+          *this, p.from, p.to, static_cast<Amount>(p.amount));
+      if (!out.status.ok()) {
+        // Drain-time validation failure (e.g. insufficient balance): the
+        // tx leaves the admitted population as an explicit rejection.
+        if (admission_.admitted > 0) --admission_.admitted;
+        ++admission_.rejected;
+        rejected_->inc();
+        continue;
+      }
+      record_submission(out, p.submit_time, p.from, p.fee_class);
+    }
+    if (!q.empty()) arm_drain(owner);
+  }
+
   // One-event-ahead arrival scheduling: each fired arrival books the next
   // one, so the sim's event queue never holds more than one future
   // arrival no matter how far past saturation the offered load runs.
@@ -303,10 +392,14 @@ class ClusterEngine {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<crypto::KeyPair> accounts_;
 
-  // Open-loop traffic engine state (ISSUE 10).
+  // Open-loop traffic engine state. The DAG admission queues, one per
+  // node, and their drain-event arm flags are sized on the first
+  // enqueue_traffic arrival.
   std::unique_ptr<TrafficSource> traffic_;
   double traffic_start_ = 0.0;
   AdmissionStats admission_;
+  std::vector<AdmissionQueue> queues_;
+  std::vector<char> drain_armed_;
 
   // Workload tallies live in the cluster registry (obs_.metrics); these
   // are cached handles into it.

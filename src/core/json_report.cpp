@@ -4,54 +4,6 @@
 
 namespace dlt::core {
 
-namespace {
-
-JsonObject percentiles_json(const Percentiles& p) {
-  JsonObject o;
-  o.put("count", static_cast<std::uint64_t>(p.count()));
-  o.put("median", p.median());
-  o.put("p95", p.p95());
-  o.put("p99", p.p99());
-  o.put("p999", p.p999());
-  return o;
-}
-
-}  // namespace
-
-JsonObject run_metrics_json(const RunMetrics& m) {
-  JsonObject o;
-  o.put("system", m.system);
-  o.put("sim_duration", m.sim_duration);
-  o.put("submitted", m.submitted);
-  o.put("rejected", m.rejected);
-  o.put("included", m.included);
-  o.put("confirmed", m.confirmed);
-  o.put("pending_end", m.pending_end);
-  o.put("tps_included", m.tps_included());
-  o.put("tps_confirmed", m.tps_confirmed());
-  o.put_raw("inclusion_latency",
-            percentiles_json(m.inclusion_latency).to_string());
-  o.put_raw("confirmation_latency",
-            percentiles_json(m.confirmation_latency).to_string());
-  o.put("reorgs", m.reorgs);
-  o.put("orphaned_blocks", m.orphaned_blocks);
-  o.put("max_reorg_depth", static_cast<std::uint64_t>(m.max_reorg_depth));
-  o.put("blocks_produced", m.blocks_produced);
-  o.put("stored_bytes", m.stored_bytes);
-  o.put("messages", m.messages);
-  o.put("message_bytes", m.message_bytes);
-  if (m.admission_submitted > 0) {
-    JsonObject a;
-    a.put("submitted", m.admission_submitted);
-    a.put("admitted", m.admission_admitted);
-    a.put("rejected", m.admission_rejected);
-    a.put("evicted", m.admission_evicted);
-    a.put("backpressured", m.admission_backpressured);
-    o.put_raw("admission", a.to_string());
-  }
-  return o;
-}
-
 std::string latency_summary_line(const obs::MetricsRegistry& registry) {
   const obs::Histogram* h =
       registry.find_histogram("latency.submit_to_confirm");

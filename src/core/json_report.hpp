@@ -3,7 +3,7 @@
 // The JSON emitter itself lives in support/json.hpp so the observability
 // layer (src/obs) can serialize without depending on core; this header
 // re-exports it under the historical dlt::core names and adds the
-// RunMetrics serializer shared by every cluster bench.
+// lifecycle-latency summary line the cluster benches print.
 //
 // Benches print human tables to stdout and additionally write
 // BENCH_<name>.json via write_bench_report(), so the perf trajectory can be
@@ -13,7 +13,6 @@
 
 #include <string>
 
-#include "core/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "support/json.hpp"
 
@@ -24,10 +23,6 @@ using support::JsonObject;
 using support::json_escape;
 using support::json_number;
 using support::write_bench_report;
-
-/// Serializes a RunMetrics aggregate (counts, tps, latency percentiles,
-/// fork dynamics, storage, traffic) as a JsonObject for bench reports.
-JsonObject run_metrics_json(const RunMetrics& m);
 
 /// One-line human summary of the end-to-end lifecycle histogram
 /// ("latency.submit_to_confirm" p50/p99, obs/latency.hpp) for bench

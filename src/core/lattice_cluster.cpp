@@ -12,67 +12,6 @@ lattice::LatticeNode& owner_of(Engine& e, std::size_t account_index) {
   return e.node(account_index % e.node_count());
 }
 
-// ---- Open-loop admission pipeline (ISSUE 10) ----------------------------
-// The lattice has no mempool: send() applies synchronously. Admission
-// control therefore lives in a per-owner-node AdmissionQueue in front of
-// the ledger, drained on a fixed service cadence (drain_interval /
-// drain_burst) so offered load past the service rate queues, evicts, or
-// backpressures instead of being absorbed instantly.
-
-void ensure_queues(Engine& e) {
-  LatticeTraits::State& st = e.state();
-  if (!st.queues.empty()) return;
-  st.queues.assign(e.node_count(),
-                   AdmissionQueue(e.config().traffic.queue_capacity_bytes));
-  st.drain_armed.assign(e.node_count(), 0);
-}
-
-void arm_drain(Engine& e, std::size_t owner);
-
-void drain_queue(Engine& e, std::size_t owner) {
-  LatticeTraits::State& st = e.state();
-  st.drain_armed[owner] = 0;
-  AdmissionQueue& q = st.queues[owner];
-  AdmissionStats& adm = e.admission();
-  obs::LatencyTracker* tracker = e.lifecycle_tracker();
-  const std::size_t burst =
-      std::max<std::size_t>(1, e.config().traffic.drain_burst);
-  for (std::size_t i = 0; i < burst; ++i) {
-    QueuedPayment p;
-    if (!q.pop(p)) break;
-    lattice::LatticeNode& node = e.node(owner);
-    auto res = node.send(e.account(p.from), e.account(p.to).account_id(),
-                         static_cast<lattice::Amount>(p.amount));
-    if (!res) {
-      // Drain-time validation failure (insufficient balance): the tx
-      // leaves the admitted population as an explicit rejection.
-      if (adm.admitted > 0) --adm.admitted;
-      ++adm.rejected;
-      e.rejected_counter().inc();
-      continue;
-    }
-    if (tracker) {
-      const double now = e.simulation().now();
-      const std::uint64_t id = obs::trace_id(*res);
-      // Submit is stamped at ENQUEUE time, so submit→confirm includes
-      // the admission-queue wait — the open-loop latency of interest.
-      tracker->on_submit(id, p.submit_time, node.id(),
-                         static_cast<std::uint64_t>(p.from), p.fee_class);
-      tracker->on_admit(id, now, node.id());
-      tracker->on_include(id, now, node.id());
-    }
-  }
-  if (!q.empty()) arm_drain(e, owner);
-}
-
-void arm_drain(Engine& e, std::size_t owner) {
-  LatticeTraits::State& st = e.state();
-  if (st.drain_armed[owner]) return;
-  st.drain_armed[owner] = 1;
-  e.simulation().schedule_in(e.config().traffic.drain_interval,
-                             [&e, owner] { drain_queue(e, owner); });
-}
-
 }  // namespace
 
 LatticeTraits::State LatticeTraits::make_state(Config& config) {
@@ -97,14 +36,7 @@ void LatticeTraits::build_nodes(Engine& e) {
     nc.sigcache = e.sigcache_handle();
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
-    // Every node gets a store (memory mode by default) so storage.* gauges
-    // appear in every report and the memory/disk differential stays a pure
-    // config flip (ISSUE 9).
-    nc.store = std::make_shared<storage::LedgerStore>(
-        config.storage, system_name(config) + "-s" +
-                            std::to_string(config.seed) + "/node" +
-                            std::to_string(i));
-    nc.store->attach_probe(e.node_probe(i));
+    nc.store = e.make_node_store(i);
     e.add_node(std::make_unique<lattice::LatticeNode>(
         e.network(), config.params, genesis_key, config.supply, nc,
         e.rng().fork()));
@@ -122,6 +54,9 @@ void LatticeTraits::build_nodes(Engine& e) {
     owner_of(e, i).add_account(e.account(i));
 }
 
+// Lattice confirmation (vote quorum) is detected by each node's vote
+// tally, which calls the tracker directly: the first replica to observe
+// quorum stamps the confirmation, so there is nothing extra to install.
 void LatticeTraits::after_topology(Engine& e) {
   for (std::size_t i = 0; i < e.node_count(); ++i) e.node(i).start();
 }
@@ -129,11 +64,6 @@ void LatticeTraits::after_topology(Engine& e) {
 // Lattice nodes auto-start during construction (after_topology); an
 // explicit start() is a no-op kept for API symmetry with the other ledgers.
 void LatticeTraits::start(Engine&) {}
-
-// Lattice confirmation (vote quorum) is detected by each node's vote
-// tally, which calls the tracker directly — the first replica to observe
-// quorum stamps the confirmation; nothing extra to install.
-void LatticeTraits::wire_lifecycle(Engine&) {}
 
 SubmitOutcome LatticeTraits::submit_payment(Engine& e, std::size_t from,
                                             std::size_t to, Amount amount) {
@@ -151,33 +81,10 @@ SubmitOutcome LatticeTraits::submit_payment(Engine& e, std::size_t from,
   return out;
 }
 
+// The lattice has no mempool: send() applies synchronously, so open-loop
+// arrivals go through the engine's per-owner-node admission queues.
 void LatticeTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
-  const TrafficConfig& tc = e.config().traffic;
-  ensure_queues(e);
-  const std::size_t owner = ev.from % e.node_count();
-  QueuedPayment p;
-  p.submit_time = e.simulation().now();
-  p.from = ev.from;
-  p.to = ev.to;
-  p.amount = ev.amount;
-  p.fee_class = ev.fee_class;
-  p.fee = tc.base_fee * fee_class_multiplier(ev.fee_class);
-  p.bytes = tc.payment_bytes;
-  std::vector<QueuedPayment> evicted;
-  const auto res = e.state().queues[owner].push(p, &evicted);
-  AdmissionStats& adm = e.admission();
-  // Queue-evicted payments never reached the ledger, so there is no
-  // lifecycle entry to retire — only the tallies move.
-  for (std::size_t i = 0; i < evicted.size(); ++i) {
-    if (adm.admitted > 0) --adm.admitted;
-    ++adm.evicted;
-  }
-  if (res == AdmissionQueue::Push::kBackpressured) {
-    ++adm.backpressured;
-    return;
-  }
-  ++adm.admitted;
-  arm_drain(e, owner);
+  e.enqueue_traffic(ev);
 }
 
 void LatticeTraits::fill_metrics(const Engine& e, RunMetrics& m) {

@@ -18,15 +18,6 @@ struct RunMetrics {
   std::uint64_t confirmed = 0;     // reached the confirmation rule
   std::uint64_t pending_end = 0;   // backlog at end of run (§VI)
 
-  double tps_included() const {
-    return sim_duration > 0 ? static_cast<double>(included) / sim_duration
-                            : 0.0;
-  }
-  double tps_confirmed() const {
-    return sim_duration > 0 ? static_cast<double>(confirmed) / sim_duration
-                            : 0.0;
-  }
-
   Percentiles inclusion_latency;
   Percentiles confirmation_latency;
 

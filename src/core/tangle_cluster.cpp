@@ -1,7 +1,7 @@
 #include "core/tangle_cluster.hpp"
 
-#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 #include "crypto/hash.hpp"
 #include "support/serialize.hpp"
@@ -47,66 +47,6 @@ void schedule_confirmation_sweep(Engine& e, double interval) {
   });
 }
 
-// ---- Open-loop admission pipeline (ISSUE 10) ----------------------------
-// Mirrors the lattice: issue() attaches synchronously, so admission
-// control is a per-issuer-node AdmissionQueue drained on a fixed service
-// cadence. See lattice_cluster.cpp for the rationale.
-
-void ensure_queues(Engine& e) {
-  TangleTraits::State& st = e.state();
-  if (!st.queues.empty()) return;
-  st.queues.assign(e.node_count(),
-                   AdmissionQueue(e.config().traffic.queue_capacity_bytes));
-  st.drain_armed.assign(e.node_count(), 0);
-}
-
-void arm_drain(Engine& e, std::size_t issuer);
-
-void drain_queue(Engine& e, std::size_t issuer_index) {
-  TangleTraits::State& st = e.state();
-  st.drain_armed[issuer_index] = 0;
-  AdmissionQueue& q = st.queues[issuer_index];
-  AdmissionStats& adm = e.admission();
-  obs::LatencyTracker* tracker = e.lifecycle_tracker();
-  const std::size_t burst =
-      std::max<std::size_t>(1, e.config().traffic.drain_burst);
-  for (std::size_t i = 0; i < burst; ++i) {
-    QueuedPayment p;
-    if (!q.pop(p)) break;
-    const Hash256 payload =
-        payment_payload(p.from, p.to, p.amount, st.payment_seq++);
-    tangle::TangleNode& issuer = e.node(issuer_index);
-    auto res = issuer.issue(e.account(p.from), payload);
-    if (!res) {
-      if (adm.admitted > 0) --adm.admitted;
-      ++adm.rejected;
-      e.rejected_counter().inc();
-      continue;
-    }
-    if (tracker) {
-      const double now = e.simulation().now();
-      const std::uint64_t id = obs::trace_id(*res);
-      // Submit is stamped at ENQUEUE time (queue wait counts); include
-      // means "attached on the reference replica", so it is stamped here
-      // only when node 0 issues — otherwise node 0 stamps it on gossip.
-      tracker->on_submit(id, p.submit_time, issuer.id(),
-                         static_cast<std::uint64_t>(p.from), p.fee_class);
-      tracker->on_admit(id, now, issuer.id());
-      if (issuer.id() == e.node(0).id())
-        tracker->on_include(id, now, issuer.id());
-    }
-  }
-  if (!q.empty()) arm_drain(e, issuer_index);
-}
-
-void arm_drain(Engine& e, std::size_t issuer) {
-  TangleTraits::State& st = e.state();
-  if (st.drain_armed[issuer]) return;
-  st.drain_armed[issuer] = 1;
-  e.simulation().schedule_in(e.config().traffic.drain_interval,
-                             [&e, issuer] { drain_queue(e, issuer); });
-}
-
 }  // namespace
 
 TangleTraits::State TangleTraits::make_state(Config&) { return State{}; }
@@ -120,27 +60,19 @@ void TangleTraits::build_nodes(Engine& e) {
     nc.probe = e.node_probe(i);
     nc.lifecycle = e.lifecycle_tracker();
     nc.lifecycle_observer = (i == 0);
-    // Every node gets a store (memory mode by default) so storage.* gauges
-    // appear in every report and the memory/disk differential stays a pure
-    // config flip (ISSUE 9).
-    nc.store = std::make_shared<storage::LedgerStore>(
-        config.storage, system_name(config) + "-s" +
-                            std::to_string(config.seed) + "/node" +
-                            std::to_string(i));
-    nc.store->attach_probe(e.node_probe(i));
+    nc.store = e.make_node_store(i);
     e.add_node(std::make_unique<tangle::TangleNode>(
         e.network(), config.params, nc, e.rng().fork()));
   }
 }
 
-void TangleTraits::after_topology(Engine&) {}
-
-// The tangle has no per-node quorum event to hook; confirmation (tip-cone
-// confidence crossing the threshold, §IV) is re-evaluated by a recurring
-// deterministic sweep on the reference replica.
-void TangleTraits::wire_lifecycle(Engine& e) {
+// The tangle has no per-node quorum event to hook; with lifecycle tracking
+// on, confirmation (tip-cone confidence crossing the threshold, §IV) is
+// re-evaluated by a recurring deterministic sweep on the reference replica.
+void TangleTraits::after_topology(Engine& e) {
   const double interval = e.config().confirmation_sweep_interval;
-  if (interval > 0) schedule_confirmation_sweep(e, interval);
+  if (e.lifecycle_tracker() && interval > 0)
+    schedule_confirmation_sweep(e, interval);
 }
 
 // Tangle nodes are purely reactive (no miners/voters to schedule); start()
@@ -166,33 +98,10 @@ SubmitOutcome TangleTraits::submit_payment(Engine& e, std::size_t from,
   return out;
 }
 
+// Like the lattice, issue() attaches synchronously, so open-loop arrivals
+// go through the engine's per-issuer-node admission queues.
 void TangleTraits::submit_traffic(Engine& e, const TrafficEvent& ev) {
-  const TrafficConfig& tc = e.config().traffic;
-  ensure_queues(e);
-  const std::size_t issuer = ev.from % e.node_count();
-  QueuedPayment p;
-  p.submit_time = e.simulation().now();
-  p.from = ev.from;
-  p.to = ev.to;
-  p.amount = ev.amount;
-  p.fee_class = ev.fee_class;
-  p.fee = tc.base_fee * fee_class_multiplier(ev.fee_class);
-  p.bytes = tc.payment_bytes;
-  std::vector<QueuedPayment> evicted;
-  const auto res = e.state().queues[issuer].push(p, &evicted);
-  AdmissionStats& adm = e.admission();
-  // Queue-evicted payments never reached the ledger, so there is no
-  // lifecycle entry to retire — only the tallies move.
-  for (std::size_t i = 0; i < evicted.size(); ++i) {
-    if (adm.admitted > 0) --adm.admitted;
-    ++adm.evicted;
-  }
-  if (res == AdmissionQueue::Push::kBackpressured) {
-    ++adm.backpressured;
-    return;
-  }
-  ++adm.admitted;
-  arm_drain(e, issuer);
+  e.enqueue_traffic(ev);
 }
 
 void TangleTraits::fill_metrics(const Engine& e, RunMetrics& m) {

@@ -10,22 +10,16 @@
 // chain's depth rule, §IV).
 #pragma once
 
-#include <vector>
-
 #include "core/cluster_engine.hpp"
 #include "tangle/node.hpp"
 
 namespace dlt::core {
 
-struct TangleClusterConfig {
+/// ClusterConfig's shared fields plus the tangle's own.
+struct TangleClusterConfig : ClusterConfig {
   tangle::TangleParams params;
   std::size_t node_count = 6;
 
-  Topology topology = Topology::kComplete;
-  net::LinkParams link{};
-  std::size_t random_degree = 4;
-
-  std::size_t account_count = 50;
   /// A transaction counts as confirmed when at least this fraction of the
   /// reference replica's tips approve it (confirmation_confidence ≥
   /// threshold — the tangle's analogue of confirmation depth).
@@ -34,26 +28,6 @@ struct TangleClusterConfig {
   /// tip-cone confidence on the reference replica to stamp confirmation
   /// times. Only scheduled when lifecycle tracking is on; 0 = never.
   double confirmation_sweep_interval = 1.0;
-
-  /// Crypto hot-path knob, unused here: the tangle does not use a
-  /// sigcache — its signatures are one-shot.
-  CryptoConfig crypto{};
-
-  /// Observability knobs (metrics registry is always on; tracing opt-in).
-  ObsConfig obs{};
-
-  /// Persistence mode for every node's ledger store (ISSUE 9). Memory mode
-  /// (default) keeps the same write-through accounting in RAM; disk mode
-  /// adds the segmented log + mmap state backend. Byte-identical traces
-  /// either way; see storage/config.hpp and apply_env_storage.
-  storage::StorageConfig storage{};
-
-  /// Open-loop traffic engine + admission control (ISSUE 10): arrivals
-  /// park in per-issuer-node AdmissionQueues (byte-capacity fee market)
-  /// drained on the traffic.drain_interval cadence into real issues.
-  TrafficConfig traffic{};
-
-  std::uint64_t seed = 42;
 };
 
 /// Ledger policy plugged into ClusterEngine (see cluster_engine.hpp for
@@ -67,17 +41,12 @@ struct TangleTraits {
     /// Payment sequence number folded into each payload commitment so
     /// repeated (from, to, amount) triples stay distinct transactions.
     std::uint64_t payment_seq = 0;
-    // Traffic admission queues, one per issuer node (lazily sized on the
-    // first arrival), plus the drain-event arm flags.
-    std::vector<AdmissionQueue> queues;
-    std::vector<char> drain_armed;
   };
 
   static State make_state(Config& config);
   static std::string system_name(const Config& config);
   static void build_nodes(ClusterEngine<TangleTraits>& e);
   static void after_topology(ClusterEngine<TangleTraits>& e);
-  static void wire_lifecycle(ClusterEngine<TangleTraits>& e);
   static void start(ClusterEngine<TangleTraits>& e);
   static SubmitOutcome submit_payment(ClusterEngine<TangleTraits>& e,
                                       std::size_t from, std::size_t to,

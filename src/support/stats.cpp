@@ -1,7 +1,6 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 
@@ -36,15 +35,6 @@ double Summary::variance() const {
 }
 
 double Summary::stddev() const { return std::sqrt(variance()); }
-
-std::string Summary::to_string() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.4g min=%.4g max=%.4g sd=%.4g",
-                static_cast<unsigned long long>(n_), mean(), min(), max(),
-                stddev());
-  return buf;
-}
 
 void Percentiles::add(double x) {
   ++seen_;
@@ -94,53 +84,6 @@ double Percentiles::quantile(double q) const {
   const double frac = pos - static_cast<double>(i);
   if (i + 1 >= xs_.size()) return xs_.back();
   return xs_[i] * (1.0 - frac) + xs_[i + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double span = hi_ - lo_;
-  auto i = static_cast<std::size_t>((x - lo_) / span *
-                                    static_cast<double>(counts_.size()));
-  if (i >= counts_.size()) i = counts_.size() - 1;
-  ++counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[256];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(width));
-    std::snprintf(line, sizeof(line), "[%10.3g, %10.3g) %8llu |",
-                  bucket_lo(i), bucket_hi(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 std::string format_bytes(std::uint64_t bytes) {

@@ -22,8 +22,6 @@ class Summary {
   double stddev() const;
   double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
-  std::string to_string() const;
-
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
@@ -67,29 +65,6 @@ class Percentiles {
   std::uint64_t seen_ = 0;
   std::size_t cap_ = 0;
   std::uint64_t rng_state_ = 0x6c617465'6e637931ull;  // fixed seed
-};
-
-/// Fixed-bucket histogram over [lo, hi); overflow/underflow tracked.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::uint64_t count() const { return total_; }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::size_t buckets() const { return counts_.size(); }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-
-  /// ASCII rendering for bench output.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 /// Human formatting helpers for bench tables.

@@ -9,12 +9,6 @@ namespace dlt::tangle {
 namespace {
 // Interned once at static init; per-message paths compare/copy uint32 ids.
 const net::MsgType kTxMessage = net::msg_type("tangle-tx");
-
-TangleParams apply_overrides(TangleParams params,
-                             const TangleNodeConfig& config) {
-  if (config.tip_selection) params.tip_selection = *config.tip_selection;
-  return params;
-}
 }  // namespace
 
 TangleNode::TangleNode(net::Network& network, const TangleParams& params,
@@ -22,7 +16,7 @@ TangleNode::TangleNode(net::Network& network, const TangleParams& params,
     : net_(network),
       id_(network.add_node()),
       config_(config),
-      tangle_(apply_overrides(params, config)),
+      tangle_(params),
       rng_(std::move(rng)),
       select_rng_(rng_.fork()) {
   tangle_.set_probe(config_.probe);

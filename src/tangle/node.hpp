@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -40,10 +39,6 @@ struct TangleNodeConfig {
   /// transaction; exactly one node per cluster is the observer so stamps
   /// stay deterministic.
   bool lifecycle_observer = false;
-  /// Per-node tip-selection override (ISSUE 8): replaces the cluster-wide
-  /// TangleParams::tip_selection for this node's replica when set, so
-  /// attack experiments can mix strategies within one cluster.
-  std::optional<TipStrategy> tip_selection;
 };
 
 class TangleNode {

@@ -9,6 +9,18 @@
 
 namespace dlt::tangle {
 
+const char* to_string(TipStrategy strategy) {
+  switch (strategy) {
+    case TipStrategy::kUniform:
+      return "uniform";
+    case TipStrategy::kMrts:
+      return "mrts";
+    case TipStrategy::kMcmc:
+      break;
+  }
+  return "mcmc";
+}
+
 TxHash TangleTx::hash() const {
   Writer w;
   w.fixed(issuer);

@@ -74,14 +74,15 @@ struct TangleTx {
 /// Tip-selection strategy (ISSUE 8). The whitepaper's MCMC walk is the
 /// reference; `uniform` and `mrts` are the degenerate strategies the SoK
 /// literature uses as attack baselines (uniform random tip, most-recent
-/// tips). Pluggable per tangle via TangleParams::tip_selection, per node
-/// via TangleNodeConfig::tip_selection, and per process via the
-/// DLT_TIP_SELECTION env knob (tangle/tip_selection.hpp).
+/// tips). Chosen per tangle by TangleParams::tip_selection.
 enum class TipStrategy {
   kMcmc = 0,     // biased random walk, exp(alpha * cumulative weight)
   kUniform = 1,  // uniform over current tips (canonical hash order)
   kMrts = 2,     // uniform over the most-recent (max timestamp) tips
 };
+
+/// Canonical lower-case name ("mcmc" / "uniform" / "mrts").
+const char* to_string(TipStrategy strategy);
 
 struct TangleParams {
   int work_bits = 4;

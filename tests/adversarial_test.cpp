@@ -20,7 +20,6 @@
 #include "core/chain_cluster.hpp"
 #include "core/tangle_cluster.hpp"
 #include "obs/latency.hpp"
-#include "tangle/tip_selection.hpp"
 #include "tangle_oracle.hpp"
 
 namespace dlt {

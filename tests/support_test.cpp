@@ -287,18 +287,6 @@ TEST(Stats, PercentilesSampleCapShrinksRetainedSamples) {
   EXPECT_EQ(p.sample_count(), 100u);
 }
 
-TEST(Stats, HistogramBuckets) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  h.add(-1.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bucket(i), 1u);
-  EXPECT_FALSE(h.render().empty());
-}
-
 TEST(Stats, FormatBytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(2048), "2.00 KiB");

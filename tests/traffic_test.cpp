@@ -606,6 +606,81 @@ TEST(TrafficDifferential, TangleMatrix) {
   expect_storage_modes_agree(run_tangle);
 }
 
+// ---- drain-time failures (lattice, tangle) ----
+
+struct DrainTallies {
+  std::uint64_t submitted, admitted, rejected, evicted, backpressured;
+};
+
+/// A queued DAG payment that fails when its drain submits it leaves the
+/// admitted population as a rejection, counted in cluster.rejected too,
+/// and never reaches the lifecycle tracker; the tallies are pinned.
+template <typename Cluster>
+void expect_drain_tallies(const Cluster& cluster, const DrainTallies& want) {
+  const core::AdmissionStats& adm = cluster.admission();
+  EXPECT_TRUE(adm.reconciles());
+  EXPECT_EQ(cluster.metrics().rejected, adm.rejected);
+  EXPECT_EQ(cluster.lifecycle().submitted(), adm.admitted);
+  EXPECT_EQ(adm.submitted, want.submitted);
+  EXPECT_EQ(adm.admitted, want.admitted);
+  EXPECT_EQ(adm.rejected, want.rejected);
+  EXPECT_EQ(adm.evicted, want.evicted);
+  EXPECT_EQ(adm.backpressured, want.backpressured);
+}
+
+TEST(TrafficDrain, DagQueuesReconcileAtDrainTime) {
+  {
+    SCOPED_TRACE("lattice");
+    // Balances of 200 against amounts up to 100: senders run dry while
+    // their payments wait in three-payment (504-byte) queues.
+    core::LatticeClusterConfig cfg;
+    cfg.node_count = 4;
+    cfg.representative_count = 2;
+    cfg.account_count = 12;
+    cfg.initial_balance = 200;
+    cfg.params.work_bits = 2;
+    cfg.seed = 5;
+    cfg.traffic = saturating_traffic(60.0, 20.0, 504);
+    cfg.traffic.min_amount = 20;
+    cfg.traffic.max_amount = 100;
+
+    core::LatticeCluster cluster(cfg);
+    cluster.fund_accounts();
+    cluster.schedule_traffic();
+    cluster.run_for(60.0);
+
+    const core::AdmissionStats& adm = cluster.admission();
+    EXPECT_GT(adm.admitted, 0u);
+    EXPECT_GT(adm.rejected, 0u);
+    EXPECT_GT(adm.evicted, 0u);
+    EXPECT_GT(adm.backpressured, 0u);
+    expect_drain_tallies(cluster, {1246, 470, 337, 191, 248});
+  }
+  {
+    SCOPED_TRACE("tangle");
+    // The tangle never refuses an issue, so nothing is rejected; the
+    // one-payment drain burst fills every other bucket.
+    core::TangleClusterConfig cfg;
+    cfg.node_count = 4;
+    cfg.account_count = 12;
+    cfg.params.work_bits = 2;
+    cfg.seed = 5;
+    cfg.traffic = saturating_traffic(60.0, 10.0, 504);
+    cfg.traffic.drain_burst = 1;
+
+    core::TangleCluster cluster(cfg);
+    cluster.start();
+    cluster.schedule_traffic();
+    cluster.run_for(30.0);
+
+    const core::AdmissionStats& adm = cluster.admission();
+    EXPECT_GT(adm.admitted, 0u);
+    EXPECT_GT(adm.evicted, 0u);
+    EXPECT_GT(adm.backpressured, 0u);
+    expect_drain_tallies(cluster, {645, 203, 0, 124, 318});
+  }
+}
+
 // Enabling traffic must not shift the cluster RNG chain: a no-traffic run
 // before and after the feature landed draws identical node/network
 // streams, which the frozen-seed cluster goldens elsewhere already pin.

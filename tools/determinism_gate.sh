@@ -7,7 +7,9 @@
 #   storage    — DLT_STORAGE=memory vs disk (pluggable persistence) on the
 #                chain, dag (lattice), tangle and open-loop benches:
 #                flipping the storage mode must leave metrics and traces
-#                byte-identical.
+#                byte-identical. The open-loop leg compares all three of
+#                its traces: the chain reference run and the saturated
+#                lattice and tangle top points.
 #   simcore    — two bench_simcore runs agree on their fire-order
 #                checksums.
 #   golden     — the chain, dag, tangle, adversarial and open-loop traces
@@ -17,7 +19,9 @@
 #                shows. The chain bench is the one that drives the UTXO
 #                wallet at scale (hundreds of coins per account, a growing
 #                backlog of reserved coins), so its digest pins coin
-#                selection.
+#                selection. The open-loop lattice and tangle traces pin
+#                the DAG admission queues (ClusterEngine::enqueue_traffic
+#                and its drain).
 #
 #   tools/determinism_gate.sh [build-dir]   # default: build
 #
@@ -31,16 +35,18 @@ BUILD="${1:-build}"
 [[ "$BUILD" = /* ]] || BUILD="$(pwd)/$BUILD"
 DIFF="$(pwd)/tools/bench_diff.py"
 
-# gate_storage <bench-name>: run the same bench with the storage layer in
-# memory and in disk mode (DLT_STORAGE, ISSUE 9) and demand identical
-# metrics and byte-identical traces — the storage determinism contract:
-# flipping the persistence mode may never shift a trace or a metric.
+# gate_storage <bench-name> [extra-trace...]: run the same bench with the
+# storage layer in memory and in disk mode (DLT_STORAGE) and demand
+# identical metrics and byte-identical traces — the storage determinism
+# contract: flipping the persistence mode may never shift a trace or a
+# metric. Each extra trace file named is compared too.
 # Absolute storage paths never appear in the reports (string leaves are
 # not compared by bench_diff). Segment counts are mode-independent by
 # construction, but are exempted so a future segment-size tweak can't
 # mask a real memory/disk divergence behind rotation arithmetic.
 gate_storage() {
   local bench="$1"
+  shift
   local bin="$BUILD/bench/$bench"
 
   if [[ ! -x "$bin" ]]; then
@@ -69,8 +75,10 @@ gate_storage() {
     "$work/disk/BENCH_${bench#bench_}.json"
 
   echo "=== [determinism/storage] $bench trace: byte compare ==="
-  cmp "$work/memory/TRACE_${bench#bench_}.jsonl" \
-      "$work/disk/TRACE_${bench#bench_}.jsonl"
+  local trace
+  for trace in "TRACE_${bench#bench_}.jsonl" "$@"; do
+    cmp "$work/memory/$trace" "$work/disk/$trace"
+  done
   echo "traces byte-identical across storage modes"
 }
 
@@ -101,7 +109,7 @@ gate_simcore() {
 # gate_golden: the pinned-digest leg. Every DLT_* variable is dropped, so
 # the runs are the default configuration whatever the caller exported.
 # Re-baselining means regenerating tools/golden/traces.sha256 (sha256sum
-# of the five TRACE_*.jsonl files from such a run) in a change that says
+# of the seven TRACE_*.jsonl files from such a run) in a change that says
 # why.
 gate_golden() {
   local golden
@@ -134,7 +142,8 @@ gate_golden() {
 gate_storage bench_throughput_chain
 gate_storage bench_throughput_dag
 gate_storage bench_throughput_tangle
-gate_storage bench_openloop
+gate_storage bench_openloop TRACE_openloop_lattice.jsonl \
+  TRACE_openloop_tangle.jsonl
 gate_simcore
 gate_golden
 echo "=== [determinism] OK ==="
