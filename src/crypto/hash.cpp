@@ -1,5 +1,6 @@
 #include "crypto/hash.hpp"
 
+#include <functional>
 #include <string>
 #include <unordered_map>
 
@@ -11,17 +12,27 @@ namespace {
 // compressions to build. Tags form a small fixed vocabulary ("dlt/..."),
 // so each thread memoizes one midstate per tag and every tagged hash pays
 // only the compressions over `data`. thread_local keeps the map safe to
-// use from any thread without locking.
+// use from any thread without locking. The map is searched by
+// string_view (heterogeneous lookup), so only a tag's first use allocates
+// its key: many tags are longer than the small-string buffer.
+struct TagHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view tag) const {
+    return std::hash<std::string_view>{}(tag);
+  }
+};
+
 Sha256 tag_midstate(std::string_view tag) {
-  thread_local std::unordered_map<std::string, Sha256Midstate> memo;
-  const std::string key(tag);
-  auto it = memo.find(key);
+  thread_local std::unordered_map<std::string, Sha256Midstate, TagHash,
+                                  std::equal_to<>>
+      memo;
+  auto it = memo.find(tag);
   if (it == memo.end()) {
     const Hash256 tag_digest = Sha256::digest(as_bytes(tag));
     Sha256 ctx;
     ctx.update(tag_digest.view());
     ctx.update(tag_digest.view());
-    it = memo.emplace(key, ctx.midstate()).first;
+    it = memo.emplace(tag, ctx.midstate()).first;
   }
   return Sha256::from_midstate(it->second);
 }

@@ -1,7 +1,16 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+
+#include "crypto/sha256_compress.hpp"
+
+#ifdef DLT_SHA256_SHANI
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace dlt::crypto {
 namespace {
@@ -29,13 +38,7 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
-
-Sha256::Sha256() {
-  std::memcpy(h_, kInit, sizeof(h_));
-}
-
-void Sha256::process_block(const Byte* p) {
+void compress_portable_block(std::uint32_t state[8], const Byte* p) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(p[4 * i]) << 24) |
@@ -51,8 +54,8 @@ void Sha256::process_block(const Byte* p) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -71,65 +74,165 @@ void Sha256::process_block(const Byte* p) {
     a = t1 + t2;
   }
 
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+std::uint32_t to_big_endian(std::uint32_t x) {
+  if constexpr (std::endian::native == std::endian::little)
+    return __builtin_bswap32(x);
+  return x;
+}
+
+std::uint64_t to_big_endian(std::uint64_t x) {
+  if constexpr (std::endian::native == std::endian::little)
+    return __builtin_bswap64(x);
+  return x;
+}
+
+}  // namespace
+
+void sha256_compress_portable(std::uint32_t state[8], const Byte* data,
+                              std::size_t blocks) {
+  for (std::size_t i = 0; i < blocks; ++i)
+    compress_portable_block(state, data + 64 * i);
+}
+
+#ifdef DLT_SHA256_SHANI
+// Intel's SHA extensions keep the working variables as two lanes of four,
+// ABEF and CDGH: each sha256rnds2 runs two rounds, and sha256msg1/msg2
+// extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void sha256_compress_shani(
+    std::uint32_t state[8], const Byte* data, std::size_t blocks) {
+  // Byte order within each 32-bit word: the message is big-endian.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL,
+                                       0x0405060700010203ULL);
+  // state[0..3] = ABCD, state[4..7] = EFGH  ->  ABEF, CDGH.
+  __m128i tmp = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  __m128i cdgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[j] holds schedule words 4g..4g+3 for the group g with g % 4 == j.
+    // Fully unrolled, so every index is a constant and w stays in registers.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = w[g & 3];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            bswap);
+      } else {
+        const __m128i prev = w[(g + 3) & 3];
+        cur = _mm_sha256msg1_epu32(cur, w[(g + 1) & 3]);
+        cur = _mm_add_epi32(cur, _mm_alignr_epi8(prev, w[(g + 2) & 3], 4));
+        cur = _mm_sha256msg2_epu32(cur, prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  // ABEF, CDGH  ->  ABCD, EFGH.
+  tmp = _mm_shuffle_epi32(abef, 0x1B);
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(cdgh, tmp, 8));
+}
+#endif
+
+bool sha256_shani_supported() {
+#ifdef DLT_SHA256_SHANI
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d) || !(c & bit_SSE4_1)) return false;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+  return (b & bit_SHA) != 0;
+#else
+  return false;
+#endif
+}
+
+Sha256Compress sha256_compress() {
+  // A function-local static, not a namespace-scope one: it is initialised
+  // on first use, whatever the order of static initialisation.
+  static const Sha256Compress chosen = [] {
+#ifdef DLT_SHA256_SHANI
+    if (sha256_shani_supported()) return sha256_compress_shani;
+#endif
+    return sha256_compress_portable;
+  }();
+  return chosen;
+}
+
+Sha256::Sha256() {
+  std::memcpy(h_, kInit, sizeof(h_));
 }
 
 void Sha256::update(ByteView data) {
   assert(!finalized_);
+  if (data.empty()) return;
   total_len_ += data.size();
-  std::size_t off = 0;
+  const Byte* p = data.data();
+  std::size_t n = data.size();
   if (buf_len_ > 0) {
-    const std::size_t take = std::min(data.size(), 64 - buf_len_);
-    std::memcpy(buf_ + buf_len_, data.data(), take);
+    const std::size_t take = std::min(n, 64 - buf_len_);
+    std::memcpy(buf_ + buf_len_, p, take);
     buf_len_ += take;
-    off = take;
-    if (buf_len_ == 64) {
-      process_block(buf_);
-      buf_len_ = 0;
-    }
+    p += take;
+    n -= take;
+    if (buf_len_ < 64) return;
+    sha256_compress()(h_, buf_, 1);
+    buf_len_ = 0;
   }
-  while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
-    off += 64;
+  if (const std::size_t blocks = n / 64; blocks > 0) {
+    sha256_compress()(h_, p, blocks);
+    p += 64 * blocks;
+    n -= 64 * blocks;
   }
-  if (off < data.size()) {
-    std::memcpy(buf_, data.data() + off, data.size() - off);
-    buf_len_ = data.size() - off;
+  if (n > 0) {
+    std::memcpy(buf_, p, n);
+    buf_len_ = n;
   }
 }
 
 Hash256 Sha256::finalize() {
   assert(!finalized_);
-
-  const std::uint64_t bit_len = total_len_ * 8;
-  // Append 0x80, then zeros until 8 bytes remain in the block, then the
-  // big-endian bit length (FIPS 180-4 §5.1.1). Works directly on buf_.
-  buf_[buf_len_++] = 0x80;
-  if (buf_len_ > 56) {
-    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
-    process_block(buf_);
-    buf_len_ = 0;
-  }
-  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
-  for (int i = 0; i < 8; ++i)
-    buf_[56 + i] = static_cast<Byte>(bit_len >> (8 * (7 - i)));
-  process_block(buf_);
-  buf_len_ = 0;
   finalized_ = true;
+
+  // The buffered tail, 0x80, zeros, then the big-endian bit length
+  // (FIPS 180-4 §5.1.1): one block when the tail leaves room for the
+  // 9 bytes of padding, else two, in one compress call.
+  Byte pad[128];
+  const std::size_t end = buf_len_ < 56 ? 64 : 128;
+  std::memcpy(pad, buf_, buf_len_);
+  pad[buf_len_] = 0x80;
+  std::memset(pad + buf_len_ + 1, 0, end - 8 - (buf_len_ + 1));
+  const std::uint64_t bit_len = to_big_endian(total_len_ * 8);
+  std::memcpy(pad + end - 8, &bit_len, 8);
+  sha256_compress()(h_, pad, end / 64);
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {
-    out.v[4 * i] = static_cast<Byte>(h_[i] >> 24);
-    out.v[4 * i + 1] = static_cast<Byte>(h_[i] >> 16);
-    out.v[4 * i + 2] = static_cast<Byte>(h_[i] >> 8);
-    out.v[4 * i + 3] = static_cast<Byte>(h_[i]);
+    const std::uint32_t word = to_big_endian(h_[i]);
+    std::memcpy(out.v.data() + 4 * i, &word, 4);
   }
   return out;
 }

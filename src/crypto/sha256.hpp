@@ -1,5 +1,9 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
+// The compression function runs on the x86 SHA extensions when CPUID
+// reports them and in portable C++ otherwise (sha256_compress.hpp); both
+// give the same digests.
+//
 // Every hash in the system -- block ids, transaction ids, Merkle nodes,
 // trie nodes, PoW puzzles, account ids -- goes through this implementation,
 // exactly as Bitcoin does with SHA-256d (paper §III-A1: "partial hash
@@ -44,8 +48,6 @@ class Sha256 {
   static Sha256 from_midstate(const Sha256Midstate& m);
 
  private:
-  void process_block(const Byte* block);
-
   std::uint32_t h_[8];
   Byte buf_[64];
   std::size_t buf_len_ = 0;

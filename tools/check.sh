@@ -22,7 +22,9 @@
 # byte-identical traces (tools/determinism_gate.sh).
 # --perf builds bench_simcore and bench_hotpath in a Release tree
 # (build-perf) and gates on the recorded scheduler speedup: the slab
-# engine must hold >= 2x events/sec over the embedded legacy scheduler.
+# engine must hold >= 2x events/sec over the embedded legacy scheduler;
+# and, on a CPU with SHA-NI, SHA-256 through the CPUID-dispatched compress
+# must hold >= 3x the portable compress's MB/s (a skip line otherwise).
 # --latency runs a traced cluster bench end-to-end through the
 # observability pipeline: DLT_TRACE trace -> tools/trace_plot.py Gantt +
 # CDF outputs (must be non-empty), plus a direction check that
@@ -261,6 +263,21 @@ if not identical:
     sys.exit("FAIL: fire order diverged from the legacy scheduler")
 if speedup < 2.0:
     sys.exit(f"FAIL: schedule/fire speedup {speedup:.2f}x below the 2.0x gate")
+EOF
+  python3 - "$perfdir/BENCH_hotpath.json" <<'EOF'
+import json, sys
+micro = json.load(open(sys.argv[1]))["micro"]
+dispatched = micro["sha256_mb_per_sec"]
+portable = micro["sha256_portable_mb_per_sec"]
+if micro["sha256_path"] != "sha-ni":
+    print(f"SKIP: SHA-256 gate: no SHA-NI, dispatch runs the portable "
+          f"compress ({dispatched:.0f} MB/s)")
+    sys.exit(0)
+ratio = dispatched / portable
+print(f"SHA-256: SHA-NI {dispatched:.0f} MB/s = {ratio:.2f}x portable "
+      f"{portable:.0f} MB/s")
+if ratio < 3.0:
+    sys.exit(f"FAIL: SHA-NI compress {ratio:.2f}x portable, below the 3.0x gate")
 EOF
   rm -rf "$perfdir"
   echo "=== [perf] OK ==="
