@@ -8,12 +8,18 @@
 //     caches off / on. Final metrics must be bit-identical across both
 //     (the caches are semantics-preserving); wall-clock and sigcache hit
 //     rate quantify the win.
+//  3. Tangle attach scaling: mean attach() wall time early and late in one
+//     16,000-transaction honest tangle. Attach cost must not grow with
+//     tangle size (tools/check.sh --perf gates late/early <= 2).
 //
 // Results also land in BENCH_hotpath.json for tooling.
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "chain/transaction.hpp"
 #include "core/chain_cluster.hpp"
@@ -26,6 +32,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_compress.hpp"
 #include "crypto/sigcache.hpp"
+#include "tangle/tangle.hpp"
 
 using namespace dlt;
 using namespace dlt::core;
@@ -187,6 +194,65 @@ MicroResult micro_mining() {
 }
 
 // --------------------------------------------------------------------------
+// Tangle attach against tangle size.
+
+struct AttachScaling {
+  double early_us = 0;  // mean attach() over attaches [1,000, 2,000)
+  double late_us = 0;   // mean attach() over attaches [15,000, 16,000)
+};
+
+constexpr std::size_t kAttachScalingSize = 16'000;
+
+// One honest tangle grown to kAttachScalingSize transactions by one issuer
+// with uniform tip selection. Each round selects the parents of kRacers
+// transactions on one view before attaching any, as issuers racing within
+// a network delay do, so a small window of unapproved transactions stays
+// open as in a cluster. Only attach() is timed; each mean is the best of
+// three builds.
+AttachScaling tangle_attach_scaling() {
+  constexpr std::size_t kWindow = 1'000;
+  constexpr int kRacers = 4;
+  AttachScaling best{1e300, 1e300};
+  for (int build = 0; build < 3; ++build) {
+    tangle::TangleParams params;
+    params.tip_selection = tangle::TipStrategy::kUniform;
+    tangle::Tangle tangle(params);
+    const crypto::KeyPair issuer = crypto::KeyPair::from_seed(7);
+    Rng rng(11);
+    double early = 0, late = 0;
+    std::vector<tangle::TangleTx> round;
+    while (tangle.size() <= kAttachScalingSize) {
+      round.clear();
+      for (int k = 0; k < kRacers; ++k) {
+        const double seq = static_cast<double>(tangle.size() + k);
+        const tangle::TxHash trunk = tangle.select_tip(rng);
+        const tangle::TxHash branch = tangle.select_tip(rng);
+        round.push_back(tangle::make_tx(
+            tangle, issuer, trunk, branch,
+            crypto::Sha256::digest(as_bytes(std::to_string(seq))), seq, rng));
+      }
+      for (const tangle::TangleTx& tx : round) {
+        const std::size_t attach = tangle.size() - 1;
+        bool ok = false;
+        const double secs = time_seconds([&] { ok = tangle.attach(tx).ok(); });
+        if (!ok) {
+          std::cerr << "tangle attach-scaling: attach " << attach
+                    << " rejected\n";
+          std::exit(1);
+        }
+        if (attach >= kWindow && attach < 2 * kWindow) early += secs;
+        if (attach >= kAttachScalingSize - kWindow &&
+            attach < kAttachScalingSize)
+          late += secs;
+      }
+    }
+    best.early_us = std::min(best.early_us, early / kWindow * 1e6);
+    best.late_us = std::min(best.late_us, late / kWindow * 1e6);
+  }
+  return best;
+}
+
+// --------------------------------------------------------------------------
 // Macro: saturated 8-node cluster, caches on vs off.
 
 std::string fingerprint(const RunMetrics& m) {
@@ -308,6 +374,19 @@ int main(int argc, char** argv) {
   micro.print();
   std::cout << "SHA-256 compress chosen by CPUID: " << sha256_path << "\n\n";
 
+  const AttachScaling attach = tangle_attach_scaling();
+  const double attach_growth = attach.late_us / attach.early_us;
+  std::cout << "Tangle attach, " << kAttachScalingSize
+            << "-transaction honest tangle: " << fmt(attach.early_us, 2)
+            << " us (attaches 1,000-2,000), " << fmt(attach.late_us, 2)
+            << " us (15,000-16,000), late/early " << fmt(attach_growth, 2)
+            << "\n\n";
+  JsonObject attach_json;
+  attach_json.put("size", static_cast<std::uint64_t>(kAttachScalingSize));
+  attach_json.put("early_us", attach.early_us);
+  attach_json.put("late_us", attach.late_us);
+  attach_json.put("late_over_early", attach_growth);
+
   std::cout << "Macro: saturated 8-node bitcoin-like cluster, one seed, "
                "~25 tx/s offered for 240 s.\n";
   const ClusterRun off = run_cluster(/*caches_on=*/false);
@@ -342,6 +421,7 @@ int main(int argc, char** argv) {
 
   report.put("bench", "hotpath");
   report.put_raw("micro", micro_json.to_string());
+  report.put_raw("tangle_attach", attach_json.to_string());
   report.put_raw("cluster", macro_json.to_string());
   report.put_raw("metrics", on.metrics_json);  // caches-on reference run
   report.put_raw("trace_summary", on.trace_summary_json);

@@ -153,9 +153,14 @@ Result<BlockHeader> decode_header_record(ByteView raw) {
   auto ts = r.u64();
   if (!ts) return ts.error();
   h.timestamp = std::bit_cast<double>(*ts);
+  // BlockHeader::pow_payload truncates both doubles to u64.
+  if (!fits_u64(h.timestamp * 1e6))
+    return make_error("header-record-bad-timestamp");
   auto diff = r.u64();
   if (!diff) return diff.error();
   h.difficulty = std::bit_cast<double>(*diff);
+  if (!fits_u64(h.difficulty))
+    return make_error("header-record-bad-difficulty");
   auto nonce = r.u64();
   if (!nonce) return nonce.error();
   h.nonce = *nonce;

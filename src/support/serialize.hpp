@@ -77,4 +77,12 @@ class Reader {
 /// Size in bytes of varint(v) without materializing it.
 std::size_t varint_size(std::uint64_t v);
 
+/// Whether static_cast<std::uint64_t>(v) is defined: false for NaN, the
+/// infinities and values whose truncation lies outside [0, 2^64). Hash
+/// encodings truncate doubles to u64 this way, so a decoder that bit-casts
+/// such a double from untrusted bytes rejects the values that fail here.
+inline bool fits_u64(double v) {
+  return v > -1.0 && v < 18446744073709551616.0;  // 2^64
+}
+
 }  // namespace dlt

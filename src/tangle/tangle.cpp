@@ -73,6 +73,8 @@ Result<TangleTx> TangleTx::deserialize(ByteView raw) {
   auto ts = r.u64();
   if (!ts) return ts.error();
   tx.timestamp = std::bit_cast<double>(*ts);
+  if (!fits_u64(tx.timestamp * 1e6))  // hash() truncates it to u64
+    return make_error("site-record-bad-timestamp");
   auto weight = r.u64();
   if (!weight) return weight.error();
   tx.own_weight = *weight;
@@ -133,11 +135,11 @@ Tangle::Tangle(TangleParams params) : params_(std::move(params)) {
   genesis.payload = crypto::tagged_hash("dlt/tangle-genesis", {});
   genesis_hash_ = genesis.hash();
   txs_.push_back(genesis);
-  Vertex& root = dag_.emplace_back();
-  root.hash = genesis_hash_;
-  root.weight = genesis.own_weight;
+  dag_.emplace_back().hash = genesis_hash_;
+  total_own_ = genesis.own_weight;
+  scan_mark_.push_back(0);
   index_.emplace(genesis_hash_, 0);
-  tips_.insert(genesis_hash_);
+  tips_.push_back(0);
 }
 
 const TangleTx* Tangle::find(const TxHash& hash) const {
@@ -261,33 +263,71 @@ Status Tangle::check_stateless(const TangleTx& tx, const TxHash& hash) const {
   return Status::success();
 }
 
+void Tangle::credit_outside(Index trunk, Index branch,
+                            std::uint64_t own_weight) {
+  // A vertex is outside the new past cone iff some tip other than trunk
+  // and branch descends from it (every vertex outside has such a tip
+  // above it). So outside marks start at those tips and flow to parents;
+  // ancestor marks start at trunk and branch, flow to parents and
+  // override outside. Parents have lower indices than their children, so
+  // a vertex's mark is final when the descending scan reaches it, and the
+  // scan ends once no outside mark lies below it. Genesis is in every past
+  // cone, so the scan never passes index 0.
+  constexpr std::uint8_t kOutside = 1;
+  constexpr std::uint8_t kAncestor = 2;
+  std::size_t pending = 0;  // outside marks the scan has not reached
+  auto mark = [&](Index i, std::uint8_t m) {
+    std::uint8_t& cur = scan_mark_[i];
+    if (cur >= m) return;
+    if (cur == 0)
+      scan_touched_.push_back(i);
+    else
+      --pending;  // outside overridden by ancestor
+    if (m == kOutside) ++pending;
+    cur = m;
+  };
+  mark(trunk, kAncestor);
+  mark(branch, kAncestor);
+  for (Index tip : tips_) mark(tip, kOutside);
+  for (auto i = static_cast<Index>(dag_.size() - 1); pending > 0; --i) {
+    Vertex& v = dag_[i];
+    if (scan_mark_[i] == kOutside) {
+      --pending;
+      v.outside += own_weight;
+    }
+    if (scan_mark_[i] != 0) {
+      mark(v.trunk, scan_mark_[i]);
+      mark(v.branch, scan_mark_[i]);
+    }
+  }
+  for (Index i : scan_touched_) scan_mark_[i] = 0;
+  scan_touched_.clear();
+}
+
 void Tangle::apply_attached(const TangleTx& tx, const TxHash& hash,
                             Index trunk, Index branch) {
   const bool trunk_was_tip = dag_[trunk].approvers.empty();
   const bool branch_was_tip =
       branch != trunk && dag_[branch].approvers.empty();
   const auto index = static_cast<Index>(dag_.size());
-  // The past cone is fixed from here on, so adding the own weight along it
-  // once keeps every cumulative weight exact.
-  walk_past_cone(
-      {trunk, branch}, [](Index) { return true; },
-      [&](Index i) {
-        dag_[i].weight += tx.own_weight;
-        return false;
-      });
+  // Every existing vertex is either in the new past cone, whose
+  // cumulative weight grows by the own weight, or outside it, whose
+  // `outside` grows by it; total_own_ grows for both.
+  credit_outside(trunk, branch, tx.own_weight);
   dag_[trunk].approvers.push_back(index);
   if (branch != trunk) dag_[branch].approvers.push_back(index);
   Vertex& v = dag_.emplace_back();
   v.hash = hash;
   v.trunk = trunk;
   v.branch = branch;
-  v.weight = tx.own_weight;
+  v.outside = total_own_;
   v.keyed = !tx.spend_key.is_zero() || dag_[trunk].keyed || dag_[branch].keyed;
+  total_own_ += tx.own_weight;
+  scan_mark_.push_back(0);
   txs_.push_back(tx);
   index_.emplace(hash, index);
-  tips_.erase(tx.trunk);
-  tips_.erase(tx.branch);
-  tips_.insert(hash);
+  std::erase_if(tips_, [&](Index i) { return i == trunk || i == branch; });
+  tips_.push_back(index);
   if (store_) {
     store_->log().append(storage::RecordType::kSite, hash, tx.serialize());
     if (trunk_was_tip) store_->state().erase(tx.trunk);
@@ -322,7 +362,10 @@ Status Tangle::attach_impl(const TangleTx& tx, const TxHash& hash) {
 }
 
 std::vector<TxHash> Tangle::tips() const {
-  return std::vector<TxHash>(tips_.begin(), tips_.end());
+  std::vector<TxHash> out;
+  out.reserve(tips_.size());
+  for (Index tip : tips_) out.push_back(dag_[tip].hash);
+  return out;
 }
 
 void Tangle::attach_store(std::shared_ptr<storage::LedgerStore> store) {
@@ -371,7 +414,7 @@ std::uint64_t Tangle::prune_history() {
 
 std::size_t Tangle::cumulative_weight(const TxHash& hash) const {
   const auto it = index_.find(hash);
-  return it == index_.end() ? 0 : dag_[it->second].weight;
+  return it == index_.end() ? 0 : cumulative_weight_of(it->second);
 }
 
 double Tangle::confirmation_confidence(const TxHash& hash) const {
@@ -401,9 +444,9 @@ std::vector<TxHash> Tangle::confirmed_by_tips(double threshold) const {
   // One past-cone walk per tip counts, for every index, the tips that
   // approve it.
   std::vector<std::size_t> approve_count(dag_.size(), 0);
-  for (const TxHash& tip : tips_)
+  for (Index tip : tips_)
     walk_past_cone(
-        {index_.at(tip)}, [](Index) { return true; },
+        {tip}, [](Index) { return true; },
         [&](Index i) {
           ++approve_count[i];
           return false;
@@ -444,13 +487,12 @@ TxHash Tangle::select_tip_with(TipStrategy strategy, Rng& rng,
   if (strategy != TipStrategy::kMcmc) {
     // Direct tip draw. Candidates are the tips whose past cone does not
     // conflict with the issuer's pending spends, in canonical (sorted
-    // hash) order so the draw is independent of hash-map iteration.
+    // hash) order.
     std::vector<TxHash> viable;
     viable.reserve(tips_.size());
-    for (const TxHash& tip : tips_) {
-      if (!spend_keys.empty() && cone_holds_key({index_.at(tip)}, spend_keys))
-        continue;
-      viable.push_back(tip);
+    for (Index tip : tips_) {
+      if (!spend_keys.empty() && cone_holds_key({tip}, spend_keys)) continue;
+      viable.push_back(dag_[tip].hash);
     }
     // Every tip conflicted: genesis is always a clean attachment point
     // (no draw consumed; the caller's RNG stream stays aligned).
@@ -474,19 +516,23 @@ TxHash Tangle::select_tip_with(TipStrategy strategy, Rng& rng,
   }
 
   // MCMC: biased random walk from genesis toward the tips, skipping
-  // children whose cone conflicts with the issuer's intended spends.
+  // children whose cone conflicts with the issuer's intended spends. The
+  // step buffers live across steps.
+  std::vector<Index> viable;
+  std::vector<double> weight;
+  std::vector<double> p;
   Index current = 0;
   for (;;) {
     const std::vector<Index>& children = dag_[current].approvers;
     if (children.empty()) return dag_[current].hash;
 
-    std::vector<Index> viable;
-    std::vector<double> weight;
+    viable.clear();
+    weight.clear();
     for (Index child : children) {
       if (!spend_keys.empty() && cone_holds_key({child}, spend_keys))
         continue;
       viable.push_back(child);
-      weight.push_back(static_cast<double>(dag_[child].weight));
+      weight.push_back(static_cast<double>(cumulative_weight_of(child)));
     }
     if (viable.empty()) return dag_[current].hash;
 
@@ -494,7 +540,7 @@ TxHash Tangle::select_tip_with(TipStrategy strategy, Rng& rng,
     // the max for numerical stability.
     double max_w = 0;
     for (double w : weight) max_w = std::max(max_w, w);
-    std::vector<double> p(viable.size());
+    p.resize(viable.size());
     double total = 0;
     for (std::size_t i = 0; i < viable.size(); ++i) {
       p[i] = std::exp(params_.alpha * (weight[i] - max_w));

@@ -115,7 +115,7 @@ class Tangle {
   /// The stored transaction; the pointer stays valid across later attaches.
   const TangleTx* find(const TxHash& hash) const;
 
-  /// Transactions no one approves yet.
+  /// Transactions no one approves yet, in attach order.
   std::vector<TxHash> tips() const;
   std::size_t tip_count() const { return tips_.size(); }
 
@@ -213,9 +213,11 @@ class Tangle {
     /// Parent indices; genesis names itself, so walks need no special case.
     Index trunk = 0;
     Index branch = 0;
-    /// Cumulative weight (own weights over the future cone), kept exact by
-    /// adding each new transaction's own weight along its past cone.
-    std::uint64_t weight = 0;
+    /// Own weights of every transaction outside this one's future cone:
+    /// all earlier indices (fixed at attach) plus the later transactions
+    /// that do not descend from it. Cumulative weight is total_own_ minus
+    /// this.
+    std::uint64_t outside = 0;
     /// The past cone holds a spend key: own key || keyed[trunk] ||
     /// keyed[branch]. A cone without one cannot conflict.
     bool keyed = false;
@@ -231,6 +233,12 @@ class Tangle {
   /// The mutation half of attach: indexes an already-validated tx.
   void apply_attached(const TangleTx& tx, const TxHash& hash, Index trunk,
                       Index branch);
+  /// Adds `own_weight` to the `outside` sum of every vertex outside the
+  /// past cone of {trunk, branch}.
+  void credit_outside(Index trunk, Index branch, std::uint64_t own_weight);
+  std::uint64_t cumulative_weight_of(Index i) const {
+    return total_own_ - dag_[i].outside;
+  }
 
   /// Depth-first walk over the past cone of `roots` (roots included), each
   /// vertex once. Only vertices `enter` accepts join the walk, so callers
@@ -249,7 +257,15 @@ class Tangle {
   std::deque<TangleTx> txs_;  // by index; a deque keeps find() stable
   std::vector<Vertex> dag_;   // by index
   std::unordered_map<TxHash, Index> index_;
-  std::unordered_set<TxHash> tips_;
+  /// Indices no one approves yet, ascending.
+  std::vector<Index> tips_;
+  /// Sum of every attached transaction's own weight.
+  std::uint64_t total_own_ = 0;
+  /// Scratch of credit_outside, on the mutating path only: a mark per
+  /// index (all unmarked between attaches) and the indices marked by the
+  /// current scan, so clearing costs what marking did.
+  std::vector<std::uint8_t> scan_mark_;
+  std::vector<Index> scan_touched_;
 
   obs::Probe probe_;
   std::uint32_t trace_node_ = 0;

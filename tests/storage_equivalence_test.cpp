@@ -15,12 +15,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "chain/codec.hpp"
 #include "chain_test_util.hpp"
 #include "core/chain_cluster.hpp"
 #include "core/lattice_cluster.hpp"
@@ -507,6 +510,116 @@ TEST(StorageRecovery, TangleReopenIdempotentAndTornTailConverges) {
     EXPECT_EQ(got.size(), 5u);
     EXPECT_EQ(got.tips(), prefix_tips);
   }
+}
+
+// ----------------------- corrupted records: doubles a hash cannot take
+// Records carry bit-cast doubles, so a damaged one can hold any bit
+// pattern there. The hash encodings truncate those doubles to u64, which
+// is undefined for NaN, the infinities and values outside [0, 2^64), so
+// the decoders refuse such a record and replay skips it.
+
+constexpr double kUnhashable[] = {-5.0,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity(),
+                                  1e300};
+
+/// `raw` with the little-endian u64 at `offset` replaced by `v`'s bits.
+Bytes with_double_at(Bytes raw, std::size_t offset, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  for (std::size_t i = 0; i < 8; ++i)
+    raw[offset + i] = static_cast<Byte>(bits >> (8 * i));
+  return raw;
+}
+
+Hash256 corrupt_key(int n) {
+  return crypto::Sha256::digest(as_bytes("corrupt-" + std::to_string(n)));
+}
+
+TEST(StorageRecovery, ChainReplaySkipsHeaderWithUnhashableDoubles) {
+  const auto keys = chain::testutil::make_keys(1);
+  const chain::GenesisSpec genesis = chain::testutil::fund_all(keys, 1'000);
+  const crypto::AccountId miner = keys[0].account_id();
+  const chain::ChainParams params = chain::testutil::cheap_pow_utxo();
+  auto store =
+      std::make_shared<storage::LedgerStore>(storage::StorageConfig{}, "c");
+  chain::Block last;
+  {
+    chain::Blockchain chain(params, genesis);
+    chain.attach_store(store);
+    for (std::uint64_t h = 1; h <= 2; ++h) {
+      last = chain::testutil::seal_block(
+          chain, chain.tip_hash(),
+          chain::UtxoTxList{chain::UtxoTransaction::coinbase(
+              miner, params.block_reward, h)},
+          miner);
+      ASSERT_TRUE(chain.submit(last));
+    }
+  }
+
+  // The height and three 32-byte roots precede the timestamp; the
+  // difficulty follows it. Each corrupt header gets a valid body.
+  constexpr std::size_t kTimestampAt = 4 + 3 * 32;
+  const Bytes header = chain::encode_header_record(last.header);
+  const Bytes body = chain::encode_body_record(last);
+  int n = 0;
+  for (const double bad : kUnhashable) {
+    for (const auto& [offset, code] :
+         {std::pair{kTimestampAt, "header-record-bad-timestamp"},
+          std::pair{kTimestampAt + 8, "header-record-bad-difficulty"}}) {
+      const Bytes raw = with_double_at(header, offset, bad);
+      const auto decoded = chain::decode_header_record(raw);
+      ASSERT_FALSE(decoded) << "accepted " << bad << " at " << offset;
+      EXPECT_EQ(decoded.error().code, code);
+      store->log().append(storage::RecordType::kHeader, corrupt_key(n), raw);
+      store->log().append(storage::RecordType::kBody, corrupt_key(n), body);
+      ++n;
+    }
+  }
+
+  chain::Blockchain got(params, genesis);
+  got.attach_store(store);
+  EXPECT_EQ(got.replay_from_store(), 2u);
+  EXPECT_EQ(got.tip_hash(), last.hash());
+}
+
+TEST(StorageRecovery, TangleReplaySkipsSiteWithUnhashableTimestamp) {
+  tangle::TangleParams params;
+  params.work_bits = 2;
+  const crypto::KeyPair issuer = crypto::KeyPair::from_seed(3);
+  auto store =
+      std::make_shared<storage::LedgerStore>(storage::StorageConfig{}, "t");
+  tangle::TangleTx last;
+  std::vector<tangle::TxHash> tips;
+  {
+    tangle::Tangle ref(params);
+    ref.attach_store(store);
+    Rng rng(6);
+    for (int i = 0; i < 3; ++i) {
+      const tangle::TxHash trunk = ref.select_tip(rng);
+      last = tangle::make_tx(
+          ref, issuer, trunk, ref.select_tip(rng),
+          crypto::Sha256::digest(as_bytes("ts-" + std::to_string(i))),
+          static_cast<double>(i), rng);
+      ASSERT_TRUE(ref.attach(last).ok());
+    }
+    tips = ref.tips();
+  }
+
+  // Five 32-byte fields precede the timestamp.
+  int n = 0;
+  for (const double bad : kUnhashable) {
+    const Bytes raw = with_double_at(last.serialize(), 5 * 32, bad);
+    const auto decoded = tangle::TangleTx::deserialize(raw);
+    ASSERT_FALSE(decoded) << "accepted " << bad;
+    EXPECT_EQ(decoded.error().code, "site-record-bad-timestamp");
+    store->log().append(storage::RecordType::kSite, corrupt_key(n++), raw);
+  }
+
+  tangle::Tangle got(params);
+  got.attach_store(store);
+  EXPECT_EQ(got.replay_from_store(), 3u);
+  EXPECT_EQ(got.size(), 4u);
+  EXPECT_EQ(got.tips(), tips);
 }
 
 // ------------------------------------- pruning as log-catalog operations

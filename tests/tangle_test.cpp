@@ -260,5 +260,57 @@ TEST(TangleOracle, WeightedKeyedTangleMatchesOracle) {
     testutil::expect_index_matches_oracle(tangle, threshold);
 }
 
+TEST(TangleOracle, NonTipParentsAndLongUnapprovedTipMatchOracle) {
+  // Tip selection only ever hands attach recent parents. Here every third
+  // transaction approves two vertices drawn uniformly from the whole
+  // tangle, genesis and interior vertices included, and one tip stays
+  // unapproved for 400 attaches before the last transaction approves it:
+  // the cone bookkeeping must stay exact when a new transaction leaves
+  // old vertices outside its past cone.
+  TangleParams p = cheap();
+  p.max_own_weight = 8;
+  Tangle tangle(p);
+  const crypto::KeyPair issuer = crypto::KeyPair::from_seed(6);
+  Rng rng(23);
+  std::vector<TxHash> attached{tangle.genesis()};
+  int i = 0;
+  auto attach = [&](const TxHash& trunk, const TxHash& branch) {
+    const TangleTx tx = make_tx(tangle, issuer, trunk, branch, payload_of(i),
+                                i, rng, {}, 1 + rng.uniform(8));
+    ++i;
+    EXPECT_TRUE(tangle.attach(tx).ok());
+    attached.push_back(tx.hash());
+  };
+  // With one tip every selection returns it, so these ten form a chain
+  // and every vertex but the newest is interior.
+  for (int k = 0; k < 10; ++k) {
+    const TxHash tip = tangle.select_tip(rng);
+    attach(tip, tip);
+  }
+  attach(tangle.genesis(), attached[1 + rng.uniform(attached.size() - 2)]);
+  const TxHash lazy = attached.back();
+
+  auto draw_parent = [&](int k) {
+    for (;;) {
+      const TxHash h =
+          k % 3 == 0 ? attached[rng.uniform(attached.size())]
+                     : tangle.select_tip_with(
+                           k % 3 == 1 ? TipStrategy::kMcmc
+                                      : TipStrategy::kUniform,
+                           rng);
+      if (h != lazy) return h;
+    }
+  };
+  for (int k = 1; k <= 400; ++k) {
+    const TxHash trunk = draw_parent(k);
+    attach(trunk, draw_parent(k));
+    if (k % 25 == 0) testutil::expect_index_matches_oracle(tangle);
+  }
+  EXPECT_EQ(tangle.cumulative_weight(lazy), tangle.find(lazy)->own_weight);
+
+  attach(lazy, tangle.select_tip(rng));
+  testutil::expect_index_matches_oracle(tangle);
+}
+
 }  // namespace
 }  // namespace dlt::tangle

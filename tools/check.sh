@@ -23,8 +23,10 @@
 # --perf builds bench_simcore and bench_hotpath in a Release tree
 # (build-perf) and gates on the recorded scheduler speedup: the slab
 # engine must hold >= 2x events/sec over the embedded legacy scheduler;
-# and, on a CPU with SHA-NI, SHA-256 through the CPUID-dispatched compress
-# must hold >= 3x the portable compress's MB/s (a skip line otherwise).
+# on a CPU with SHA-NI, SHA-256 through the CPUID-dispatched compress
+# must hold >= 3x the portable compress's MB/s (a skip line otherwise);
+# and the mean tangle attach time at 15,000-16,000 transactions must stay
+# within 2x the mean at 1,000-2,000 (attach cost independent of size).
 # --latency runs a traced cluster bench end-to-end through the
 # observability pipeline: DLT_TRACE trace -> tools/trace_plot.py Gantt +
 # CDF outputs (must be non-empty), plus a direction check that
@@ -278,6 +280,15 @@ print(f"SHA-256: SHA-NI {dispatched:.0f} MB/s = {ratio:.2f}x portable "
       f"{portable:.0f} MB/s")
 if ratio < 3.0:
     sys.exit(f"FAIL: SHA-NI compress {ratio:.2f}x portable, below the 3.0x gate")
+EOF
+  python3 - "$perfdir/BENCH_hotpath.json" <<'EOF'
+import json, sys
+attach = json.load(open(sys.argv[1]))["tangle_attach"]
+growth = attach["late_over_early"]
+print(f"tangle attach ({attach['size']} txs): {attach['early_us']:.2f} us "
+      f"early, {attach['late_us']:.2f} us late, late/early {growth:.2f}")
+if growth > 2.0:
+    sys.exit(f"FAIL: tangle attach late/early {growth:.2f}, above the 2.0 gate")
 EOF
   rm -rf "$perfdir"
   echo "=== [perf] OK ==="
