@@ -111,7 +111,7 @@ TangleScenario run_tangle(AdversaryKind kind, tangle::TipStrategy strategy,
 
   adversary.measure();
   stationarity.publish(
-      obs::Probe{&cluster.metrics_registry(), nullptr, {}});
+      obs::Probe{&cluster.metrics_registry(), nullptr});
 
   TangleScenario out;
   out.power = power;

@@ -70,7 +70,7 @@ int main() {
   Table t1({"arrivals/round", "txs", "tips at end"});
   for (int per_round : {1, 2, 4, 8, 16}) {
     Tangle tangle = grow_rounds(0.05, 60, per_round, rng, nullptr,
-                                obs::Probe{&registry, nullptr, {}});
+                                obs::Probe{&registry, nullptr});
     t1.row({std::to_string(per_round), std::to_string(tangle.size()),
             std::to_string(tangle.tip_count())});
     JsonObject row;

@@ -378,90 +378,6 @@ void ChainSelfishMiner::measure() {
 }
 
 // ---------------------------------------------------------------------------
-// PrivateChainMiner
-
-PrivateChainMiner::PrivateChainMiner(const chain::ChainParams& params,
-                                     const chain::GenesisSpec& genesis,
-                                     crypto::AccountId miner)
-    : chain_(params, genesis), miner_(miner) {}
-
-void PrivateChainMiner::extend(std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const chain::BlockHash parent = chain_.tip_hash();
-    const chain::Block* p = chain_.find(parent);
-    chain::Block b;
-    b.header.height = p->header.height + 1;
-    b.header.parent = parent;
-    b.header.timestamp =
-        p->header.timestamp + chain_.params().block_interval;
-    b.header.difficulty = chain_.next_difficulty(parent);
-    b.header.proposer = miner_;
-    b.txs = chain::UtxoTxList{chain::UtxoTransaction::coinbase(
-        miner_, chain_.params().block_reward, b.header.height)};
-    b.header.merkle_root = b.compute_merkle_root();
-    for (std::uint64_t nonce = 0;; ++nonce) {
-      b.header.nonce = nonce;
-      if (chain::meets_target(b.header.pow_digest(), b.header.difficulty))
-        break;
-    }
-    const auto res = chain_.submit(b);
-    assert(res.ok());
-    (void)res;
-  }
-}
-
-PrivateChainMiner::ReleaseOutcome PrivateChainMiner::release_into(
-    chain::Blockchain& victim) const {
-  ReleaseOutcome out;
-  for (std::uint32_t h = 1; h <= chain_.height(); ++h) {
-    const auto res = victim.submit(*chain_.at_height(h));
-    if (!res.ok()) continue;
-    ++out.accepted;
-    if (res->outcome == chain::Accept::kReorged) {
-      out.reorged = true;
-      out.reorg_depth = std::max(out.reorg_depth, res->reorg_depth);
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Double-spend race model
-
-RaceOutcome run_double_spend_races(double q, std::uint32_t depth, int trials,
-                                   std::uint64_t seed) {
-  Rng rng(seed);
-  RaceOutcome out;
-  out.trials = trials;
-  for (int t = 0; t < trials; ++t) {
-    // Honest chain mines `depth` blocks; attacker mines privately.
-    int attacker = 0;
-    int honest = 0;
-    while (honest < static_cast<int>(depth)) {
-      if (rng.chance(q))
-        ++attacker;
-      else
-        ++honest;
-    }
-    // Attacker keeps going until ahead or hopeless.
-    int deficit = honest - attacker;
-    bool win = deficit <= 0;  // caught up = wins (Nakamoto's convention)
-    int steps = 0;
-    while (!win && steps < 10000) {
-      if (rng.chance(q))
-        --deficit;
-      else
-        ++deficit;
-      if (deficit <= 0) win = true;
-      if (deficit > 60) break;  // < 1e-12 recovery probability
-      ++steps;
-    }
-    if (win) ++out.attacker_wins;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Fairness / stationarity metrics
 
 double inclusion_gini(const obs::LatencyTracker& tracker) {

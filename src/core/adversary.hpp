@@ -207,51 +207,6 @@ class ChainSelfishMiner {
   double revenue_share_ = 0.0;
 };
 
-/// Deterministic private-chain builder over a standalone chain::Blockchain
-/// — the actor behind the tests' hand-rolled withhold-and-release
-/// scenarios. Seals empty (coinbase-only) blocks with the exact reference
-/// discipline (timestamp = parent + block_interval, nonce searched from
-/// zero), so a release is byte-identical to the historical
-/// seal_empty_utxo loops for the same params/genesis.
-class PrivateChainMiner {
- public:
-  struct ReleaseOutcome {
-    std::size_t accepted = 0;       // submits that returned ok
-    bool reorged = false;           // any submit reported kReorged
-    std::uint32_t reorg_depth = 0;  // deepest single reorg observed
-  };
-
-  PrivateChainMiner(const chain::ChainParams& params,
-                    const chain::GenesisSpec& genesis,
-                    crypto::AccountId miner);
-
-  /// Mines `n` empty blocks on the private tip.
-  void extend(std::size_t n);
-
-  const chain::Blockchain& chain() const { return chain_; }
-
-  /// Releases the withheld branch into `victim` in height order. Rejected
-  /// blocks (e.g. below a finalized checkpoint) are skipped, as a real
-  /// victim would drop them.
-  ReleaseOutcome release_into(chain::Blockchain& victim) const;
-
- private:
-  chain::Blockchain chain_;
-  crypto::AccountId miner_;
-};
-
-/// The merchant double-spend race model (paper §IV-A, Nakamoto's
-/// convention): honest chain mines `depth` confirmations while an
-/// attacker with hash share `q` mines privately, then the attacker races
-/// until caught up (win) or hopelessly behind. Pure function of the seed;
-/// the tests' historical inline model is kept as a parity oracle.
-struct RaceOutcome {
-  int attacker_wins = 0;
-  int trials = 0;
-};
-RaceOutcome run_double_spend_races(double q, std::uint32_t depth, int trials,
-                                   std::uint64_t seed);
-
 // ---------------------------------------------------------------------------
 // Fairness / stationarity metrics.
 

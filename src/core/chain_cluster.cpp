@@ -183,7 +183,7 @@ void ChainTraits::build_nodes(Engine& e) {
       nc.solve_pow = config.params.verify_pow;
     }
     nc.sigcache = e.sigcache_handle();
-    nc.probe = e.node_probe(i);
+    nc.probe = e.node_probe();
     nc.lifecycle = e.lifecycle_tracker();
     if (config.traffic.enabled) {
       nc.mempool_capacity_bytes = config.traffic.queue_capacity_bytes;

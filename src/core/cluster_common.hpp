@@ -44,10 +44,6 @@ struct ObsConfig {
   /// fidelity after the ring wraps (`dropped` stays 0 while active). May be
   /// combined with a ring (trace_capacity > 0) or used alone.
   std::string trace_sink;
-  /// Namespace each node's registry metrics under "node.<id>." (see
-  /// ClusterObs::probe_for), making cross-node skew measurable. Off by
-  /// default: aggregated counters keep their historical names/bytes.
-  bool per_node_metrics = false;
   /// Track per-transaction lifecycle latency (obs::LatencyTracker): each
   /// engine-submitted payment is stamped at submit/admit/include/confirm
   /// in sim time, feeding the latency.* histograms and tx_* trace events.
@@ -79,7 +75,7 @@ struct ClusterConfig {
 
   /// Persistence mode for every node's ledger store. Memory mode
   /// (default) keeps the same write-through accounting in RAM; disk mode
-  /// adds the segmented log + mmap state backend. Byte-identical traces
+  /// adds the segmented log + state arena files. Byte-identical traces
   /// either way; see storage/config.hpp and apply_env_storage.
   storage::StorageConfig storage{};
 
@@ -99,23 +95,14 @@ struct ClusterObs {
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
   obs::LatencyTracker lifecycle;
-  bool per_node_metrics = false;
 
-  explicit ClusterObs(const ObsConfig& config)
-      : per_node_metrics(config.per_node_metrics) {
+  explicit ClusterObs(const ObsConfig& config) {
     if (config.trace_capacity > 0) tracer.enable(config.trace_capacity);
     if (!config.trace_sink.empty()) tracer.stream_to(config.trace_sink);
     if (config.track_latency)
       lifecycle.enable(probe(), config.latency_sample_cap);
   }
-  obs::Probe probe() { return obs::Probe{&metrics, &tracer, {}}; }
-  /// Probe for node `i`: identical to probe() unless per_node_metrics is
-  /// on, in which case registry names resolve under "node.<i>.".
-  obs::Probe probe_for(std::size_t i) {
-    obs::Probe p = probe();
-    if (per_node_metrics) p.prefix = "node." + std::to_string(i) + ".";
-    return p;
-  }
+  obs::Probe probe() { return obs::Probe{&metrics, &tracer}; }
 
   /// Copies scheduler counters into sim.* gauges and refreshes the
   /// latency.in_flight gauge (call before export).

@@ -257,9 +257,8 @@ class ClusterEngine {
   ClusterObs& obs() { return obs_; }
   State& state() { return state_; }
   const State& state() const { return state_; }
-  /// Probe for node `i`; namespaced under "node.<i>." when
-  /// obs.per_node_metrics is on (see ClusterObs::probe_for).
-  obs::Probe node_probe(std::size_t i) { return obs_.probe_for(i); }
+  /// The probe every node resolves its metrics through.
+  obs::Probe node_probe() { return obs_.probe(); }
   void add_node(std::unique_ptr<Node> node) {
     nodes_.push_back(std::move(node));
   }
@@ -272,7 +271,7 @@ class ClusterEngine {
         config_.storage, Traits::system_name(config_) + "-s" +
                              std::to_string(config_.seed) + "/node" +
                              std::to_string(i));
-    store->attach_probe(node_probe(i));
+    store->attach_probe(node_probe());
     return store;
   }
   obs::Counter& submitted_counter() { return *submitted_; }

@@ -34,7 +34,7 @@ void LatticeTraits::build_nodes(Engine& e) {
     if (i < config.roles.size()) nc.role = config.roles[i];
     nc.solve_work = config.params.verify_work;
     nc.sigcache = e.sigcache_handle();
-    nc.probe = e.node_probe(i);
+    nc.probe = e.node_probe();
     nc.lifecycle = e.lifecycle_tracker();
     nc.store = e.make_node_store(i);
     e.add_node(std::make_unique<lattice::LatticeNode>(

@@ -57,7 +57,7 @@ void TangleTraits::build_nodes(Engine& e) {
   const Config& config = e.config();
   for (std::size_t i = 0; i < config.node_count; ++i) {
     tangle::TangleNodeConfig nc;
-    nc.probe = e.node_probe(i);
+    nc.probe = e.node_probe();
     nc.lifecycle = e.lifecycle_tracker();
     nc.lifecycle_observer = (i == 0);
     nc.store = e.make_node_store(i);

@@ -20,10 +20,6 @@ namespace dlt::obs {
 struct Probe {
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
-  /// Prepended to every registry name this probe resolves (e.g. "node.3.").
-  /// Empty by default, so a probe without a namespace behaves exactly as
-  /// before; per-node namespacing is opt-in via ClusterObs::probe_for.
-  std::string prefix;
 
   explicit operator bool() const { return metrics || tracer; }
 
@@ -33,20 +29,15 @@ struct Probe {
     if (tracer && tracer->enabled()) tracer->record(time, type, node, a, b);
   }
 
-  /// Registry accessors that tolerate a detached probe. The prefix is
-  /// applied once at resolve time; cached metric pointers stay hot.
+  /// Registry accessors that tolerate a detached probe.
   Counter* counter(const std::string& name) const {
-    return metrics ? &metrics->counter(prefix.empty() ? name : prefix + name)
-                   : nullptr;
+    return metrics ? &metrics->counter(name) : nullptr;
   }
   Gauge* gauge(const std::string& name) const {
-    return metrics ? &metrics->gauge(prefix.empty() ? name : prefix + name)
-                   : nullptr;
+    return metrics ? &metrics->gauge(name) : nullptr;
   }
   Histogram* histogram(const std::string& name) const {
-    return metrics
-               ? &metrics->histogram(prefix.empty() ? name : prefix + name)
-               : nullptr;
+    return metrics ? &metrics->histogram(name) : nullptr;
   }
 };
 

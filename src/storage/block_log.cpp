@@ -1,11 +1,13 @@
 #include "storage/block_log.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 
-#include "storage/crc32.hpp"
 #include "support/log.hpp"
 
 namespace dlt::storage {
@@ -14,53 +16,19 @@ namespace {
 
 constexpr std::uint32_t kFrameMagic = 0xD17B10C5u;
 constexpr std::uint64_t kSegmentMagic = 0x44'4C'54'4C'4F'47'30'31ULL;  // DLTLOG01
-constexpr std::uint32_t kSegmentVersion = 1;
-
-void put_u32(Byte* p, std::uint32_t v) {
-  p[0] = static_cast<Byte>(v);
-  p[1] = static_cast<Byte>(v >> 8);
-  p[2] = static_cast<Byte>(v >> 16);
-  p[3] = static_cast<Byte>(v >> 24);
-}
-
-std::uint32_t get_u32(const Byte* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void put_u64(Byte* p, std::uint64_t v) {
-  put_u32(p, static_cast<std::uint32_t>(v));
-  put_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint64_t get_u64(const Byte* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
-std::uint32_t frame_crc(RecordType type, const Hash256& key,
-                        ByteView payload) {
-  std::uint32_t crc = crc32_init();
-  const Byte t = static_cast<Byte>(type);
-  crc = crc32_update(crc, ByteView{&t, 1});
-  crc = crc32_update(crc, key.view());
-  Byte len[4];
-  put_u32(len, static_cast<std::uint32_t>(payload.size()));
-  crc = crc32_update(crc, ByteView{len, 4});
-  crc = crc32_update(crc, payload);
-  return crc32_final(crc);
-}
 
 }  // namespace
 
-BlockLog::BlockLog(Options options) : options_(std::move(options)) {
-  if (options_.mode == StorageMode::kDisk) {
-    assert(!options_.dir.empty());
-    std::filesystem::create_directories(options_.dir);
+BlockLog::BlockLog(const StorageConfig& config, std::string dir,
+                   bool truncate)
+    : mode_(config.mode),
+      dir_(std::move(dir)),
+      segment_bytes_(config.segment_bytes) {
+  if (mode_ == StorageMode::kDisk) {
+    assert(!dir_.empty());
+    std::filesystem::create_directories(dir_);
   }
-  if (options_.truncate || options_.mode == StorageMode::kMemory)
+  if (truncate || mode_ == StorageMode::kMemory)
     open_fresh();
   else
     recover();
@@ -71,11 +39,11 @@ BlockLog::~BlockLog() { close_segments(); }
 std::string BlockLog::segment_path(std::uint32_t index) const {
   char name[32];
   std::snprintf(name, sizeof(name), "seg-%06u.dlog", index);
-  return options_.dir + "/" + name;
+  return dir_ + "/" + name;
 }
 
 void BlockLog::open_fresh() {
-  if (options_.mode == StorageMode::kDisk) remove_segment_files();
+  if (mode_ == StorageMode::kDisk) remove_segment_files(0);
   segments_.clear();
   catalog_.clear();
   next_seq_ = 0;
@@ -84,24 +52,30 @@ void BlockLog::open_fresh() {
   new_segment();
 }
 
-void BlockLog::remove_segment_files() {
+std::uint64_t BlockLog::remove_segment_files(std::uint32_t first) {
+  std::uint64_t removed = 0;
   std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options_.dir, ec)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() == 15 && name.rfind("seg-", 0) == 0 &&
-        name.find(".dlog") == 10)
-      std::filesystem::remove(entry.path(), ec);
+    std::uint32_t index = 0;
+    const char* digits = name.data() + 4;
+    if (name.size() != 15 || name.rfind("seg-", 0) != 0 ||
+        name.compare(10, 5, ".dlog") != 0 ||
+        std::from_chars(digits, digits + 6, index).ptr != digits + 6 ||
+        index < first)
+      continue;
+    const std::uintmax_t size = entry.file_size(ec);
+    if (!ec) removed += size;
+    std::filesystem::remove(entry.path(), ec);
   }
+  return removed;
 }
 
 void BlockLog::new_segment() {
   Segment seg;
-  if (options_.mode == StorageMode::kMemory) {
-    seg.data.resize(kSegmentHeaderBytes);
-    put_u64(seg.data.data(), kSegmentMagic);
-    put_u32(seg.data.data() + 8, kSegmentVersion);
-    put_u32(seg.data.data() + 12, 0);
+  if (mode_ == StorageMode::kMemory) {
+    seg.data.resize(kFileHeaderBytes);
+    encode_file_header(seg.data.data(), kSegmentMagic);
   } else {
     const std::string path =
         segment_path(static_cast<std::uint32_t>(segments_.size()));
@@ -110,14 +84,12 @@ void BlockLog::new_segment() {
       DLT_LOG_ERROR("storage: cannot create %s", path.c_str());
       std::abort();
     }
-    Byte header[kSegmentHeaderBytes];
-    put_u64(header, kSegmentMagic);
-    put_u32(header + 8, kSegmentVersion);
-    put_u32(header + 12, 0);
+    Byte header[kFileHeaderBytes];
+    encode_file_header(header, kSegmentMagic);
     std::fwrite(header, 1, sizeof(header), seg.file);
   }
   segments_.push_back(std::move(seg));
-  physical_bytes_ += kSegmentHeaderBytes;
+  physical_bytes_ += kFileHeaderBytes;
 }
 
 void BlockLog::rotate_if_needed(std::size_t frame_bytes) {
@@ -125,8 +97,8 @@ void BlockLog::rotate_if_needed(std::size_t frame_bytes) {
   // a non-header-only segment past segment_bytes starts the next one.
   // Oversized frames land alone in their own segment.
   const Segment& cur = segments_.back();
-  if (cur.bytes > kSegmentHeaderBytes &&
-      cur.bytes + frame_bytes > options_.segment_bytes)
+  if (cur.bytes > kFileHeaderBytes &&
+      cur.bytes + frame_bytes > segment_bytes_)
     new_segment();
 }
 
@@ -137,13 +109,10 @@ void BlockLog::append_frame(RecordType type, const Hash256& key,
   Segment& seg = segments_.back();
 
   Byte head[kFrameOverhead];
-  put_u32(head, kFrameMagic);
-  head[4] = static_cast<Byte>(type);
-  std::memcpy(head + 5, key.data(), 32);
-  put_u32(head + 37, static_cast<std::uint32_t>(payload.size()));
-  put_u32(head + 41, frame_crc(type, key, payload));
+  encode_frame_head(head, kFrameMagic, static_cast<std::uint8_t>(type), key,
+                    payload);
 
-  if (options_.mode == StorageMode::kMemory) {
+  if (mode_ == StorageMode::kMemory) {
     seg.data.insert(seg.data.end(), head, head + sizeof(head));
     seg.data.insert(seg.data.end(), payload.begin(), payload.end());
   } else {
@@ -194,7 +163,7 @@ Bytes BlockLog::read_at(const Entry& e) const {
   const Segment& seg = segments_[e.segment];
   Bytes out(e.payload_len);
   const std::uint64_t payload_offset = e.offset + kFrameOverhead;
-  if (options_.mode == StorageMode::kMemory) {
+  if (mode_ == StorageMode::kMemory) {
     std::memcpy(out.data(), seg.data.data() + payload_offset, e.payload_len);
   } else {
     std::fseek(seg.file, static_cast<long>(payload_offset), SEEK_SET);
@@ -251,10 +220,10 @@ std::uint64_t BlockLog::compact() {
 }
 
 void BlockLog::sync() {
-  if (options_.mode == StorageMode::kMemory) return;
   for (Segment& seg : segments_) {
     if (!seg.dirty || !seg.file) continue;
     std::fflush(seg.file);
+    ::fsync(::fileno(seg.file));
     seg.dirty = false;
   }
 }
@@ -281,81 +250,56 @@ void BlockLog::recover() {
     const std::string path = segment_path(index);
     std::FILE* file = std::fopen(path.c_str(), "rb+");
     if (!file) break;
-
-    std::fseek(file, 0, SEEK_END);
-    const long file_size = std::ftell(file);
-    Bytes data(static_cast<std::size_t>(file_size > 0 ? file_size : 0));
-    std::fseek(file, 0, SEEK_SET);
-    if (!data.empty()) {
-      const std::size_t got = std::fread(data.data(), 1, data.size(), file);
-      data.resize(got);
-    }
+    const Bytes data = read_file(file);
 
     Segment seg;
     seg.file = file;
-    std::uint64_t used = kSegmentHeaderBytes;
-    bool torn = false;
-    if (data.size() < kSegmentHeaderBytes ||
-        get_u64(data.data()) != kSegmentMagic) {
+    std::uint64_t used = kFileHeaderBytes;
+    const bool header_ok = has_file_header(data, kSegmentMagic);
+    if (!header_ok) {
       // A segment whose header never made it to disk holds nothing
       // recoverable; rewrite the header and keep it as the tail.
       std::fseek(file, 0, SEEK_SET);
-      Byte header[kSegmentHeaderBytes];
-      put_u64(header, kSegmentMagic);
-      put_u32(header + 8, kSegmentVersion);
-      put_u32(header + 12, 0);
+      Byte header[kFileHeaderBytes];
+      encode_file_header(header, kSegmentMagic);
       std::fwrite(header, 1, sizeof(header), file);
-      torn = true;
     } else {
-      std::uint64_t pos = kSegmentHeaderBytes;
-      while (pos + kFrameOverhead <= data.size()) {
-        const Byte* p = data.data() + pos;
-        if (get_u32(p) != kFrameMagic) {
-          torn = true;
-          break;
-        }
-        const RecordType type = static_cast<RecordType>(p[4]);
-        const Hash256 key = Hash256::from_view(ByteView{p + 5, 32});
-        const std::uint32_t len = get_u32(p + 37);
-        const std::uint32_t crc = get_u32(p + 41);
-        if (pos + kFrameOverhead + len > data.size()) {
-          torn = true;  // partial payload: the append was cut short
-          break;
-        }
-        const ByteView payload{p + kFrameOverhead, len};
-        if (frame_crc(type, key, payload) != crc) {
-          torn = true;  // bit rot or a torn multi-part write
-          break;
-        }
+      while (const auto frame = read_frame(data, used, kFrameMagic)) {
+        const auto type = static_cast<RecordType>(frame->tag);
         if (type == RecordType::kTombstone) {
-          if (len == 1)
-            catalog_.erase(CatalogKey{static_cast<RecordType>(payload[0]),
-                                      key});
+          if (frame->payload.size() == 1)
+            catalog_.erase(CatalogKey{
+                static_cast<RecordType>(frame->payload[0]), frame->key});
         } else {
-          catalog_[CatalogKey{type, key}] =
-              Entry{index, pos, len, next_seq_++};
+          catalog_[CatalogKey{type, frame->key}] =
+              Entry{index, used,
+                    static_cast<std::uint32_t>(frame->payload.size()),
+                    next_seq_++};
         }
-        pos += kFrameOverhead + len;
+        used += frame_size(frame->payload.size());
       }
-      used = pos;
-      if (pos < data.size()) torn = true;
     }
 
+    // A torn header or frame (partial append, bit rot) ends the log here.
+    const bool torn = !header_ok || used != data.size();
     if (torn) {
       if (data.size() > used) truncated_tail_bytes_ += data.size() - used;
       std::fflush(file);
       // Drop the torn tail so future appends start from a clean frame
       // boundary.
-      if (data.size() != used) {
-        std::error_code ec;
-        std::filesystem::resize_file(path, used, ec);
-      }
+      std::error_code ec;
+      std::filesystem::resize_file(path, used, ec);
     }
     seg.bytes = used;
     physical_bytes_ += used;
     segments_.push_back(std::move(seg));
-    if (torn) break;  // anything after a torn segment is unreachable
+    if (torn) break;
   }
+  // Segments after a torn one, or after a gap in the numbering, are
+  // unreachable: delete them so the files match physical_bytes() and a
+  // second reopen cannot load them again.
+  truncated_tail_bytes_ +=
+      remove_segment_files(static_cast<std::uint32_t>(segments_.size()));
 
   if (segments_.empty()) {
     open_fresh();

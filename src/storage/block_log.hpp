@@ -8,11 +8,8 @@
 // live set to reclaim the difference, which is exactly how the paper's
 // pruning disciplines (§V) are realised on disk.
 //
-// Frame layout (45-byte overhead + payload):
-//   u32 magic | u8 type | 32B key | u32 payload_len | u32 crc | payload
-// with crc = CRC-32 over type || key || payload_len || payload. Segments
-// start with a 16-byte header and rotate once their appended bytes pass
-// `segment_bytes`.
+// Segments are files in the storage/frame.hpp format (the frame tag is the
+// RecordType) and rotate once their appended bytes pass `segment_bytes`.
 //
 // Determinism contract: the catalog, rotation points and every byte
 // counter are pure arithmetic over the append sequence, computed
@@ -20,11 +17,12 @@
 // seg-NNNNNN.dlog files (kDisk). Disk I/O happens synchronously on the
 // caller's (sim) thread, so switching modes cannot reorder events.
 //
-// Reopen (`Options::truncate = false`, disk mode) scans the segment files
-// in index order, validates magic + CRC frame by frame, truncates the
-// first torn frame (partial append or corrupted bytes) and everything
-// after it in that segment, and rebuilds the catalog with last-wins upsert
-// and tombstone semantics.
+// Reopen (truncate = false, disk mode) scans the segment files in index
+// order, validates magic + CRC frame by frame, truncates the first torn
+// frame (partial append or corrupted bytes) and everything after it in
+// that segment, deletes every later segment (no longer reachable), and
+// rebuilds the catalog with last-wins upsert and tombstone semantics. A
+// second reopen therefore finds exactly what the first one kept.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +34,7 @@
 #include <vector>
 
 #include "storage/config.hpp"
+#include "storage/frame.hpp"
 #include "support/bytes.hpp"
 
 namespace dlt::storage {
@@ -53,19 +52,10 @@ enum class RecordType : std::uint8_t {
 
 class BlockLog {
  public:
-  struct Options {
-    StorageMode mode = StorageMode::kMemory;
-    std::string dir;  // disk mode: directory holding seg-NNNNNN.dlog
-    std::size_t segment_bytes = 1u << 20;
-    /// true = start from an empty log (removing stale segments on disk);
-    /// false = recover whatever the directory holds.
-    bool truncate = true;
-  };
-
-  static constexpr std::size_t kFrameOverhead = 4 + 1 + 32 + 4 + 4;
-  static constexpr std::size_t kSegmentHeaderBytes = 16;
-
-  explicit BlockLog(Options options);
+  /// `dir` holds the seg-NNNNNN.dlog files in disk mode (ignored in memory
+  /// mode). truncate = true starts from an empty log, removing stale
+  /// segments; false recovers whatever the directory holds.
+  BlockLog(const StorageConfig& config, std::string dir, bool truncate);
   ~BlockLog();
 
   BlockLog(const BlockLog&) = delete;
@@ -94,7 +84,8 @@ class BlockLog {
   /// bytes reclaimed.
   std::uint64_t compact();
 
-  /// fsync every dirty segment (disk mode; no-op in memory mode).
+  /// Flushes and fsyncs every dirty segment (disk mode; no-op in memory
+  /// mode).
   void sync();
 
   // -- accounting (identical arithmetic in both modes) --
@@ -102,19 +93,18 @@ class BlockLog {
   /// live or dead. In disk mode this equals the summed file sizes.
   std::uint64_t physical_bytes() const { return physical_bytes_; }
   std::uint64_t live_bytes() const { return live_bytes_; }
-  std::uint64_t dead_bytes() const { return physical_bytes_ - live_bytes_ -
-                                            kSegmentHeaderBytes *
-                                                segments_.size(); }
+  std::uint64_t dead_bytes() const {
+    return physical_bytes_ - live_bytes_ -
+           kFileHeaderBytes * segments_.size();
+  }
   std::size_t segment_count() const { return segments_.size(); }
   std::size_t live_records() const { return catalog_.size(); }
 
   // -- recovery stats (populated by a truncate=false reopen) --
   std::size_t recovered_records() const { return recovered_records_; }
+  /// Bytes dropped from torn segments plus the unreachable segments
+  /// deleted after them.
   std::uint64_t truncated_tail_bytes() const { return truncated_tail_bytes_; }
-
-  static std::size_t frame_size(std::size_t payload_len) {
-    return kFrameOverhead + payload_len;
-  }
 
  private:
   struct CatalogKey {
@@ -135,7 +125,7 @@ class BlockLog {
     std::uint64_t seq;  // append sequence, for deterministic iteration
   };
   struct Segment {
-    std::uint64_t bytes = kSegmentHeaderBytes;  // header + appended frames
+    std::uint64_t bytes = kFileHeaderBytes;  // header + appended frames
     Bytes data;          // memory mode: the full segment image
     std::FILE* file = nullptr;  // disk mode
     bool dirty = false;
@@ -148,10 +138,14 @@ class BlockLog {
   void append_frame(RecordType type, const Hash256& key, ByteView payload);
   Bytes read_at(const Entry& e) const;
   void close_segments();
-  void remove_segment_files();
+  /// Deletes every seg-NNNNNN.dlog with NNNNNN >= `first`; returns the
+  /// bytes they held.
+  std::uint64_t remove_segment_files(std::uint32_t first);
   std::string segment_path(std::uint32_t index) const;
 
-  Options options_;
+  StorageMode mode_;
+  std::string dir_;
+  std::size_t segment_bytes_;
   std::vector<Segment> segments_;
   std::unordered_map<CatalogKey, Entry, CatalogKeyHash> catalog_;
   std::uint64_t next_seq_ = 0;

@@ -1,10 +1,11 @@
 // Storage-layer configuration shared by every ledger and cluster driver.
 //
 // Two modes behind one switch:
-//   kMemory — the log and state backend live in RAM (the historical
-//             behaviour; nothing touches the filesystem).
+//   kMemory — the log lives in RAM and the state arena keeps only its
+//             byte count and live keys (the historical behaviour;
+//             nothing touches the filesystem).
 //   kDisk   — the same data structures write through to an append-only
-//             segmented log plus a memory-mapped state arena under
+//             segmented log plus an append-only state arena under
 //             `path/<instance>/`.
 //
 // The determinism contract (DESIGN.md "Storage determinism contract")
@@ -34,8 +35,8 @@ struct StorageConfig {
   /// Log segment rotation threshold. Rotation is pure arithmetic on
   /// appended bytes, identical across modes.
   std::size_t segment_bytes = 1u << 20;
-  /// fsync/msync the log and arena at every LedgerStore::commit(). Off by
-  /// default: benches measure sizes, not fsync latency, and recovery
+  /// Flush and fsync the log and arena at every LedgerStore::commit(). Off
+  /// by default: benches measure sizes, not fsync latency, and recovery
   /// correctness is exercised by the torn-tail tests either way.
   bool sync_on_commit = false;
 };

@@ -2,23 +2,23 @@
 
 namespace dlt::storage {
 
+namespace {
+
+std::string instance_dir(const StorageConfig& config,
+                         const std::string& instance) {
+  if (config.mode != StorageMode::kDisk) return {};
+  return (config.path.empty() ? std::string("dlt-storage") : config.path) +
+         "/" + instance;
+}
+
+}  // namespace
+
 LedgerStore::LedgerStore(const StorageConfig& config,
                          const std::string& instance, bool truncate)
-    : config_(config) {
-  if (config_.mode == StorageMode::kDisk) {
-    const std::string root =
-        config_.path.empty() ? std::string("dlt-storage") : config_.path;
-    dir_ = root + "/" + instance;
-  }
-
-  BlockLog::Options log_options;
-  log_options.mode = config_.mode;
-  log_options.dir = dir_;
-  log_options.segment_bytes = config_.segment_bytes;
-  log_options.truncate = truncate;
-  log_ = std::make_unique<BlockLog>(std::move(log_options));
-  state_ = make_state_backend(config_, dir_, truncate);
-}
+    : config_(config),
+      dir_(instance_dir(config, instance)),
+      log_(config_, dir_, truncate),
+      state_(config_, dir_, truncate) {}
 
 void LedgerStore::attach_probe(const obs::Probe& probe) {
   g_log_bytes_ = probe.gauge("storage.log_bytes");
@@ -29,13 +29,13 @@ void LedgerStore::attach_probe(const obs::Probe& probe) {
 }
 
 void LedgerStore::commit() {
-  obs::set(g_log_bytes_, static_cast<double>(log_->physical_bytes()));
-  obs::set(g_state_bytes_, static_cast<double>(state_->physical_bytes()));
-  obs::set(g_segments_, static_cast<double>(log_->segment_count()));
+  obs::set(g_log_bytes_, static_cast<double>(log_.physical_bytes()));
+  obs::set(g_state_bytes_, static_cast<double>(state_.physical_bytes()));
+  obs::set(g_segments_, static_cast<double>(log_.segment_count()));
   obs::set(g_pruned_bytes_, static_cast<double>(pruned_bytes_));
   if (config_.sync_on_commit) {
-    log_->sync();
-    state_->sync();
+    log_.sync();
+    state_.sync();
   }
 }
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "obs/probe.hpp"
@@ -31,17 +30,17 @@ class LedgerStore {
   LedgerStore(const StorageConfig& config, const std::string& instance,
               bool truncate = true);
 
-  BlockLog& log() { return *log_; }
-  const BlockLog& log() const { return *log_; }
-  StateBackend& state() { return *state_; }
-  const StateBackend& state() const { return *state_; }
+  BlockLog& log() { return log_; }
+  const BlockLog& log() const { return log_; }
+  StateBackend& state() { return state_; }
+  const StateBackend& state() const { return state_; }
 
   const StorageConfig& config() const { return config_; }
   bool disk() const { return config_.mode == StorageMode::kDisk; }
   /// Instance directory ("" in memory mode).
   const std::string& dir() const { return dir_; }
 
-  /// Resolves the storage.* gauges against `probe` (prefix-aware).
+  /// Resolves the storage.* gauges against `probe`.
   void attach_probe(const obs::Probe& probe);
 
   /// Credits reclaimed bytes to the pruned_bytes gauge (called by the
@@ -49,18 +48,18 @@ class LedgerStore {
   void note_pruned(std::uint64_t bytes) { pruned_bytes_ += bytes; }
   std::uint64_t pruned_bytes() const { return pruned_bytes_; }
 
-  std::uint64_t log_bytes() const { return log_->physical_bytes(); }
-  std::uint64_t state_bytes() const { return state_->physical_bytes(); }
+  std::uint64_t log_bytes() const { return log_.physical_bytes(); }
+  std::uint64_t state_bytes() const { return state_.physical_bytes(); }
 
-  /// Refreshes the gauges; with config.sync_on_commit also flushes the
-  /// log and msyncs the arena. Cheap enough to call per block commit.
+  /// Refreshes the gauges; with config.sync_on_commit also flushes and
+  /// fsyncs the log and the arena. Cheap enough to call per block commit.
   void commit();
 
  private:
   StorageConfig config_;
   std::string dir_;
-  std::unique_ptr<BlockLog> log_;
-  std::unique_ptr<StateBackend> state_;
+  BlockLog log_;
+  StateBackend state_;
   std::uint64_t pruned_bytes_ = 0;
 
   obs::Gauge* g_log_bytes_ = nullptr;

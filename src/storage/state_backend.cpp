@@ -1,17 +1,11 @@
 #include "storage/state_backend.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cassert>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
-#include <vector>
 
-#include "storage/crc32.hpp"
+#include "storage/frame.hpp"
 #include "support/log.hpp"
 
 namespace dlt::storage {
@@ -20,355 +14,98 @@ namespace {
 
 constexpr std::uint32_t kFrameMagic = 0x57A7EA4Au;
 constexpr std::uint64_t kArenaMagic = 0x44'4C'54'41'52'4E'30'31ULL;  // DLTARN01
-constexpr std::uint32_t kArenaVersion = 1;
-constexpr std::uint8_t kFlagPut = 0;
-constexpr std::uint8_t kFlagErase = 1;
-constexpr std::size_t kInitialCapacity = 1u << 16;
-
-void put_u32(Byte* p, std::uint32_t v) {
-  p[0] = static_cast<Byte>(v);
-  p[1] = static_cast<Byte>(v >> 8);
-  p[2] = static_cast<Byte>(v >> 16);
-  p[3] = static_cast<Byte>(v >> 24);
-}
-
-std::uint32_t get_u32(const Byte* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void put_u64(Byte* p, std::uint64_t v) {
-  put_u32(p, static_cast<std::uint32_t>(v));
-  put_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint64_t get_u64(const Byte* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
-std::uint32_t frame_crc(std::uint8_t flags, const Hash256& key,
-                        ByteView payload) {
-  std::uint32_t crc = crc32_init();
-  crc = crc32_update(crc, ByteView{&flags, 1});
-  crc = crc32_update(crc, key.view());
-  Byte len[4];
-  put_u32(len, static_cast<std::uint32_t>(payload.size()));
-  crc = crc32_update(crc, ByteView{len, 4});
-  crc = crc32_update(crc, payload);
-  return crc32_final(crc);
-}
-
-// ------------------------------------------------------------- memory
-
-class MemoryStateBackend final : public StateBackend {
- public:
-  MemoryStateBackend() : physical_(kArenaHeaderBytes) {}
-
-  void put(const Hash256& key, ByteView value) override {
-    auto [it, inserted] = map_.try_emplace(key);
-    if (!inserted) live_ -= frame_size(it->second.value.size());
-    it->second.value.assign(value.begin(), value.end());
-    it->second.seq = next_seq_++;
-    const std::uint64_t frame = frame_size(value.size());
-    live_ += frame;
-    physical_ += frame;
-  }
-
-  bool erase(const Hash256& key) override {
-    const auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    live_ -= frame_size(it->second.value.size());
-    map_.erase(it);
-    physical_ += frame_size(0);  // the erase marker frame
-    return true;
-  }
-
-  std::optional<Bytes> get(const Hash256& key) const override {
-    const auto it = map_.find(key);
-    if (it == map_.end()) return std::nullopt;
-    return it->second.value;
-  }
-
-  bool contains(const Hash256& key) const override {
-    return map_.count(key) > 0;
-  }
-
-  void for_each(const std::function<void(const Hash256&, ByteView)>& fn)
-      const override {
-    std::vector<const std::pair<const Hash256, Slot>*> live;
-    live.reserve(map_.size());
-    for (const auto& kv : map_) live.push_back(&kv);
-    std::sort(live.begin(), live.end(), [](const auto* a, const auto* b) {
-      return a->second.seq < b->second.seq;
-    });
-    for (const auto* kv : live) fn(kv->first, kv->second.value);
-  }
-
-  std::size_t entry_count() const override { return map_.size(); }
-  std::uint64_t live_bytes() const override { return live_; }
-  std::uint64_t physical_bytes() const override { return physical_; }
-
-  std::uint64_t compact() override {
-    const std::uint64_t before = physical_;
-    physical_ = kArenaHeaderBytes + live_;
-    // Renumber in current sequence order so post-compaction iteration is
-    // identical to a disk-mode rewrite.
-    std::vector<std::pair<std::uint64_t, Slot*>> order;
-    order.reserve(map_.size());
-    for (auto& kv : map_) order.emplace_back(kv.second.seq, &kv.second);
-    std::sort(order.begin(), order.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    next_seq_ = 0;
-    for (auto& [seq, slot] : order) slot->seq = next_seq_++;
-    return before - physical_;
-  }
-
-  void sync() override {}
-  const char* kind() const override { return "memory"; }
-
- private:
-  struct Slot {
-    Bytes value;
-    std::uint64_t seq = 0;
-  };
-  std::unordered_map<Hash256, Slot> map_;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t live_ = 0;
-  std::uint64_t physical_ = 0;
-};
-
-// --------------------------------------------------------------- mmap
-
-class MmapStateBackend final : public StateBackend {
- public:
-  MmapStateBackend(std::string dir, bool truncate) : dir_(std::move(dir)) {
-    std::filesystem::create_directories(dir_);
-    path_ = dir_ + "/state.arena";
-    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
-    if (fd_ < 0) {
-      DLT_LOG_ERROR("storage: cannot open %s", path_.c_str());
-      std::abort();
-    }
-    if (truncate) {
-      start_fresh();
-    } else {
-      recover();
-    }
-  }
-
-  ~MmapStateBackend() override {
-    if (base_) {
-      ::msync(base_, capacity_, MS_SYNC);
-      ::munmap(base_, capacity_);
-    }
-    if (fd_ >= 0) {
-      // Shrink the file to its used length: on-disk bytes == physical.
-      if (::ftruncate(fd_, static_cast<off_t>(used_)) != 0)
-        DLT_LOG_WARN("storage: final truncate of %s failed", path_.c_str());
-      ::close(fd_);
-    }
-  }
-
-  void put(const Hash256& key, ByteView value) override {
-    const std::uint64_t offset = append_frame(kFlagPut, key, value);
-    auto [it, inserted] = index_.try_emplace(key);
-    if (!inserted) live_ -= frame_size(it->second.len);
-    it->second =
-        Slot{offset, static_cast<std::uint32_t>(value.size()), next_seq_++};
-    live_ += frame_size(value.size());
-  }
-
-  bool erase(const Hash256& key) override {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    live_ -= frame_size(it->second.len);
-    index_.erase(it);
-    append_frame(kFlagErase, key, {});
-    return true;
-  }
-
-  std::optional<Bytes> get(const Hash256& key) const override {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;
-    const Byte* p = base_ + it->second.offset + kFrameOverhead;
-    return Bytes(p, p + it->second.len);
-  }
-
-  bool contains(const Hash256& key) const override {
-    return index_.count(key) > 0;
-  }
-
-  void for_each(const std::function<void(const Hash256&, ByteView)>& fn)
-      const override {
-    std::vector<const std::pair<const Hash256, Slot>*> live;
-    live.reserve(index_.size());
-    for (const auto& kv : index_) live.push_back(&kv);
-    std::sort(live.begin(), live.end(), [](const auto* a, const auto* b) {
-      return a->second.seq < b->second.seq;
-    });
-    for (const auto* kv : live)
-      fn(kv->first,
-         ByteView{base_ + kv->second.offset + kFrameOverhead,
-                  kv->second.len});
-  }
-
-  std::size_t entry_count() const override { return index_.size(); }
-  std::uint64_t live_bytes() const override { return live_; }
-  std::uint64_t physical_bytes() const override { return used_; }
-
-  std::uint64_t compact() override {
-    const std::uint64_t before = used_;
-    struct Live {
-      Hash256 key;
-      Bytes value;
-      std::uint64_t seq;
-    };
-    std::vector<Live> live;
-    live.reserve(index_.size());
-    for (const auto& [key, slot] : index_) {
-      const Byte* p = base_ + slot.offset + kFrameOverhead;
-      live.push_back(Live{key, Bytes(p, p + slot.len), slot.seq});
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Live& a, const Live& b) { return a.seq < b.seq; });
-    start_fresh();
-    for (const Live& rec : live) put(rec.key, rec.value);
-    return before - used_;
-  }
-
-  void sync() override {
-    if (base_) ::msync(base_, used_, MS_SYNC);
-  }
-
-  const char* kind() const override { return "mmap"; }
-  std::size_t recovered_entries() const override { return recovered_; }
-
- private:
-  struct Slot {
-    std::uint64_t offset;
-    std::uint32_t len;
-    std::uint64_t seq;
-  };
-
-  void map(std::uint64_t capacity) {
-    if (base_) ::munmap(base_, capacity_);
-    if (::ftruncate(fd_, static_cast<off_t>(capacity)) != 0) {
-      DLT_LOG_ERROR("storage: ftruncate(%s, %llu) failed", path_.c_str(),
-                    static_cast<unsigned long long>(capacity));
-      std::abort();
-    }
-    void* p = ::mmap(nullptr, capacity, PROT_READ | PROT_WRITE, MAP_SHARED,
-                     fd_, 0);
-    if (p == MAP_FAILED) {
-      DLT_LOG_ERROR("storage: mmap(%s) failed", path_.c_str());
-      std::abort();
-    }
-    base_ = static_cast<Byte*>(p);
-    capacity_ = capacity;
-  }
-
-  void start_fresh() {
-    index_.clear();
-    next_seq_ = 0;
-    live_ = 0;
-    map(kInitialCapacity);
-    std::memset(base_, 0, kArenaHeaderBytes);
-    put_u64(base_, kArenaMagic);
-    put_u32(base_ + 8, kArenaVersion);
-    used_ = kArenaHeaderBytes;
-  }
-
-  void ensure_capacity(std::uint64_t need) {
-    if (need <= capacity_) return;
-    std::uint64_t capacity = capacity_ ? capacity_ : kInitialCapacity;
-    while (capacity < need) capacity *= 2;
-    map(capacity);
-  }
-
-  std::uint64_t append_frame(std::uint8_t flags, const Hash256& key,
-                             ByteView payload) {
-    const std::size_t frame = frame_size(payload.size());
-    ensure_capacity(used_ + frame);
-    Byte* p = base_ + used_;
-    put_u32(p, kFrameMagic);
-    p[4] = flags;
-    std::memcpy(p + 5, key.data(), 32);
-    put_u32(p + 37, static_cast<std::uint32_t>(payload.size()));
-    put_u32(p + 41, frame_crc(flags, key, payload));
-    if (!payload.empty())
-      std::memcpy(p + kFrameOverhead, payload.data(), payload.size());
-    const std::uint64_t offset = used_;
-    used_ += frame;
-    return offset;
-  }
-
-  void recover() {
-    struct stat st{};
-    if (::fstat(fd_, &st) != 0 ||
-        static_cast<std::uint64_t>(st.st_size) < kArenaHeaderBytes) {
-      start_fresh();
-      return;
-    }
-    const std::uint64_t file_size = static_cast<std::uint64_t>(st.st_size);
-    std::uint64_t capacity = kInitialCapacity;
-    while (capacity < file_size) capacity *= 2;
-    map(capacity);
-    if (get_u64(base_) != kArenaMagic) {
-      start_fresh();
-      return;
-    }
-    std::uint64_t pos = kArenaHeaderBytes;
-    while (pos + kFrameOverhead <= file_size) {
-      const Byte* p = base_ + pos;
-      if (get_u32(p) != kFrameMagic) break;
-      const std::uint8_t flags = p[4];
-      const Hash256 key = Hash256::from_view(ByteView{p + 5, 32});
-      const std::uint32_t len = get_u32(p + 37);
-      const std::uint32_t crc = get_u32(p + 41);
-      if (pos + kFrameOverhead + len > file_size) break;
-      if (frame_crc(flags, key, ByteView{p + kFrameOverhead, len}) != crc)
-        break;
-      if (flags == kFlagErase) {
-        const auto it = index_.find(key);
-        if (it != index_.end()) {
-          live_ -= frame_size(it->second.len);
-          index_.erase(it);
-        }
-      } else {
-        auto [it, inserted] = index_.try_emplace(key);
-        if (!inserted) live_ -= frame_size(it->second.len);
-        it->second = Slot{pos, len, next_seq_++};
-        live_ += frame_size(len);
-      }
-      pos += kFrameOverhead + len;
-    }
-    used_ = pos;  // anything past the first torn frame is dropped
-    recovered_ = index_.size();
-  }
-
-  std::string dir_;
-  std::string path_;
-  int fd_ = -1;
-  Byte* base_ = nullptr;
-  std::uint64_t capacity_ = 0;
-  std::uint64_t used_ = 0;
-  std::uint64_t live_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::size_t recovered_ = 0;
-  std::unordered_map<Hash256, Slot> index_;
-};
+constexpr std::uint8_t kTagPut = 0;
+constexpr std::uint8_t kTagErase = 1;
 
 }  // namespace
 
-std::unique_ptr<StateBackend> make_state_backend(const StorageConfig& config,
-                                                 const std::string& dir,
-                                                 bool truncate) {
-  if (config.mode == StorageMode::kDisk)
-    return std::make_unique<MmapStateBackend>(dir, truncate);
-  return std::make_unique<MemoryStateBackend>();
+StateBackend::StateBackend(const StorageConfig& config,
+                           const std::string& dir, bool truncate) {
+  if (config.mode == StorageMode::kMemory) {
+    physical_ = kFileHeaderBytes;
+    return;
+  }
+  std::filesystem::create_directories(dir);
+  path_ = dir + "/state.arena";
+  if (truncate)
+    start_fresh();
+  else
+    recover();
+}
+
+StateBackend::~StateBackend() {
+  if (file_) std::fclose(file_);
+}
+
+void StateBackend::put(const Hash256& key, ByteView value) {
+  live_.insert(key);
+  append_frame(kTagPut, key, value);
+}
+
+bool StateBackend::erase(const Hash256& key) {
+  if (live_.erase(key) == 0) return false;
+  append_frame(kTagErase, key, {});
+  return true;
+}
+
+void StateBackend::sync() {
+  if (!file_) return;
+  std::fflush(file_);
+  ::fsync(::fileno(file_));
+}
+
+void StateBackend::append_frame(std::uint8_t tag, const Hash256& key,
+                                ByteView payload) {
+  physical_ += frame_size(payload.size());
+  if (!file_) return;
+  Byte head[kFrameOverhead];
+  encode_frame_head(head, kFrameMagic, tag, key, payload);
+  std::fwrite(head, 1, sizeof(head), file_);
+  if (!payload.empty())
+    std::fwrite(payload.data(), 1, payload.size(), file_);
+}
+
+void StateBackend::start_fresh() {
+  if (file_) std::fclose(file_);
+  file_ = std::fopen(path_.c_str(), "wb");
+  if (!file_) {
+    DLT_LOG_ERROR("storage: cannot create %s", path_.c_str());
+    std::abort();
+  }
+  Byte header[kFileHeaderBytes];
+  encode_file_header(header, kArenaMagic);
+  std::fwrite(header, 1, sizeof(header), file_);
+  live_.clear();
+  physical_ = kFileHeaderBytes;
+}
+
+void StateBackend::recover() {
+  file_ = std::fopen(path_.c_str(), "rb+");
+  if (!file_) {
+    start_fresh();
+    return;
+  }
+  const Bytes data = read_file(file_);
+  if (!has_file_header(data, kArenaMagic)) {
+    start_fresh();
+    return;
+  }
+  std::uint64_t pos = kFileHeaderBytes;
+  while (const auto frame = read_frame(data, pos, kFrameMagic)) {
+    if (frame->tag == kTagErase)
+      live_.erase(frame->key);
+    else
+      live_.insert(frame->key);
+    pos += frame_size(frame->payload.size());
+  }
+  physical_ = pos;
+  // Anything past the first torn frame is dropped, so appends resume on
+  // a clean frame boundary.
+  if (pos != data.size() &&
+      ::ftruncate(::fileno(file_), static_cast<off_t>(pos)) != 0)
+    DLT_LOG_WARN("storage: truncating the torn tail of %s failed",
+                 path_.c_str());
+  std::fseek(file_, static_cast<long>(pos), SEEK_SET);
 }
 
 }  // namespace dlt::storage

@@ -1,29 +1,20 @@
-// StateBackend: the key-value store behind each ledger's mutable state
-// (UTXO entries, account snapshots, lattice heads).
+// StateBackend: the write-only arena behind each ledger's mutable state
+// (UTXO entries, account snapshots, lattice heads, tangle tips).
 //
-// Two implementations with byte-identical accounting:
-//   MemoryStateBackend — values live in an unordered_map; the arena
-//     arithmetic (frame sizes, append offsets) is still tracked so the
-//     storage gauges match disk mode exactly.
-//   MmapStateBackend — values live in a memory-mapped append-only arena
-//     file (`state.arena`). Appends grow the mapping by doubling
-//     (ftruncate + remap); `sync()` msyncs; the destructor truncates the
-//     file to its used length so on-disk bytes equal physical_bytes().
-//
-// Arena frame layout mirrors the block log (45-byte overhead + payload):
-//   u32 magic | u8 flags | 32B key | u32 len | u32 crc | payload
-// flags: 0 = put, 1 = erase marker. Upserts append (the old frame becomes
-// dead weight); `compact()` rewrites live entries in insertion-sequence
-// order. Reopen scans frames, truncates the first torn one, and rebuilds
-// the last-wins index.
+// The ledgers keep their state in RAM and write every change through
+// here; nothing reads it back. So the backend keeps only the set of live
+// keys and the arena's byte count. Memory mode stops there; disk mode also
+// appends the frames to `state.arena` (storage/frame.hpp format; tag 0 =
+// put, 1 = erase marker) through buffered stdio, so the file equals
+// physical_bytes() whenever it is flushed. An upsert appends a fresh frame
+// and the old one becomes dead weight. Reopen rescans the frames, rebuilds
+// the key set and truncates the first torn frame and everything after it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
+#include <cstdio>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "storage/config.hpp"
 #include "support/bytes.hpp"
@@ -32,42 +23,34 @@ namespace dlt::storage {
 
 class StateBackend {
  public:
-  static constexpr std::size_t kFrameOverhead = 4 + 1 + 32 + 4 + 4;
-  static constexpr std::size_t kArenaHeaderBytes = 16;
+  /// `dir` holds state.arena in disk mode (ignored in memory mode).
+  /// truncate = true starts an empty arena; false recovers the file.
+  StateBackend(const StorageConfig& config, const std::string& dir,
+               bool truncate);
+  ~StateBackend();
 
-  virtual ~StateBackend() = default;
+  StateBackend(const StateBackend&) = delete;
+  StateBackend& operator=(const StateBackend&) = delete;
 
-  virtual void put(const Hash256& key, ByteView value) = 0;
+  void put(const Hash256& key, ByteView value);
   /// Appends an erase marker; returns false (appending nothing) when the
-  /// key is absent.
-  virtual bool erase(const Hash256& key) = 0;
-  virtual std::optional<Bytes> get(const Hash256& key) const = 0;
-  virtual bool contains(const Hash256& key) const = 0;
-  /// Visits live entries in insertion-sequence order (deterministic).
-  virtual void for_each(
-      const std::function<void(const Hash256&, ByteView)>& fn) const = 0;
+  /// key is not live.
+  bool erase(const Hash256& key);
+  /// Header + every appended frame, live or dead: the file's length in
+  /// disk mode, identical arithmetic in memory mode.
+  std::uint64_t physical_bytes() const { return physical_; }
+  /// Flushes and fsyncs the arena (disk mode; no-op in memory mode).
+  void sync();
 
-  virtual std::size_t entry_count() const = 0;
-  virtual std::uint64_t live_bytes() const = 0;
-  /// Header + every appended frame, live or dead — equals the arena
-  /// file's used length in disk mode.
-  virtual std::uint64_t physical_bytes() const = 0;
-  /// Rewrites the live set; returns reclaimed physical bytes.
-  virtual std::uint64_t compact() = 0;
-  virtual void sync() = 0;
-  virtual const char* kind() const = 0;
+ private:
+  void start_fresh();
+  void recover();
+  void append_frame(std::uint8_t tag, const Hash256& key, ByteView payload);
 
-  /// Entries recovered by a truncate=false reopen (0 for memory mode).
-  virtual std::size_t recovered_entries() const { return 0; }
-
-  static std::size_t frame_size(std::size_t payload_len) {
-    return kFrameOverhead + payload_len;
-  }
+  std::string path_;
+  std::FILE* file_ = nullptr;  // disk mode only
+  std::unordered_set<Hash256> live_;
+  std::uint64_t physical_ = 0;
 };
-
-/// `dir` is the instance directory for disk mode (ignored for memory).
-std::unique_ptr<StateBackend> make_state_backend(const StorageConfig& config,
-                                                 const std::string& dir,
-                                                 bool truncate);
 
 }  // namespace dlt::storage

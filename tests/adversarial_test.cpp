@@ -386,25 +386,5 @@ TEST(Adversarial, TipStationarityWindowedMoments) {
   EXPECT_DOUBLE_EQ(stat.variance(), 125.0);  // population variance
 }
 
-// -------------------------------------------- double-spend race model
-
-TEST(Adversarial, DoubleSpendRaceModelIsDeterministicAndSane) {
-  const core::RaceOutcome weak =
-      core::run_double_spend_races(0.1, 6, 400, 1234);
-  const core::RaceOutcome strong =
-      core::run_double_spend_races(0.45, 1, 400, 1234);
-  EXPECT_EQ(weak.trials, 400);
-  EXPECT_EQ(strong.trials, 400);
-  // §IV-A: six confirmations against a 10% attacker is safe; one
-  // confirmation against a 45% attacker is not.
-  EXPECT_LT(weak.attacker_wins, strong.attacker_wins);
-  EXPECT_LT(weak.attacker_wins * 100, weak.trials);  // < 1% win rate
-
-  // Pure function of the seed.
-  const core::RaceOutcome again =
-      core::run_double_spend_races(0.1, 6, 400, 1234);
-  EXPECT_EQ(again.attacker_wins, weak.attacker_wins);
-}
-
 }  // namespace
 }  // namespace dlt

@@ -1,13 +1,10 @@
 // Adversarial scenarios across both paradigms (paper §III, §IV):
 // majority/minority double-spend races, private-chain releases, theft
 // attempts on the lattice, spam without work, PoS equivocation.
-//
-// The race and private-chain scenarios run through the adversary actor
-// layer (core/adversary.hpp, ISSUE 8); the historical inline models are
-// kept below as parity oracles — same seeds, bit-equal outcomes.
 #include <gtest/gtest.h>
 
-#include "core/adversary.hpp"
+#include <algorithm>
+
 #include "core/chain_cluster.hpp"
 #include "core/confidence.hpp"
 #include "core/lattice_cluster.hpp"
@@ -30,9 +27,9 @@ struct RaceResult {
   int trials = 0;
 };
 
-/// Parity oracle for core::run_double_spend_races — the historical inline
-/// merchant model: wait for `depth` confirmations, then see if an
-/// attacker with hash share q can overtake from the fork point.
+/// The merchant model (Nakamoto's convention): wait for `depth`
+/// confirmations, then see if an attacker with hash share q can overtake
+/// from the fork point. A pure function of the seed.
 RaceResult run_races(double q, std::uint32_t depth, int trials,
                      std::uint64_t seed) {
   Rng rng(seed);
@@ -66,38 +63,26 @@ RaceResult run_races(double q, std::uint32_t depth, int trials,
   return out;
 }
 
-/// Adversary-layer run, gated against the inline oracle at the same seed.
-core::RaceOutcome run_races_checked(double q, std::uint32_t depth,
-                                    int trials, std::uint64_t seed) {
-  const core::RaceOutcome actor =
-      core::run_double_spend_races(q, depth, trials, seed);
-  const RaceResult oracle = run_races(q, depth, trials, seed);
-  EXPECT_EQ(actor.attacker_wins, oracle.attacker_wins);
-  EXPECT_EQ(actor.trials, oracle.trials);
-  return actor;
-}
-
 TEST(DoubleSpendRace, MinorityUsuallyLosesAtDepthSix) {
-  core::RaceOutcome r = run_races_checked(0.10, 6, 4000, 7);
+  const RaceResult r = run_races(0.10, 6, 4000, 7);
   const double rate =
       static_cast<double>(r.attacker_wins) / static_cast<double>(r.trials);
   // Analytic value is ~0.0002; allow generous sampling noise.
   EXPECT_LT(rate, 0.005);
+  EXPECT_EQ(run_races(0.10, 6, 4000, 7).attacker_wins, r.attacker_wins);
 }
 
 TEST(DoubleSpendRace, MajorityAlwaysWinsEventually) {
-  core::RaceOutcome r = run_races_checked(0.60, 6, 300, 8);
+  const RaceResult r = run_races(0.60, 6, 300, 8);
   EXPECT_EQ(r.attacker_wins, r.trials);
 }
 
 TEST(DoubleSpendRace, MatchesAnalyticOrdering) {
   // Higher q, higher success; deeper confirmation, lower success.
   const double shallow =
-      static_cast<double>(run_races_checked(0.3, 2, 4000, 9).attacker_wins) /
-      4000;
+      static_cast<double>(run_races(0.3, 2, 4000, 9).attacker_wins) / 4000;
   const double deep =
-      static_cast<double>(run_races_checked(0.3, 10, 4000, 10).attacker_wins) /
-      4000;
+      static_cast<double>(run_races(0.3, 10, 4000, 10).attacker_wins) / 4000;
   EXPECT_GT(shallow, deep);
   EXPECT_NEAR(shallow, core::reversal_probability(0.3, 2), 0.05);
 }
@@ -106,18 +91,37 @@ TEST(DoubleSpendRace, MatchesAnalyticOrdering) {
 // Private-chain release: a withheld branch displaces public history
 // (the §IV-A "no guarantee it will remain a valid entry").
 
-/// Parity oracle: the historical hand-rolled private chain must be
-/// byte-identical to what core::PrivateChainMiner seals for the same
-/// params/genesis/miner (both follow the reference seal discipline).
-chain::BlockHash oracle_private_tip(const chain::GenesisSpec& genesis,
-                                    crypto::AccountId miner,
-                                    std::size_t blocks) {
-  chain::Blockchain attacker(cheap_pow_utxo(), genesis);
+/// Mines `blocks` empty blocks on the attacker's private tip.
+void mine_private(chain::Blockchain& attacker, crypto::AccountId miner,
+                  std::size_t blocks) {
   for (std::size_t i = 0; i < blocks; ++i) {
     chain::Block b = seal_empty_utxo(attacker, miner, attacker.tip_hash());
     EXPECT_TRUE(attacker.submit(b).ok());
   }
-  return attacker.tip_hash();
+}
+
+struct ReleaseOutcome {
+  std::size_t accepted = 0;       // submits that returned ok
+  bool reorged = false;           // any submit reported kReorged
+  std::uint32_t reorg_depth = 0;  // deepest single reorg observed
+};
+
+/// Releases the withheld branch into `victim` in height order. Rejected
+/// blocks (e.g. below a finalized checkpoint) are skipped, as a real
+/// victim would drop them.
+ReleaseOutcome release_into(const chain::Blockchain& attacker,
+                            chain::Blockchain& victim) {
+  ReleaseOutcome out;
+  for (std::uint32_t h = 1; h <= attacker.height(); ++h) {
+    const auto res = victim.submit(*attacker.at_height(h));
+    if (!res.ok()) continue;
+    ++out.accepted;
+    if (res->outcome == chain::Accept::kReorged) {
+      out.reorged = true;
+      out.reorg_depth = std::max(out.reorg_depth, res->reorg_depth);
+    }
+  }
+  return out;
 }
 
 TEST(PrivateChain, DeepReorgRevertsConfirmedBlocks) {
@@ -134,19 +138,16 @@ TEST(PrivateChain, DeepReorgRevertsConfirmedBlocks) {
   const chain::BlockHash public_tip = victim.tip_hash();
 
   // Attacker mines 5 blocks privately from genesis.
-  core::PrivateChainMiner miner(cheap_pow_utxo(), genesis,
-                                keys[1].account_id());
-  miner.extend(5);
-  EXPECT_EQ(miner.chain().tip_hash(),
-            oracle_private_tip(genesis, keys[1].account_id(), 5));
+  chain::Blockchain attacker(cheap_pow_utxo(), genesis);
+  mine_private(attacker, keys[1].account_id(), 5);
 
   // Release: victim adopts the heavier branch wholesale.
-  const auto outcome = miner.release_into(victim);
+  const ReleaseOutcome outcome = release_into(attacker, victim);
   EXPECT_EQ(outcome.accepted, 5u);
   EXPECT_TRUE(outcome.reorged);
   EXPECT_EQ(outcome.reorg_depth, 3u);
 
-  EXPECT_EQ(victim.tip_hash(), miner.chain().tip_hash());
+  EXPECT_EQ(victim.tip_hash(), attacker.tip_hash());
   EXPECT_FALSE(victim.on_active_chain(public_tip));
   EXPECT_EQ(victim.fork_stats().max_reorg_depth, 3u);
 }
@@ -165,14 +166,11 @@ TEST(PrivateChain, FinalityStopsTheRelease) {
   }
   ASSERT_TRUE(victim.finalize(victim.at_height(2)->hash()).ok());
 
-  core::PrivateChainMiner miner(cheap_pow_utxo(), genesis,
-                                keys[1].account_id());
-  miner.extend(5);
-  EXPECT_EQ(miner.chain().tip_hash(),
-            oracle_private_tip(genesis, keys[1].account_id(), 5));
+  chain::Blockchain attacker(cheap_pow_utxo(), genesis);
+  mine_private(attacker, keys[1].account_id(), 5);
 
   const chain::BlockHash old_tip = victim.tip_hash();
-  const auto outcome = miner.release_into(victim);
+  const ReleaseOutcome outcome = release_into(attacker, victim);
   EXPECT_FALSE(outcome.reorged);
   EXPECT_EQ(victim.tip_hash(), old_tip);
 }

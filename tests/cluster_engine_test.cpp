@@ -762,45 +762,5 @@ TEST(LifecycleLatency, TangleDeterministicOnRerun) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Per-node metric namespacing (ObsConfig::per_node_metrics).
-// ---------------------------------------------------------------------------
-
-TEST(ClusterEngine, PerNodeMetricNamespacing) {
-  ChainClusterConfig cfg = parity_chain_config();
-  cfg.obs.trace_capacity = 0;
-
-  ChainCluster aggregated(cfg);
-  aggregated.start();
-  aggregated.run_for(600.0);
-
-  cfg.obs.per_node_metrics = true;
-  ChainCluster namespaced(cfg);
-  namespaced.start();
-  namespaced.run_for(600.0);
-
-  // Namespacing is observability-only: the simulation itself is untouched.
-  expect_metrics_equal(aggregated.metrics(), namespaced.metrics());
-
-  // Node counters moved under "node.<i>."; the aggregate name is gone.
-  EXPECT_EQ(namespaced.metrics_registry().find_counter("chain.blocks_mined"),
-            nullptr);
-  const obs::Counter* agg =
-      aggregated.metrics_registry().find_counter("chain.blocks_mined");
-  ASSERT_NE(agg, nullptr);
-  std::uint64_t per_node_sum = 0;
-  for (std::size_t i = 0; i < cfg.node_count; ++i) {
-    const obs::Counter* c = namespaced.metrics_registry().find_counter(
-        "node." + std::to_string(i) + ".chain.blocks_mined");
-    ASSERT_NE(c, nullptr) << "missing per-node counter for node " << i;
-    per_node_sum += c->value();
-  }
-  EXPECT_EQ(per_node_sum, agg->value());
-
-  // Network metrics stay unprefixed — they belong to no single node.
-  EXPECT_NE(namespaced.metrics_registry().find_counter("net.messages"),
-            nullptr);
-}
-
 }  // namespace
 }  // namespace dlt::core

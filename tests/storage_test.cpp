@@ -1,24 +1,27 @@
-// Storage engine (ISSUE 9): append-only segmented block log + state
-// backends. Covers catalog semantics (upsert last-wins, tombstones,
-// compaction), the memory/disk accounting parity that underpins the
-// storage determinism contract, reopen persistence, and crash recovery
-// from truncated or corrupted tails.
+// Storage engine: append-only segmented block log + state arena. Covers
+// catalog semantics (upsert last-wins, tombstones, compaction), the
+// memory/disk accounting parity that underpins the storage determinism
+// contract, reopen persistence, crash recovery from truncated or corrupted
+// tails, and seeded mutation of the on-disk frames.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "storage/block_log.hpp"
 #include "storage/config.hpp"
-#include "storage/crc32.hpp"
+#include "storage/frame.hpp"
 #include "storage/ledger_store.hpp"
 #include "storage/state_backend.hpp"
 #include "support/bytes.hpp"
+#include "support/rng.hpp"
 
 namespace dlt::storage {
 namespace {
@@ -51,15 +54,25 @@ struct ScratchDir {
   std::string str() const { return path.string(); }
 };
 
-BlockLog::Options options_for(StorageMode mode, const std::string& dir,
-                              std::size_t segment_bytes = 1u << 20,
-                              bool truncate = true) {
-  BlockLog::Options o;
-  o.mode = mode;
-  o.dir = dir;
-  o.segment_bytes = segment_bytes;
-  o.truncate = truncate;
-  return o;
+StorageConfig config_for(StorageMode mode,
+                         std::size_t segment_bytes = 1u << 20) {
+  StorageConfig c;
+  c.mode = mode;
+  c.segment_bytes = segment_bytes;
+  return c;
+}
+
+/// Summed sizes of the files in `dir` whose names end in `suffix`.
+std::uint64_t file_bytes(const std::filesystem::path& dir,
+                         const std::string& suffix) {
+  std::uint64_t total = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0)
+      total += e.file_size();
+  }
+  return total;
 }
 
 // ------------------------------------------------------------ crc32
@@ -80,7 +93,7 @@ TEST(Crc32, KnownVectorAndIncremental) {
 // -------------------------------------------------------- block log
 
 TEST(BlockLog, AppendReadEraseRoundtrip) {
-  BlockLog log(options_for(StorageMode::kMemory, ""));
+  BlockLog log(config_for(StorageMode::kMemory), "", true);
   const Hash256 a = key_of(1), b = key_of(2);
 
   log.append(RecordType::kHeader, a, payload_of(100, 0xAA));
@@ -103,7 +116,7 @@ TEST(BlockLog, AppendReadEraseRoundtrip) {
 }
 
 TEST(BlockLog, UpsertIsLastWinsAndDeadBytesAccrue) {
-  BlockLog log(options_for(StorageMode::kMemory, ""));
+  BlockLog log(config_for(StorageMode::kMemory), "", true);
   const Hash256 a = key_of(3);
 
   log.append(RecordType::kBlock, a, payload_of(64, 0x01));
@@ -118,7 +131,7 @@ TEST(BlockLog, UpsertIsLastWinsAndDeadBytesAccrue) {
 
 TEST(BlockLog, RotationBySegmentBytesAndCompaction) {
   // 1 KiB segments; 200-byte payloads (245-byte frames) → 4 per segment.
-  BlockLog log(options_for(StorageMode::kMemory, "", 1024));
+  BlockLog log(config_for(StorageMode::kMemory, 1024), "", true);
   for (std::uint8_t i = 0; i < 12; ++i)
     log.append(RecordType::kSite, key_of(i), payload_of(200, i));
   EXPECT_EQ(log.segment_count(), 3u);
@@ -137,7 +150,7 @@ TEST(BlockLog, RotationBySegmentBytesAndCompaction) {
 }
 
 TEST(BlockLog, ForEachVisitsLiveRecordsInAppendOrder) {
-  BlockLog log(options_for(StorageMode::kMemory, ""));
+  BlockLog log(config_for(StorageMode::kMemory), "", true);
   log.append(RecordType::kBlock, key_of(1), payload_of(8, 1));
   log.append(RecordType::kBlock, key_of(2), payload_of(8, 2));
   log.append(RecordType::kBlock, key_of(3), payload_of(8, 3));
@@ -156,8 +169,8 @@ TEST(BlockLog, ForEachVisitsLiveRecordsInAppendOrder) {
 
 TEST(BlockLog, MemoryAndDiskAccountingIdentical) {
   ScratchDir scratch("parity");
-  BlockLog mem(options_for(StorageMode::kMemory, "", 2048));
-  BlockLog disk(options_for(StorageMode::kDisk, scratch.str(), 2048));
+  BlockLog mem(config_for(StorageMode::kMemory, 2048), "", true);
+  BlockLog disk(config_for(StorageMode::kDisk, 2048), scratch.str(), true);
 
   const auto drive = [](BlockLog& log) {
     for (std::uint8_t i = 0; i < 20; ++i)
@@ -180,17 +193,14 @@ TEST(BlockLog, MemoryAndDiskAccountingIdentical) {
 
   // Disk physical accounting equals real file bytes (after flush).
   disk.sync();
-  std::uint64_t file_bytes = 0;
-  for (const auto& e : std::filesystem::directory_iterator(scratch.path))
-    if (e.path().extension() == ".dlog") file_bytes += e.file_size();
-  EXPECT_EQ(disk.physical_bytes(), file_bytes);
+  EXPECT_EQ(disk.physical_bytes(), file_bytes(scratch.path, ".dlog"));
 }
 
 TEST(BlockLog, ReopenRecoversCatalogAndTombstones) {
   ScratchDir scratch("reopen");
   std::uint64_t physical = 0;
   {
-    BlockLog log(options_for(StorageMode::kDisk, scratch.str(), 1024));
+    BlockLog log(config_for(StorageMode::kDisk, 1024), scratch.str(), true);
     for (std::uint8_t i = 0; i < 10; ++i)
       log.append(RecordType::kBlock, key_of(i), payload_of(120, i));
     log.append(RecordType::kBlock, key_of(4), payload_of(60, 0x44));
@@ -198,7 +208,7 @@ TEST(BlockLog, ReopenRecoversCatalogAndTombstones) {
     log.sync();
     physical = log.physical_bytes();
   }
-  BlockLog log(options_for(StorageMode::kDisk, scratch.str(), 1024, false));
+  BlockLog log(config_for(StorageMode::kDisk, 1024), scratch.str(), false);
   EXPECT_EQ(log.physical_bytes(), physical);
   EXPECT_EQ(log.recovered_records(), 9u);
   EXPECT_EQ(log.truncated_tail_bytes(), 0u);
@@ -215,7 +225,7 @@ TEST(BlockLog, TruncatedTailIsDroppedOnReopen) {
   ScratchDir scratch("torn");
   std::string last_segment;
   {
-    BlockLog log(options_for(StorageMode::kDisk, scratch.str()));
+    BlockLog log(config_for(StorageMode::kDisk), scratch.str(), true);
     for (std::uint8_t i = 0; i < 6; ++i)
       log.append(RecordType::kSite, key_of(i), payload_of(100, i));
     log.sync();
@@ -225,8 +235,7 @@ TEST(BlockLog, TruncatedTailIsDroppedOnReopen) {
   const std::uint64_t size = std::filesystem::file_size(last_segment);
   std::filesystem::resize_file(last_segment, size - 30);
 
-  BlockLog log(options_for(StorageMode::kDisk, scratch.str(), 1u << 20,
-                           false));
+  BlockLog log(config_for(StorageMode::kDisk), scratch.str(), false);
   EXPECT_EQ(log.recovered_records(), 5u);  // the torn 6th is gone
   EXPECT_GT(log.truncated_tail_bytes(), 0u);
   EXPECT_FALSE(log.contains(RecordType::kSite, key_of(5)));
@@ -242,7 +251,7 @@ TEST(BlockLog, TruncatedTailIsDroppedOnReopen) {
 TEST(BlockLog, TornCrcIsDroppedOnReopen) {
   ScratchDir scratch("crc");
   {
-    BlockLog log(options_for(StorageMode::kDisk, scratch.str()));
+    BlockLog log(config_for(StorageMode::kDisk), scratch.str(), true);
     for (std::uint8_t i = 0; i < 4; ++i)
       log.append(RecordType::kDelta, key_of(i), payload_of(80, i));
     log.sync();
@@ -254,114 +263,198 @@ TEST(BlockLog, TornCrcIsDroppedOnReopen) {
     f.seekp(-1, std::ios::end);
     f.put('\x5A');
   }
-  BlockLog log(options_for(StorageMode::kDisk, scratch.str(), 1u << 20,
-                           false));
+  BlockLog log(config_for(StorageMode::kDisk), scratch.str(), false);
   EXPECT_EQ(log.recovered_records(), 3u);
   EXPECT_GT(log.truncated_tail_bytes(), 0u);
   EXPECT_FALSE(log.contains(RecordType::kDelta, key_of(3)));
 }
 
-// --------------------------------------------------- state backends
-
-StorageConfig config_for(StorageMode mode) {
-  StorageConfig c;
-  c.mode = mode;
-  return c;
-}
+// ------------------------------------------------------ state arena
+//
+// The arena is write-only: a key's presence reads back through erase(),
+// which appends a marker for a live key and nothing for an absent one.
 
 TEST(StateBackend, PutGetEraseOnBothKinds) {
   ScratchDir scratch("state");
   for (const StorageMode mode : {StorageMode::kMemory, StorageMode::kDisk}) {
-    auto state = make_state_backend(config_for(mode), scratch.str(), true);
+    StateBackend state(config_for(mode), scratch.str(), true);
     const Hash256 a = key_of(1), b = key_of(2);
+    EXPECT_EQ(state.physical_bytes(), kFileHeaderBytes);
 
-    state->put(a, payload_of(40, 0x11));
-    state->put(b, payload_of(40, 0x22));
-    state->put(a, payload_of(20, 0x33));  // upsert shrinks
-    EXPECT_EQ(state->entry_count(), 2u);
-    EXPECT_EQ(*state->get(a), payload_of(20, 0x33));
-    EXPECT_TRUE(state->contains(b));
+    state.put(a, payload_of(40, 0x11));
+    state.put(b, payload_of(40, 0x22));
+    state.put(a, payload_of(20, 0x33));  // upsert: the old frame is dead
+    std::uint64_t expect =
+        kFileHeaderBytes + 2 * frame_size(40) + frame_size(20);
+    EXPECT_EQ(state.physical_bytes(), expect);
 
-    EXPECT_TRUE(state->erase(b));
-    EXPECT_FALSE(state->erase(b));
-    EXPECT_FALSE(state->get(b).has_value());
-    EXPECT_EQ(state->entry_count(), 1u);
+    EXPECT_TRUE(state.erase(b));
+    expect += frame_size(0);
+    EXPECT_FALSE(state.erase(b));          // already gone
+    EXPECT_FALSE(state.erase(key_of(9)));  // never put
+    EXPECT_EQ(state.physical_bytes(), expect);
+    EXPECT_TRUE(state.erase(a));
   }
 }
 
 TEST(StateBackend, MemoryAndMmapAccountingIdentical) {
   ScratchDir scratch("state_parity");
-  auto mem = make_state_backend(config_for(StorageMode::kMemory), "", true);
-  auto disk =
-      make_state_backend(config_for(StorageMode::kDisk), scratch.str(), true);
+  StateBackend mem(config_for(StorageMode::kMemory), "", true);
+  StateBackend disk(config_for(StorageMode::kDisk), scratch.str(), true);
+  const std::filesystem::path arena = scratch.path / "state.arena";
+  disk.sync();
+  EXPECT_EQ(std::filesystem::file_size(arena), disk.physical_bytes());
 
   const auto drive = [](StateBackend& s) {
+    std::vector<bool> erased;
     for (std::uint8_t i = 0; i < 30; ++i)
       s.put(key_of(i), payload_of(20 + i * 3, i));
-    for (std::uint8_t i = 0; i < 30; i += 4) s.erase(key_of(i));
+    for (std::uint8_t i = 0; i < 30; i += 4)
+      erased.push_back(s.erase(key_of(i)));
+    for (std::uint8_t i = 0; i < 30; i += 3)  // some already gone
+      erased.push_back(s.erase(key_of(i)));
     for (std::uint8_t i = 1; i < 10; i += 2)
       s.put(key_of(i), payload_of(15, 0x77));
+    return erased;
   };
-  drive(*mem);
-  drive(*disk);
+  EXPECT_EQ(drive(mem), drive(disk));
+  EXPECT_EQ(mem.physical_bytes(), disk.physical_bytes());
 
-  EXPECT_EQ(mem->physical_bytes(), disk->physical_bytes());
-  EXPECT_EQ(mem->live_bytes(), disk->live_bytes());
-  EXPECT_EQ(mem->entry_count(), disk->entry_count());
-  EXPECT_EQ(mem->compact(), disk->compact());
-  EXPECT_EQ(mem->physical_bytes(), disk->physical_bytes());
-
-  // Same live contents in the same sequence order.
-  std::vector<std::pair<Hash256, Bytes>> from_mem, from_disk;
-  mem->for_each([&](const Hash256& k, ByteView v) {
-    from_mem.emplace_back(k, Bytes(v.begin(), v.end()));
-  });
-  disk->for_each([&](const Hash256& k, ByteView v) {
-    from_disk.emplace_back(k, Bytes(v.begin(), v.end()));
-  });
-  EXPECT_EQ(from_mem, from_disk);
+  // The file equals the gauge at every flush, with the arena still open.
+  disk.sync();
+  EXPECT_EQ(std::filesystem::file_size(arena), disk.physical_bytes());
 }
 
 TEST(StateBackend, MmapReopenAndTornTail) {
   ScratchDir scratch("state_reopen");
+  const StorageConfig disk = config_for(StorageMode::kDisk);
+  const std::filesystem::path arena = scratch.path / "state.arena";
   std::uint64_t physical = 0;
   {
-    auto state =
-        make_state_backend(config_for(StorageMode::kDisk), scratch.str(),
-                           true);
+    StateBackend state(disk, scratch.str(), true);
     for (std::uint8_t i = 0; i < 8; ++i)
-      state->put(key_of(i), payload_of(64, i));
-    state->erase(key_of(2));
-    state->sync();
-    physical = state->physical_bytes();
+      state.put(key_of(i), payload_of(64, i));
+    state.erase(key_of(2));
+    physical = state.physical_bytes();
   }
-  // Destructor truncated the arena to its used length.
-  const std::string arena = scratch.str() + "/state.arena";
   EXPECT_EQ(std::filesystem::file_size(arena), physical);
 
   {
-    auto state = make_state_backend(config_for(StorageMode::kDisk),
-                                    scratch.str(), false);
-    EXPECT_EQ(state->recovered_entries(), 7u);
-    EXPECT_EQ(state->physical_bytes(), physical);
-    EXPECT_FALSE(state->contains(key_of(2)));
-    EXPECT_EQ(*state->get(key_of(7)), payload_of(64, 7));
+    StateBackend state(disk, scratch.str(), false);
+    EXPECT_EQ(state.physical_bytes(), physical);
+    EXPECT_FALSE(state.erase(key_of(2)));  // the recovered marker holds
+    EXPECT_TRUE(state.erase(key_of(7)));
+    physical = state.physical_bytes();
   }
+  EXPECT_EQ(std::filesystem::file_size(arena), physical);
 
-  // Torn tail: chop off the erase marker, all of put(7), and 10 bytes
+  // Torn tail: chop off both erase markers, all of put(7), and 10 bytes
   // into put(6). Reopen stops at the torn put(6) — so 6..7 are gone and
   // the erase of 2 never happened.
-  const std::uint64_t chop = StateBackend::frame_size(0) +
-                             StateBackend::frame_size(64) + 10;
-  std::filesystem::resize_file(arena,
-                               std::filesystem::file_size(arena) - chop);
-  auto state = make_state_backend(config_for(StorageMode::kDisk),
-                                  scratch.str(), false);
-  EXPECT_EQ(state->recovered_entries(), 6u);
-  EXPECT_FALSE(state->contains(key_of(6)));
-  EXPECT_FALSE(state->contains(key_of(7)));
-  EXPECT_TRUE(state->contains(key_of(2)));  // its erase marker was torn
-  EXPECT_EQ(*state->get(key_of(5)), payload_of(64, 5));
+  const std::uint64_t chop = 2 * frame_size(0) + frame_size(64) + 10;
+  std::filesystem::resize_file(arena, physical - chop);
+  StateBackend state(disk, scratch.str(), false);
+  EXPECT_EQ(state.physical_bytes(), kFileHeaderBytes + 6 * frame_size(64));
+  EXPECT_EQ(std::filesystem::file_size(arena), state.physical_bytes());
+  EXPECT_FALSE(state.erase(key_of(6)));
+  EXPECT_FALSE(state.erase(key_of(7)));
+  EXPECT_TRUE(state.erase(key_of(2)));  // its erase marker was torn
+  EXPECT_TRUE(state.erase(key_of(5)));
+
+  // Appends resume on a clean frame boundary.
+  state.sync();
+  EXPECT_EQ(std::filesystem::file_size(arena), state.physical_bytes());
+}
+
+// ------------------------------------------------- frame mutation
+
+Bytes read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_bytes(const std::filesystem::path& path, const Bytes& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+}
+
+// Decoder fuzzing for both frame readers: flip, truncate or splice the
+// bytes of one file, then reopen twice. Recovery must keep a prefix whose
+// files match the gauges, and the second reopen must find exactly what
+// the first one kept.
+TEST(StorageFrames, SeededMutationRecoversAStablePrefix) {
+  ScratchDir scratch("mutate");
+  const std::filesystem::path pristine = scratch.path / "pristine";
+  const std::filesystem::path work = scratch.path / "work";
+  const StorageConfig config = config_for(StorageMode::kDisk, 1024);
+  {
+    BlockLog log(config, pristine.string(), true);
+    StateBackend state(config, pristine.string(), true);
+    for (std::uint8_t i = 0; i < 40; ++i) {
+      log.append(RecordType::kSite, key_of(i),
+                 payload_of(20 + i % 7 * 10, i));
+      state.put(key_of(i), payload_of(10 + i % 5 * 8, i));
+      if (i % 4 == 3) {
+        log.erase(RecordType::kSite, key_of(i - 2));
+        state.erase(key_of(i - 2));
+      }
+    }
+  }
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(pristine))
+    names.push_back(e.path().filename().string());
+  std::sort(names.begin(), names.end());
+  ASSERT_GE(names.size(), 4u);  // several segments plus the arena
+
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    std::filesystem::remove_all(work);
+    std::filesystem::copy(pristine, work);
+    Rng rng(seed);
+    const std::filesystem::path target =
+        work / names[rng.uniform(names.size())];
+    Bytes data = read_bytes(target);
+    switch (rng.uniform(3)) {
+      case 0:  // flip 1-4 bytes
+        for (std::uint64_t n = 1 + rng.uniform(4); n > 0; --n)
+          data[rng.uniform(data.size())] ^=
+              static_cast<Byte>(1 + rng.uniform(255));
+        break;
+      case 1:  // truncate
+        data.resize(rng.uniform(data.size()));
+        break;
+      default: {  // splice in up to 200 bytes from another file
+        const Bytes donor =
+            read_bytes(pristine / names[rng.uniform(names.size())]);
+        const std::size_t from = rng.uniform(donor.size());
+        const std::size_t n = std::min<std::size_t>(
+            1 + rng.uniform(200), donor.size() - from);
+        data.insert(data.begin() + rng.uniform(data.size() + 1),
+                    donor.begin() + from, donor.begin() + from + n);
+      }
+    }
+    write_bytes(target, data);
+
+    std::size_t records[2] = {};
+    std::uint64_t log_bytes[2] = {}, arena_bytes[2] = {};
+    for (int pass = 0; pass < 2; ++pass) {
+      BlockLog log(config, work.string(), false);
+      StateBackend state(config, work.string(), false);
+      state.sync();
+      EXPECT_EQ(file_bytes(work, ".dlog"), log.physical_bytes());
+      EXPECT_EQ(file_bytes(work, ".arena"), state.physical_bytes());
+      if (pass == 1) {
+        EXPECT_EQ(log.truncated_tail_bytes(), 0u);
+      }
+      records[pass] = log.live_records();
+      log_bytes[pass] = log.physical_bytes();
+      arena_bytes[pass] = state.physical_bytes();
+    }
+    EXPECT_EQ(records[0], records[1]);
+    EXPECT_EQ(log_bytes[0], log_bytes[1]);
+    EXPECT_EQ(arena_bytes[0], arena_bytes[1]);
+  }
 }
 
 // ------------------------------------------------------ ledger store
@@ -374,7 +467,7 @@ TEST(LedgerStore, DiskInstanceDirectoriesAndGauges) {
 
   obs::MetricsRegistry registry;
   LedgerStore store(config, "chain-s7/node0");
-  store.attach_probe(obs::Probe{&registry, nullptr, "node.0."});
+  store.attach_probe(obs::Probe{&registry, nullptr});
 
   store.log().append(RecordType::kHeader, key_of(1), payload_of(100, 1));
   store.state().put(key_of(2), payload_of(50, 2));
@@ -383,12 +476,31 @@ TEST(LedgerStore, DiskInstanceDirectoriesAndGauges) {
 
   EXPECT_TRUE(std::filesystem::exists(scratch.path / "chain-s7" / "node0" /
                                       "seg-000000.dlog"));
-  EXPECT_EQ(registry.gauge("node.0.storage.log_bytes").value(),
+  EXPECT_EQ(registry.gauge("storage.log_bytes").value(),
             static_cast<double>(store.log_bytes()));
-  EXPECT_EQ(registry.gauge("node.0.storage.state_bytes").value(),
+  EXPECT_EQ(registry.gauge("storage.state_bytes").value(),
             static_cast<double>(store.state_bytes()));
-  EXPECT_EQ(registry.gauge("node.0.storage.segments").value(), 1.0);
-  EXPECT_EQ(registry.gauge("node.0.storage.pruned_bytes").value(), 123.0);
+  EXPECT_EQ(registry.gauge("storage.segments").value(), 1.0);
+  EXPECT_EQ(registry.gauge("storage.pruned_bytes").value(), 123.0);
+}
+
+TEST(LedgerStore, SyncOnCommitKeepsFilesEqualToGauges) {
+  ScratchDir scratch("sync");
+  StorageConfig config = config_for(StorageMode::kDisk);
+  config.path = scratch.str();
+  config.sync_on_commit = true;
+  LedgerStore store(config, "node0");
+  const std::filesystem::path dir = store.dir();
+  for (std::uint8_t i = 0; i < 6; ++i) {
+    store.log().append(RecordType::kBlock, key_of(i), payload_of(100 + i, i));
+    store.state().put(key_of(i), payload_of(30, i));
+    if (i % 2 == 1) store.state().erase(key_of(i - 1));
+    store.commit();
+    EXPECT_EQ(std::filesystem::file_size(dir / "seg-000000.dlog"),
+              store.log_bytes());
+    EXPECT_EQ(std::filesystem::file_size(dir / "state.arena"),
+              store.state_bytes());
+  }
 }
 
 TEST(LedgerStore, MemoryModeTouchesNoFilesystem) {

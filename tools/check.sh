@@ -169,7 +169,6 @@ if [[ "$STORAGE" == "1" ]]; then
   done
   echo "=== [storage] memory-vs-disk report equality (determinism contract) ==="
   python3 tools/bench_diff.py --exact --quiet \
-    --ignore metrics.gauges.storage.segments \
     "$stodir/memory/BENCH_ledger_size.json" \
     "$stodir/disk/BENCH_ledger_size.json"
   echo "=== [storage] §V ordering on real bytes ==="

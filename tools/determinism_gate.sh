@@ -41,9 +41,8 @@ DIFF="$(pwd)/tools/bench_diff.py"
 # contract: flipping the persistence mode may never shift a trace or a
 # metric. Each extra trace file named is compared too.
 # Absolute storage paths never appear in the reports (string leaves are
-# not compared by bench_diff). Segment counts are mode-independent by
-# construction, but are exempted so a future segment-size tweak can't
-# mask a real memory/disk divergence behind rotation arithmetic.
+# not compared by bench_diff). Segment counts are compared like every
+# other gauge: rotation is the same arithmetic in both modes.
 gate_storage() {
   local bench="$1"
   shift
@@ -53,8 +52,6 @@ gate_storage() {
     echo "determinism gate: $bin not built (build the bench targets first)" >&2
     exit 2
   fi
-
-  local -a ignore=(--ignore metrics.gauges.storage.segments)
 
   local work
   work="$(mktemp -d)"
@@ -69,8 +66,8 @@ gate_storage() {
      env DLT_STORAGE="$mode" DLT_TRACE=1 "$bin" >/dev/null)
   done
 
-  echo "=== [determinism/storage] $bench metrics: exact diff (segment counts exempt) ==="
-  python3 "$DIFF" --exact --quiet "${ignore[@]}" \
+  echo "=== [determinism/storage] $bench metrics: exact diff ==="
+  python3 "$DIFF" --exact --quiet \
     "$work/memory/BENCH_${bench#bench_}.json" \
     "$work/disk/BENCH_${bench#bench_}.json"
 
