@@ -5,9 +5,9 @@
 //     the portable compress, tagged hashing, digest memoization, PoW
 //     midstate, signature-cache hits vs real verifies).
 //  2. Macro: the same saturated 8-node ChainCluster run on one seed,
-//     caches off / on. Final metrics must be bit-identical across both
-//     (the caches are semantics-preserving); wall-clock and sigcache hit
-//     rate quantify the win.
+//     shared sigcache off / on. Final metrics must be bit-identical across
+//     both (the cache is semantics-preserving); wall-clock and sigcache
+//     hit rate quantify the win.
 //  3. Tangle attach scaling: mean attach() wall time early and late in one
 //     16,000-transaction honest tangle. Attach cost must not grow with
 //     tangle size (tools/check.sh --perf gates late/early <= 2).
@@ -25,7 +25,6 @@
 #include "core/chain_cluster.hpp"
 #include "core/json_report.hpp"
 #include "core/table.hpp"
-#include "crypto/digest_cache.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/hashcash.hpp"
 #include "crypto/keys.hpp"
@@ -116,17 +115,20 @@ chain::UtxoTransaction sample_tx() {
   return tx;
 }
 
+// Uncached: each iteration hashes a copy whose memos were dropped, so the
+// time includes one transaction copy per id.
 std::pair<MicroResult, MicroResult> micro_tx_id() {
   const chain::UtxoTransaction tx = sample_tx();
   constexpr int kIters = 500'000;
   volatile std::uint8_t sink = 0;
 
-  crypto::DigestCache::set_enabled(false);
   const double uncached = time_seconds([&] {
-    for (int i = 0; i < kIters; ++i)
-      sink = static_cast<std::uint8_t>(tx.id().bytes()[0]);
+    for (int i = 0; i < kIters; ++i) {
+      chain::UtxoTransaction fresh = tx;
+      fresh.invalidate_digests();
+      sink = static_cast<std::uint8_t>(fresh.id().bytes()[0]);
+    }
   });
-  crypto::DigestCache::set_enabled(true);
   const double memoized = time_seconds([&] {
     for (int i = 0; i < kIters; ++i)
       sink = static_cast<std::uint8_t>(tx.id().bytes()[0]);
@@ -253,7 +255,7 @@ AttachScaling tangle_attach_scaling() {
 }
 
 // --------------------------------------------------------------------------
-// Macro: saturated 8-node cluster, caches on vs off.
+// Macro: saturated 8-node cluster, shared sigcache on vs off.
 
 std::string fingerprint(const RunMetrics& m) {
   std::ostringstream os;
@@ -274,7 +276,7 @@ struct ClusterRun {
   std::string trace_summary_json;
 };
 
-ClusterRun run_cluster(bool caches_on) {
+ClusterRun run_cluster(bool shared_sigcache) {
   ChainClusterConfig cfg;
   cfg.params = chain::bitcoin_like();
   cfg.params.verify_pow = false;
@@ -291,9 +293,8 @@ ClusterRun run_cluster(bool caches_on) {
   cfg.initial_balance = 2'500;
   cfg.genesis_outputs_per_account = 640;
   cfg.seed = 99;
-  cfg.crypto.shared_sigcache = caches_on;
+  cfg.crypto.shared_sigcache = shared_sigcache;
 
-  crypto::DigestCache::set_enabled(caches_on);
   ClusterRun out;
   out.wall = time_seconds([&] {
     ChainCluster cluster(cfg);
@@ -318,7 +319,6 @@ ClusterRun run_cluster(bool caches_on) {
     out.metrics_json = cluster.metrics_json().to_string();
     out.trace_summary_json = cluster.trace_summary_json().to_string();
   });
-  crypto::DigestCache::set_enabled(true);
   return out;
 }
 
@@ -389,25 +389,25 @@ int main(int argc, char** argv) {
 
   std::cout << "Macro: saturated 8-node bitcoin-like cluster, one seed, "
                "~25 tx/s offered for 240 s.\n";
-  const ClusterRun off = run_cluster(/*caches_on=*/false);
-  const ClusterRun on = run_cluster(/*caches_on=*/true);
+  const ClusterRun off = run_cluster(/*shared_sigcache=*/false);
+  const ClusterRun on = run_cluster(/*shared_sigcache=*/true);
 
   const bool identical = on.fingerprint == off.fingerprint;
   const double speedup = on.wall > 0 ? off.wall / on.wall : 0;
 
   Table macro({"config", "wall s", "included", "sigcache hit rate",
                "metrics vs baseline"});
-  macro.row({"caches off", fmt(off.wall, 2), fmt_u(off.included), "-",
-             "(baseline)"});
-  macro.row({"caches on", fmt(on.wall, 2), fmt_u(on.included),
+  macro.row({"shared sigcache off", fmt(off.wall, 2), fmt_u(off.included),
+             "-", "(baseline)"});
+  macro.row({"shared sigcache on", fmt(on.wall, 2), fmt_u(on.included),
              fmt(100 * on.hit_rate, 1) + "%",
              identical ? "identical" : "DIVERGED"});
   macro.print();
   std::cout << "\nSpeedup (off/on): " << fmt(speedup, 2) << "x over "
             << on.sig_checks << " signature checks\n";
   if (!identical)
-    std::cout << "ERROR: cached run diverged from baseline -- "
-                 "the caches are supposed to be semantics-preserving!\n";
+    std::cout << "ERROR: sigcache run diverged from baseline -- "
+                 "the cache is supposed to be semantics-preserving!\n";
 
   JsonObject macro_json;
   macro_json.put("wall_seconds_caches_off", off.wall);
@@ -423,7 +423,7 @@ int main(int argc, char** argv) {
   report.put_raw("micro", micro_json.to_string());
   report.put_raw("tangle_attach", attach_json.to_string());
   report.put_raw("cluster", macro_json.to_string());
-  report.put_raw("metrics", on.metrics_json);  // caches-on reference run
+  report.put_raw("metrics", on.metrics_json);  // sigcache-on reference run
   report.put_raw("trace_summary", on.trace_summary_json);
   write_bench_report("hotpath", report);
   std::cout << "Wrote BENCH_hotpath.json\n";

@@ -134,15 +134,13 @@ Row collect(Cluster& cluster, const std::string& system, double rate,
   return row;
 }
 
-/// Shared traffic shape: sweep points override rate/duration AFTER the
-/// DLT_TRAFFIC_* env pass, so the gate can restyle the process / skew /
-/// seed but the sweep stays a sweep.
+/// Shared traffic shape: one sweep point's rate, duration and admission
+/// queue capacity over the TrafficConfig defaults.
 TrafficConfig traffic_config(double rate, double duration,
                              std::uint64_t queue_bytes) {
   TrafficConfig tc;
   tc.enabled = true;
   tc.queue_capacity_bytes = queue_bytes;
-  apply_env_traffic(tc);
   tc.rate = rate;
   tc.duration = duration;
   return tc;

@@ -34,10 +34,6 @@ BlockHash BlockHeader::hash() const {
 }
 
 Hash256 BlockHeader::pow_digest() const {
-  if (!crypto::DigestCache::enabled()) {
-    const Bytes payload = pow_payload();
-    return crypto::pow_hash(ByteView{payload.data(), payload.size()}, nonce);
-  }
   if (!pow_memo_) {
     const Bytes payload = pow_payload();
     pow_memo_.emplace(ByteView{payload.data(), payload.size()});

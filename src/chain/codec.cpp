@@ -1,5 +1,6 @@
 #include "chain/codec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "support/serialize.hpp"
@@ -10,6 +11,21 @@ namespace {
 
 constexpr std::uint8_t kModelUtxo = 0;
 constexpr std::uint8_t kModelAccount = 1;
+
+// Smallest encoding of each element a count announces.
+constexpr std::size_t kTxInBytes = 32 + 4 + 8 + 8 + 8;
+constexpr std::size_t kTxOutBytes = 8 + 32;
+constexpr std::size_t kMinUtxoTxBytes = 1 + 1 + 4;  // no inputs or outputs
+constexpr std::size_t kAccountTxBytes = 32 + 32 + 8 * 4 + 4 + 8 * 3;
+
+// Capacity to reserve for `count` elements: no more than the unread bytes
+// can hold, so a corrupt count fails in the read loop instead of
+// allocating.
+std::size_t capacity_for(std::uint64_t count, const Reader& r,
+                         std::size_t element_bytes) {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, r.remaining() / element_bytes));
+}
 
 void write_utxo_tx(Writer& w, const UtxoTransaction& tx) {
   w.varint(tx.inputs.size());
@@ -32,7 +48,7 @@ Result<UtxoTransaction> read_utxo_tx(Reader& r) {
   UtxoTransaction tx;
   auto n_in = r.varint();
   if (!n_in) return n_in.error();
-  tx.inputs.reserve(*n_in);
+  tx.inputs.reserve(capacity_for(*n_in, r, kTxInBytes));
   for (std::uint64_t i = 0; i < *n_in; ++i) {
     TxIn in;
     auto txid = r.fixed<32>();
@@ -54,7 +70,7 @@ Result<UtxoTransaction> read_utxo_tx(Reader& r) {
   }
   auto n_out = r.varint();
   if (!n_out) return n_out.error();
-  tx.outputs.reserve(*n_out);
+  tx.outputs.reserve(capacity_for(*n_out, r, kTxOutBytes));
   for (std::uint64_t i = 0; i < *n_out; ++i) {
     TxOut out;
     auto value = r.u64();
@@ -198,7 +214,7 @@ Status decode_body_record(ByteView raw, Block& block) {
   if (!count) return count.error();
   if (*model == kModelUtxo) {
     UtxoTxList txs;
-    txs.reserve(*count);
+    txs.reserve(capacity_for(*count, r, kMinUtxoTxBytes));
     for (std::uint64_t i = 0; i < *count; ++i) {
       auto tx = read_utxo_tx(r);
       if (!tx) return tx.error();
@@ -207,7 +223,7 @@ Status decode_body_record(ByteView raw, Block& block) {
     block.txs = std::move(txs);
   } else if (*model == kModelAccount) {
     AccountTxList txs;
-    txs.reserve(*count);
+    txs.reserve(capacity_for(*count, r, kAccountTxBytes));
     for (std::uint64_t i = 0; i < *count; ++i) {
       auto tx = read_account_tx(r);
       if (!tx) return tx.error();

@@ -24,11 +24,10 @@ namespace dlt::core {
 
 enum class Topology { kComplete, kRandom, kSmallWorld };
 
-/// Crypto hot-path knob common to both cluster kinds.
+/// Crypto hot-path knob common to the three cluster kinds.
 struct CryptoConfig {
   /// One signature-verification cache shared by every node: the first node
   /// to verify a (pubkey, sighash, signature) triple serves the other N-1.
-  /// Disable for attack experiments that want per-node verification cost.
   bool shared_sigcache = true;
 };
 

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
-
-#include "support/log.hpp"
 
 namespace dlt::core {
 
@@ -24,53 +20,6 @@ const char* to_string(ArrivalProcess process) {
 std::uint64_t fee_class_multiplier(std::uint32_t fee_class) {
   const std::uint32_t k = std::min<std::uint32_t>(fee_class, 31);
   return 1ULL << (2 * k);
-}
-
-namespace {
-
-bool env_double(const char* name, double* out) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return false;
-  char* end = nullptr;
-  const double x = std::strtod(v, &end);
-  if (end == v || *end != '\0') return false;
-  *out = x;
-  return true;
-}
-
-bool env_u64(const char* name, std::uint64_t* out) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return false;
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') return false;
-  *out = static_cast<std::uint64_t>(x);
-  return true;
-}
-
-}  // namespace
-
-void apply_env_traffic(TrafficConfig& config) {
-  if (const char* v = std::getenv("DLT_TRAFFIC_PROCESS"); v && *v) {
-    const std::string s(v);
-    if (s == "poisson") {
-      config.process = ArrivalProcess::kPoisson;
-    } else if (s == "bursty") {
-      config.process = ArrivalProcess::kBursty;
-    } else if (s == "diurnal") {
-      config.process = ArrivalProcess::kDiurnal;
-    } else {
-      DLT_LOG_WARN("ignoring DLT_TRAFFIC_PROCESS=%s (not poisson|bursty|diurnal)",
-                   v);
-    }
-  }
-  env_double("DLT_TRAFFIC_RATE", &config.rate);
-  env_double("DLT_TRAFFIC_DURATION", &config.duration);
-  env_double("DLT_TRAFFIC_ZIPF_S", &config.zipf_s);
-  if (std::uint64_t n = 0; env_u64("DLT_TRAFFIC_CLASSES", &n) && n > 0)
-    config.fee_class_count = static_cast<std::size_t>(n);
-  env_u64("DLT_TRAFFIC_QUEUE_BYTES", &config.queue_capacity_bytes);
-  env_u64("DLT_TRAFFIC_SEED", &config.seed);
 }
 
 TrafficSource::TrafficSource(const TrafficConfig& config,

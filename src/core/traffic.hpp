@@ -111,14 +111,6 @@ struct TrafficConfig {
 /// at 31 to keep the shift defined).
 std::uint64_t fee_class_multiplier(std::uint32_t fee_class);
 
-/// DLT_TRAFFIC_* environment overrides (bench/gate knobs):
-///   DLT_TRAFFIC_PROCESS=poisson|bursty|diurnal
-///   DLT_TRAFFIC_RATE=<tx/s>          DLT_TRAFFIC_DURATION=<s>
-///   DLT_TRAFFIC_ZIPF_S=<exponent>    DLT_TRAFFIC_CLASSES=<n>
-///   DLT_TRAFFIC_QUEUE_BYTES=<bytes>  DLT_TRAFFIC_SEED=<u64>
-/// Unset or unparsable values leave `config` untouched.
-void apply_env_traffic(TrafficConfig& config);
-
 /// One generated arrival, in seconds relative to the traffic start.
 struct TrafficEvent {
   double time = 0.0;

@@ -13,11 +13,7 @@
 //    a correctness bug, not just a perf bug.
 //  - Copies keep the memo: the copied content is byte-identical, so the
 //    cached digest still matches.
-//  - Not thread-safe: the memo slot is written on first use, so hash an
-//    object from one thread only (the simulation thread).
 #pragma once
-
-#include <atomic>
 
 #include "support/bytes.hpp"
 
@@ -25,36 +21,19 @@ namespace dlt::crypto {
 
 class DigestCache {
  public:
-  /// Returns the memoized digest, invoking `compute` on the first call (or
-  /// on every call while the global switch is off).
+  /// Returns the memoized digest, invoking `compute` on the first call.
   template <typename Fn>
   const Hash256& get(Fn&& compute) const {
-    if (!valid_ || !enabled()) {
+    if (!valid_) {
       digest_ = compute();
-      valid_ = enabled();
+      valid_ = true;
     }
     return digest_;
   }
 
   void invalidate() { valid_ = false; }
-  bool cached() const { return valid_; }
-
-  /// Global kill switch so benches can A/B the memoization honestly
-  /// (bench_hotpath runs the same workload with caching on and off).
-  /// Defaults to on; not meant to be toggled mid-simulation.
-  static void set_enabled(bool on) {
-    enabled_flag().store(on, std::memory_order_relaxed);
-  }
-  static bool enabled() {
-    return enabled_flag().load(std::memory_order_relaxed);
-  }
 
  private:
-  static std::atomic<bool>& enabled_flag() {
-    static std::atomic<bool> on{true};
-    return on;
-  }
-
   mutable Hash256 digest_;
   mutable bool valid_ = false;
 };

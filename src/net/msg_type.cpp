@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <deque>
-#include <mutex>
 #include <unordered_map>
 
 namespace dlt::net {
@@ -22,14 +21,13 @@ struct TransparentEq {
 };
 
 struct Registry {
-  std::mutex mu;
   // deque: name references stay valid as the registry grows.
   std::deque<std::string> names;
   std::unordered_map<std::string, MsgType, TransparentHash, TransparentEq> ids;
 };
 
 Registry& registry() {
-  static Registry r;  // magic static: safe under concurrent first use
+  static Registry r;
   return r;
 }
 
@@ -37,7 +35,6 @@ Registry& registry() {
 
 MsgType msg_type(std::string_view name) {
   Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.ids.find(name);
   if (it != r.ids.end()) return it->second;
   const MsgType id = static_cast<MsgType>(r.names.size());
@@ -48,14 +45,12 @@ MsgType msg_type(std::string_view name) {
 
 const std::string& msg_type_name(MsgType id) {
   Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
   assert(id < r.names.size() && "unknown MsgType");
   return r.names[id];
 }
 
 std::size_t msg_type_count() {
   Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
   return r.names.size();
 }
 

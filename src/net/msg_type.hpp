@@ -25,7 +25,7 @@ namespace dlt::net {
 using MsgType = std::uint32_t;
 
 /// Interns `name`, returning its id (stable for the process lifetime).
-/// Repeated calls with the same name return the same id. Thread-safe.
+/// Repeated calls with the same name return the same id.
 MsgType msg_type(std::string_view name);
 
 /// The name `id` was registered with. Asserts on unknown ids.

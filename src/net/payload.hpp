@@ -4,12 +4,11 @@
 // payload (control block + any's heap box for anything bigger than a
 // pointer) and three indirections per access. PayloadRef folds refcount,
 // type tag, and value into one heap block; copying a Message during gossip
-// relay is a single atomic increment. Type safety is preserved with an
+// relay is a single increment. Type safety is preserved with an
 // RTTI-free per-type tag, checked by assert in debug builds (the sanitizer
 // legs of tools/check.sh run with asserts on).
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -39,7 +38,7 @@ class PayloadRef {
   }
 
   PayloadRef(const PayloadRef& other) : ctrl_(other.ctrl_) {
-    if (ctrl_) ctrl_->refs.fetch_add(1, std::memory_order_relaxed);
+    if (ctrl_) ++ctrl_->refs;
   }
   PayloadRef(PayloadRef&& other) noexcept
       : ctrl_(std::exchange(other.ctrl_, nullptr)) {}
@@ -63,7 +62,7 @@ class PayloadRef {
 
  private:
   struct Ctrl {
-    std::atomic<std::uint32_t> refs{1};
+    std::uint32_t refs = 1;
     void (*destroy)(Ctrl*) = nullptr;
     const void* type = nullptr;
   };
@@ -77,7 +76,7 @@ class PayloadRef {
   };
 
   void release() {
-    if (ctrl_ && ctrl_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    if (ctrl_ && --ctrl_->refs == 0)
       ctrl_->destroy(ctrl_);
     ctrl_ = nullptr;
   }

@@ -10,10 +10,8 @@
 //    is deterministic regardless of registration order.
 //  - Histograms reuse support::Summary (Welford) + support::Percentiles
 //    (exact quantiles) rather than inventing a third accumulator.
-//
-// The registry is not thread-safe; all simulation-side mutation happens on
-// the serial sim thread. Wall-clock ProfileTimer observations also land
-// here (under a "profile." prefix) from that same thread.
+//  - Wall-clock ProfileTimer observations also land here, under a
+//    "profile." prefix.
 #pragma once
 
 #include <cstdint>

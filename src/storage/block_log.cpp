@@ -116,7 +116,9 @@ void BlockLog::append_frame(RecordType type, const Hash256& key,
     seg.data.insert(seg.data.end(), head, head + sizeof(head));
     seg.data.insert(seg.data.end(), payload.begin(), payload.end());
   } else {
-    std::fseek(seg.file, 0, SEEK_END);
+    // The stream stays at the end of the file: read_at reads with pread
+    // and recover() seeks to the end once, so no per-append seek (which
+    // would flush the stdio buffer, one write(2) per record).
     std::fwrite(head, 1, sizeof(head), seg.file);
     if (!payload.empty())
       std::fwrite(payload.data(), 1, payload.size(), seg.file);
@@ -166,10 +168,16 @@ Bytes BlockLog::read_at(const Entry& e) const {
   if (mode_ == StorageMode::kMemory) {
     std::memcpy(out.data(), seg.data.data() + payload_offset, e.payload_len);
   } else {
-    std::fseek(seg.file, static_cast<long>(payload_offset), SEEK_SET);
-    const std::size_t got = std::fread(out.data(), 1, e.payload_len, seg.file);
-    assert(got == e.payload_len);
-    (void)got;
+    // Flush pending appends so the fd sees them; pread leaves the stream
+    // position at the end.
+    std::fflush(seg.file);
+    if (::pread(::fileno(seg.file), out.data(), e.payload_len,
+                static_cast<off_t>(payload_offset)) !=
+        static_cast<ssize_t>(e.payload_len)) {
+      DLT_LOG_ERROR("storage: short read from %s",
+                    segment_path(e.segment).c_str());
+      std::abort();
+    }
   }
   return out;
 }
@@ -290,6 +298,8 @@ void BlockLog::recover() {
       std::error_code ec;
       std::filesystem::resize_file(path, used, ec);
     }
+    // Appends resume at the end of what was kept.
+    std::fseek(file, 0, SEEK_END);
     seg.bytes = used;
     physical_bytes_ += used;
     segments_.push_back(std::move(seg));

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "crypto/digest_cache.hpp"
 #include "crypto/hashcash.hpp"
 #include "crypto/keys.hpp"
 
@@ -125,69 +124,33 @@ TEST(Hashcash, ExpectedTriesScale) {
 }
 
 // ---------------------------------------------------------------------------
-// account_of per-thread LRU: pushing well past the capacity (> 2^16
-// distinct keys) must evict only the least-recently-used entries, keep the
-// counters exact, and never change a derived id (cost, not results).
+// account_of's memo is cleared wholesale at 2^16 keys. Pushing more than
+// 2^16 + 2^14 distinct keys through it crosses the clear; every id must
+// still be the tagged hash of the little-endian key, on first and repeat
+// lookups alike.
 
-TEST(AccountCache, LruEvictsOldestBeyondCapacityWithExactCounters) {
-  ASSERT_TRUE(DigestCache::enabled());
-  account_cache_reset();
-  const std::size_t cap = account_cache_capacity();
-  ASSERT_GE(cap, std::size_t{1} << 16);
+TEST(AccountOf, MemoizedIdsMatchTheDerivationAcrossTheClear) {
+  const auto derive = [](std::uint64_t key) {
+    Bytes le(8);
+    for (std::size_t i = 0; i < 8; ++i)
+      le[i] = static_cast<Byte>(key >> (8 * i));
+    return tagged_hash("dlt/account-id", ByteView{le.data(), le.size()});
+  };
   const std::uint64_t base = 50'000;
-  const std::size_t total = cap + (cap >> 2);  // > 2^16 distinct keys
-
-  std::vector<AccountId> oldest, newest;  // sampled ids from the first pass
+  const std::size_t total =
+      (std::size_t{1} << 16) + (std::size_t{1} << 14) + 7;
   for (std::size_t i = 0; i < total; ++i) {
     const AccountId id = account_of(base + i);
-    if (i < 4) oldest.push_back(id);
-    if (i >= total - 4) newest.push_back(id);
+    ASSERT_EQ(id, derive(base + i)) << "key " << base + i;
+    if (i % 4096 == 0) {
+      ASSERT_EQ(account_of(base + i), id);
+      ASSERT_EQ(account_of(base), derive(base));
+    }
   }
-  AccountCacheStats s = account_cache_stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, total);
-  EXPECT_EQ(s.evictions, total - cap);
-
-  // The most recent keys are resident: pure hits, identical ids.
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_EQ(account_of(base + total - 4 + i), newest[i]);
-  s = account_cache_stats();
-  EXPECT_EQ(s.hits, 4u);
-  EXPECT_EQ(s.misses, total);
-
-  // The oldest keys were evicted: misses that re-derive identical ids.
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_EQ(account_of(base + i), oldest[i]);
-  s = account_cache_stats();
-  EXPECT_EQ(s.hits, 4u);
-  EXPECT_EQ(s.misses, total + 4);
-  EXPECT_EQ(s.evictions, total - cap + 4);
-
-  account_cache_reset();
-  s = account_cache_stats();
-  EXPECT_EQ(s.hits + s.misses + s.evictions, 0u);
-}
-
-TEST(AccountCache, HitRefreshesRecencySoHotKeysSurviveEviction) {
-  ASSERT_TRUE(DigestCache::enabled());
-  account_cache_reset();
-  const std::size_t cap = account_cache_capacity();
-  const std::uint64_t base = 9'000'000;
-  for (std::size_t i = 0; i < cap; ++i) (void)account_of(base + i);
-
-  (void)account_of(base);  // moves the LRU tail back to the front
-  EXPECT_EQ(account_cache_stats().hits, 1u);
-
-  // One new key evicts the least-recent entry — now base+1, not base.
-  (void)account_of(base + cap);
-  (void)account_of(base);  // still resident
-  const AccountCacheStats before = account_cache_stats();
-  EXPECT_EQ(before.hits, 2u);
-  (void)account_of(base + 1);  // evicted: re-derives
-  const AccountCacheStats after = account_cache_stats();
-  EXPECT_EQ(after.hits, 2u);
-  EXPECT_EQ(after.misses, before.misses + 1);
-  account_cache_reset();
+  for (std::size_t i = total - 16; i < total; ++i)
+    EXPECT_EQ(account_of(base + i), derive(base + i));
+  for (std::size_t i = 0; i < 16; ++i)
+    EXPECT_EQ(account_of(base + i), derive(base + i));
 }
 
 TEST(Hashcash, SolveEffortMatchesDifficultyStatistically) {

@@ -7,7 +7,6 @@
 #include "chain/account_tx.hpp"
 #include "chain/block.hpp"
 #include "chain/transaction.hpp"
-#include "crypto/digest_cache.hpp"
 #include "crypto/hashcash.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
@@ -148,20 +147,6 @@ TEST(DigestMemo, BlockHeaderHashAndPowDigest) {
   h.height = 4;
   h.invalidate_digests();
   EXPECT_NE(h.hash(), hash1);
-}
-
-TEST(DigestMemo, GlobalKillSwitchForcesRecompute) {
-  chain::AccountTransaction tx;
-  tx.value = 1;
-  (void)tx.id();  // memoize
-
-  crypto::DigestCache::set_enabled(false);
-  tx.value = 2;  // no invalidate: with caching off the change must show
-  const Hash256 fresh = tx.id();
-  crypto::DigestCache::set_enabled(true);
-
-  tx.invalidate_digests();
-  EXPECT_EQ(tx.id(), fresh);
 }
 
 // --------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -30,7 +31,9 @@
 #include "core/tangle_cluster.hpp"
 #include "core/workload.hpp"
 #include "lattice_test_util.hpp"
+#include "mutation_util.hpp"
 #include "storage/ledger_store.hpp"
+#include "support/serialize.hpp"
 #include "tangle_oracle.hpp"
 
 namespace dlt {
@@ -620,6 +623,101 @@ TEST(StorageRecovery, TangleReplaySkipsSiteWithUnhashableTimestamp) {
   EXPECT_EQ(got.replay_from_store(), 3u);
   EXPECT_EQ(got.size(), 4u);
   EXPECT_EQ(got.tips(), tips);
+}
+
+// ------------------------------------------- chain codec decoder fuzzing
+
+Bytes body_with_counts(std::uint8_t model,
+                       std::initializer_list<std::uint64_t> varints) {
+  Writer w;
+  w.u8(model);
+  for (const std::uint64_t v : varints) w.varint(v);
+  return std::move(w).take();
+}
+
+// A count of transactions, inputs or outputs that the record's bytes
+// cannot hold must fail in the read loop instead of sizing an allocation
+// (2^40 transactions threw std::bad_alloc, 2^62 std::length_error).
+TEST(ChainCodec, OversizedCountsReturnErrors) {
+  for (const std::uint64_t count : {std::uint64_t{1} << 40,
+                                    std::uint64_t{1} << 62}) {
+    SCOPED_TRACE(count);
+    for (const Bytes& raw : {
+             body_with_counts(0, {count}),        // UTXO transactions
+             body_with_counts(1, {count}),        // account transactions
+             body_with_counts(0, {1, count}),     // inputs of one tx
+             body_with_counts(0, {1, 0, count}),  // outputs of one tx
+         }) {
+      chain::Block block;
+      EXPECT_FALSE(chain::decode_body_record(raw, block).ok());
+    }
+  }
+}
+
+// Flip, truncate or splice valid header and body records (the mutation
+// loop of StorageFrames.SeededMutationRecoversAStablePrefix): every
+// decoder must decode the result or return an error, and what decodes
+// must survive an encode/decode round trip.
+TEST(ChainCodec, SeededMutationDecodesOrReturnsAnError) {
+  const auto keys = chain::testutil::make_keys(2);
+  Rng rng(9);
+  chain::UtxoTransaction spend;
+  for (std::uint32_t i = 0; i < 2; ++i)
+    spend.inputs.push_back(chain::TxIn{
+        chain::Outpoint{corrupt_key(static_cast<int>(i)), i},
+        keys[0].public_key(),
+        {}});
+  spend.outputs.push_back(chain::TxOut{700, keys[1].account_id()});
+  spend.outputs.push_back(chain::TxOut{299, keys[0].account_id()});
+  spend.sign_all({keys[0]}, rng);
+  chain::Block utxo;
+  utxo.header.height = 7;
+  utxo.header.timestamp = 123.25;
+  utxo.header.difficulty = 4096.0;
+  utxo.header.nonce = 0xfeedULL;
+  utxo.txs = chain::UtxoTxList{
+      chain::UtxoTransaction::coinbase(keys[1].account_id(), 50, 7), spend};
+  chain::AccountTransaction pay;
+  pay.to = keys[1].account_id();
+  pay.value = 5;
+  pay.data_size = 12;
+  pay.sign(keys[0], rng);
+  chain::Block account;
+  account.txs = chain::AccountTxList{pay, pay};
+
+  const std::vector<Bytes> records = {chain::encode_header_record(utxo.header),
+                                      chain::encode_body_record(utxo),
+                                      chain::encode_body_record(account)};
+  std::size_t decoded = 0, rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng mut(seed);
+    Bytes data = records[mut.uniform(records.size())];
+    testutil::mutate_bytes(data, mut, records);
+
+    if (const auto header = chain::decode_header_record(data)) {
+      ++decoded;
+      const auto again =
+          chain::decode_header_record(chain::encode_header_record(*header));
+      ASSERT_TRUE(again);
+      EXPECT_EQ(again->hash(), header->hash());
+    } else {
+      ++rejected;
+    }
+    chain::Block block;
+    if (chain::decode_body_record(data, block).ok()) {
+      ++decoded;
+      chain::Block again;
+      ASSERT_TRUE(
+          chain::decode_body_record(chain::encode_body_record(block), again)
+              .ok());
+      EXPECT_EQ(again.tx_ids(), block.tx_ids());
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 // ------------------------------------- pruning as log-catalog operations

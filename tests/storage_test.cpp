@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "mutation_util.hpp"
 #include "storage/block_log.hpp"
 #include "storage/config.hpp"
 #include "storage/frame.hpp"
@@ -269,6 +270,87 @@ TEST(BlockLog, TornCrcIsDroppedOnReopen) {
   EXPECT_FALSE(log.contains(RecordType::kDelta, key_of(3)));
 }
 
+TEST(BlockLog, DiskReadsInterleavedWithAppendsSurviveReopen) {
+  ScratchDir scratch("interleave");
+  const StorageConfig config = config_for(StorageMode::kDisk, 1024);
+  const auto expect_all_read_back = [](const BlockLog& log, std::uint8_t n) {
+    for (std::uint8_t i = 0; i < n; ++i) {
+      const auto got = log.read(RecordType::kSite, key_of(i));
+      if (i % 5 == 4) {
+        EXPECT_FALSE(got) << int{i};
+      } else {
+        ASSERT_TRUE(got) << int{i};
+        EXPECT_EQ(*got, payload_of(30 + i % 9 * 11, i)) << int{i};
+      }
+    }
+  };
+  {
+    BlockLog log(config, scratch.str(), true);
+    for (std::uint8_t i = 0; i < 60; ++i) {
+      log.append(RecordType::kSite, key_of(i), payload_of(30 + i % 9 * 11, i));
+      // Read the new record and an older one between appends.
+      EXPECT_EQ(*log.read(RecordType::kSite, key_of(i)),
+                payload_of(30 + i % 9 * 11, i));
+      if (i % 5 == 4) log.erase(RecordType::kSite, key_of(i));
+      const std::uint8_t old = i / 2;
+      if (old % 5 != 4) {
+        EXPECT_EQ(*log.read(RecordType::kSite, key_of(old)),
+                  payload_of(30 + old % 9 * 11, old));
+      }
+    }
+    expect_all_read_back(log, 60);
+    ASSERT_GT(log.segment_count(), 3u);
+    log.sync();
+    EXPECT_EQ(file_bytes(scratch.path, ".dlog"), log.physical_bytes());
+  }
+  BlockLog log(config, scratch.str(), false);
+  EXPECT_EQ(log.truncated_tail_bytes(), 0u);
+  EXPECT_EQ(file_bytes(scratch.path, ".dlog"), log.physical_bytes());
+  expect_all_read_back(log, 60);
+  // Appends after the reopen, again interleaved with reads.
+  for (std::uint8_t i = 60; i < 80; ++i) {
+    log.append(RecordType::kSite, key_of(i), payload_of(30 + i % 9 * 11, i));
+    if (i % 5 == 4) log.erase(RecordType::kSite, key_of(i));
+    expect_all_read_back(log, static_cast<std::uint8_t>(i + 1));
+  }
+  log.sync();
+  EXPECT_EQ(file_bytes(scratch.path, ".dlog"), log.physical_bytes());
+}
+
+/// write(2) calls this process has made so far (the syscw line of
+/// /proc/self/io), or -1 where that file cannot be read.
+long long write_syscalls() {
+  std::ifstream io("/proc/self/io");
+  std::string field;
+  long long value = 0;
+  while (io >> field >> value)
+    if (field == "syscw:") return value;
+  return -1;
+}
+
+// Appends go through the stdio buffer: a seek before each append would
+// flush it, one write(2) per record (10,350 writes for these appends).
+TEST(BlockLog, DiskAppendsShareWriteCalls) {
+  if (write_syscalls() < 0) GTEST_SKIP() << "/proc/self/io is not readable";
+  ScratchDir scratch("syscw");
+  const Bytes payload = payload_of(100, 0x5A);
+  long long writes = 0;
+  {
+    BlockLog log(config_for(StorageMode::kDisk), scratch.str(), true);
+    const long long start = write_syscalls();
+    for (std::uint32_t i = 0; i < 10'000; ++i) {
+      Hash256 key;
+      for (std::size_t b = 0; b < 4; ++b)
+        key[b] = static_cast<Byte>(i >> (8 * b));
+      log.append(RecordType::kSite, key, payload);
+    }
+    writes = write_syscalls() - start;
+    log.sync();
+    EXPECT_EQ(file_bytes(scratch.path, ".dlog"), log.physical_bytes());
+  }
+  EXPECT_LT(writes, 1'000);
+}
+
 // ------------------------------------------------------ state arena
 //
 // The arena is write-only: a key's presence reads back through erase(),
@@ -406,35 +488,19 @@ TEST(StorageFrames, SeededMutationRecoversAStablePrefix) {
     names.push_back(e.path().filename().string());
   std::sort(names.begin(), names.end());
   ASSERT_GE(names.size(), 4u);  // several segments plus the arena
+  std::vector<Bytes> files;
+  for (const std::string& name : names)
+    files.push_back(read_bytes(pristine / name));
 
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     SCOPED_TRACE(seed);
     std::filesystem::remove_all(work);
     std::filesystem::copy(pristine, work);
     Rng rng(seed);
-    const std::filesystem::path target =
-        work / names[rng.uniform(names.size())];
-    Bytes data = read_bytes(target);
-    switch (rng.uniform(3)) {
-      case 0:  // flip 1-4 bytes
-        for (std::uint64_t n = 1 + rng.uniform(4); n > 0; --n)
-          data[rng.uniform(data.size())] ^=
-              static_cast<Byte>(1 + rng.uniform(255));
-        break;
-      case 1:  // truncate
-        data.resize(rng.uniform(data.size()));
-        break;
-      default: {  // splice in up to 200 bytes from another file
-        const Bytes donor =
-            read_bytes(pristine / names[rng.uniform(names.size())]);
-        const std::size_t from = rng.uniform(donor.size());
-        const std::size_t n = std::min<std::size_t>(
-            1 + rng.uniform(200), donor.size() - from);
-        data.insert(data.begin() + rng.uniform(data.size() + 1),
-                    donor.begin() + from, donor.begin() + from + n);
-      }
-    }
-    write_bytes(target, data);
+    const std::size_t target = rng.uniform(names.size());
+    Bytes data = files[target];
+    testutil::mutate_bytes(data, rng, files);
+    write_bytes(work / names[target], data);
 
     std::size_t records[2] = {};
     std::uint64_t log_bytes[2] = {}, arena_bytes[2] = {};

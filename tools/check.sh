@@ -15,6 +15,11 @@
 # suite once, then both extra passes in one invocation. Any extra flag
 # implies --fast (the asan/ubsan pair stays opt-out via the plain run).
 #
+# Every run starts with the single-thread lint: the simulator runs on one
+# thread and no type is thread-safe (DESIGN.md), so any thread, async
+# task, atomic, mutex, condition variable or thread_local in src, bench,
+# tests or examples fails the check before anything builds.
+#
 # Each pass uses its own build directory so sanitizer flags never leak
 # into the primary build/ tree. --determinism replays each cluster
 # bench's seed in memory and disk storage mode and checks the default
@@ -88,6 +93,13 @@ run_pass() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
   echo "=== [$label] OK ==="
 }
+
+echo "=== [lint] single-threaded by construction ==="
+if grep -rnE "std::(thread|jthread|async|atomic|mutex|shared_mutex|condition_variable)|thread_local|pthread_create" \
+    src bench tests examples; then
+  echo "FAIL: concurrency primitive above; the simulator is single-threaded (DESIGN.md)" >&2
+  exit 1
+fi
 
 run_pass tier-1 build
 
