@@ -39,13 +39,10 @@ namespace {
 constexpr double kTangleDuration = 10.0;  // honest workload window
 constexpr double kTangleTail = 8.0;       // attack release + settling
 
-TangleClusterConfig tangle_config(tangle::TipStrategy strategy,
-                                  const std::string& trace_path) {
+TangleClusterConfig tangle_config(tangle::TipStrategy strategy) {
   TangleClusterConfig cfg;
   storage::apply_env_storage(cfg.storage);  // DLT_STORAGE (disk legs)
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
-  // DLT_TRACE_SINK streams the reference run write-through (ring optional).
-  if (!trace_path.empty()) cfg.obs.trace_sink = obs::trace_sink_from_env();
   cfg.node_count = 4;
   cfg.account_count = 12;
   cfg.params.work_bits = 2;
@@ -75,7 +72,7 @@ struct TangleScenario {
 /// to the end (the metric is the steady-state competition for approvers).
 TangleScenario run_tangle(AdversaryKind kind, tangle::TipStrategy strategy,
                           double power, const std::string& trace_path = {}) {
-  TangleClusterConfig cfg = tangle_config(strategy, trace_path);
+  TangleClusterConfig cfg = tangle_config(strategy);
   TangleCluster cluster(cfg);
 
   AdversaryConfig ac;
@@ -124,8 +121,7 @@ TangleScenario run_tangle(AdversaryKind kind, tangle::TipStrategy strategy,
   out.tips_end = cluster.node(0).tangle().tip_count();
   out.metrics_json = cluster.metrics_json().to_string();
   out.trace_summary_json = cluster.trace_summary_json().to_string();
-  if (!trace_path.empty() && cluster.tracer().enabled() &&
-      !cluster.tracer().events().empty()) {  // sink-only mode has no ring
+  if (!trace_path.empty() && cluster.tracer().recorded() > 0) {
     if (cluster.tracer().export_jsonl(trace_path))
       std::cout << "Wrote " << trace_path << "\n";
   }

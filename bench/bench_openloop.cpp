@@ -126,8 +126,7 @@ Row collect(Cluster& cluster, const std::string& system, double rate,
                   cluster.config().traffic.fee_class_count, row);
   row.metrics_json = cluster.metrics_json().to_string();
   row.trace_summary_json = cluster.trace_summary_json().to_string();
-  if (!trace_path.empty() && cluster.tracer().enabled() &&
-      !cluster.tracer().events().empty()) {
+  if (!trace_path.empty() && cluster.tracer().recorded() > 0) {
     if (cluster.tracer().export_jsonl(trace_path))
       std::cout << "Wrote " << trace_path << "\n";
   }
@@ -158,7 +157,6 @@ Row run_chain(double rate, const std::string& trace_path = {}) {
   cfg.params = params;
   storage::apply_env_storage(cfg.storage);  // DLT_STORAGE
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
-  if (!trace_path.empty()) cfg.obs.trace_sink = obs::trace_sink_from_env();
   cfg.node_count = 4;
   cfg.miner_count = 2;
   cfg.validator_count = 4;

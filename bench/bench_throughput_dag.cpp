@@ -42,8 +42,6 @@ DagRun run(double offered_tps, double bandwidth, int work_bits,
   LatticeClusterConfig cfg;
   storage::apply_env_storage(cfg.storage);  // DLT_STORAGE (disk legs)
   cfg.obs.trace_capacity = obs::trace_capacity_from_env();
-  // DLT_TRACE_SINK streams the reference run write-through (ring optional).
-  if (!trace_path.empty()) cfg.obs.trace_sink = obs::trace_sink_from_env();
   cfg.node_count = 6;
   cfg.representative_count = 2;
   cfg.account_count = 48;
@@ -81,8 +79,7 @@ DagRun run(double offered_tps, double bandwidth, int work_bits,
   out.metrics_json = cluster.metrics_json().to_string();
   out.trace_summary_json = cluster.trace_summary_json().to_string();
   out.latency_line = latency_summary_line(cluster.metrics_registry());
-  if (!trace_path.empty() && cluster.tracer().enabled() &&
-      !cluster.tracer().events().empty()) {  // sink-only mode has no ring
+  if (!trace_path.empty() && cluster.tracer().recorded() > 0) {
     if (cluster.tracer().export_jsonl(trace_path))
       std::cout << "Wrote " << trace_path << "\n";
   }

@@ -151,11 +151,6 @@ double Blockchain::total_work() const {
   return find_record(active_.back())->total_work;
 }
 
-double Blockchain::total_work_of(const BlockHash& hash) const {
-  const Record* rec = find_record(hash);
-  return rec ? rec->total_work : 0.0;
-}
-
 std::uint32_t Blockchain::confirmations(const TxId& txid) const {
   auto h = tx_height(txid);
   if (!h) return 0;

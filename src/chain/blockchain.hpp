@@ -77,7 +77,6 @@ class Blockchain {
   const Block* at_height(std::uint32_t h) const;
   bool on_active_chain(const BlockHash& hash) const;
   double total_work() const;
-  double total_work_of(const BlockHash& hash) const;
 
   /// Confirmations of the block containing `txid`: tip_height - h + 1, or
   /// 0 if absent from the active chain (paper §IV-A's depth rule).

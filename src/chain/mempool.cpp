@@ -14,7 +14,7 @@ Status UtxoMempool::add(const UtxoTransaction& tx, const UtxoSet& utxo,
     auto claim = claimed_.find(in.prevout);
     if (claim != claimed_.end()) conflicts.push_back(claim->second);
   }
-  if (!conflicts.empty() && !replace_by_fee_)
+  if (!conflicts.empty() && capacity_ == 0)
     return make_error("mempool-conflict", "input claimed by pooled tx");
 
   auto fee = utxo.check_transaction(tx, height, sigcache);
@@ -179,9 +179,9 @@ Status AccountMempool::add(const AccountTransaction& tx,
   auto existing = queue.find(tx.nonce);
   const bool replacing = existing != queue.end();
   if (replacing) {
-    // Same-nonce replacement is opt-in and requires a strictly higher
+    // Same-nonce replacement needs a capped pool and a strictly higher
     // gas price — equal prices never replace.
-    if (!replacement_ || tx.gas_price <= existing->second.tx.gas_price)
+    if (capacity_ == 0 || tx.gas_price <= existing->second.tx.gas_price)
       return make_error("duplicate-nonce");
   } else {
     // Contiguity: nonce must extend the queue (or be the base nonce).

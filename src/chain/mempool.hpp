@@ -9,11 +9,11 @@
 // cap evicts the lowest-fee-rate entries (newest among ties — the
 // canonical tiebreak shared with core::AdmissionQueue) but only when the
 // incoming fee rate is STRICTLY higher than every victim's; otherwise the
-// add fails with code "mempool-full" (backpressure). Replacement
-// (RBF / same-nonce) is opt-in via set_replace_by_fee so legacy
-// conflict semantics stay intact by default. Evictions and replacements
-// fire the evict handler so the cluster can retire lifecycle entries and
-// keep admission.* counters reconciling.
+// add fails with code "mempool-full" (backpressure). A capped pool also
+// replaces (RBF / same-nonce); an uncapped pool keeps the plain conflict
+// semantics. Evictions and replacements fire the evict handler so the
+// cluster can retire lifecycle entries and keep admission.* counters
+// reconciling.
 #pragma once
 
 #include <cstdint>
@@ -63,13 +63,12 @@ class UtxoMempool {
   std::uint64_t pending_bytes() const { return pending_bytes_; }
 
   /// Byte-capacity fee market (0 = unlimited, the historical behaviour).
+  /// A capped pool also runs replace-by-fee: a conflicting tx whose fee
+  /// rate strictly exceeds EVERY pooled conflict's replaces them
+  /// (conflicts and their pooled descendants are evicted). Uncapped,
+  /// conflicts reject with "mempool-conflict".
   void set_capacity(std::uint64_t bytes) { capacity_ = bytes; }
   std::uint64_t capacity() const { return capacity_; }
-  /// Opt-in replace-by-fee: a conflicting tx whose fee rate strictly
-  /// exceeds EVERY pooled conflict's replaces them (conflicts and their
-  /// pooled descendants are evicted). Off by default: conflicts reject
-  /// with "mempool-conflict".
-  void set_replace_by_fee(bool on) { replace_by_fee_ = on; }
   /// Called once per transaction displaced by the fee market (capacity
   /// eviction, replacement cascade, or a capacity-refused reinject) —
   /// NOT for inclusion-driven removals.
@@ -117,7 +116,6 @@ class UtxoMempool {
   std::uint64_t next_seq_ = 0;
   std::uint64_t pending_bytes_ = 0;
   std::uint64_t capacity_ = 0;  // 0 = unlimited
-  bool replace_by_fee_ = false;
   EvictHandler evict_handler_;
 };
 
@@ -157,12 +155,11 @@ class AccountMempool {
   /// Byte-capacity fee market (0 = unlimited). Capacity victims are
   /// per-sender queue TAILS only (never interior nonces — evicting those
   /// would orphan the rest of the queue), chosen by lowest gas price with
-  /// newest admission (highest seq) breaking ties.
+  /// newest admission (highest seq) breaking ties. A capped pool also runs
+  /// same-nonce replacement: a strictly higher gas price replaces the
+  /// pooled tx at that nonce. Uncapped, it rejects ("duplicate-nonce").
   void set_capacity(std::uint64_t bytes) { capacity_ = bytes; }
   std::uint64_t capacity() const { return capacity_; }
-  /// Opt-in same-nonce replacement: a strictly higher gas price replaces
-  /// the pooled tx at that nonce. Off by default ("duplicate-nonce").
-  void set_replacement(bool on) { replacement_ = on; }
   using EvictHandler = std::function<void(const AccountTransaction&)>;
   void set_evict_handler(EvictHandler fn) { evict_handler_ = std::move(fn); }
 
@@ -182,7 +179,6 @@ class AccountMempool {
   std::uint64_t next_seq_ = 0;
   std::uint64_t pending_bytes_ = 0;
   std::uint64_t capacity_ = 0;  // 0 = unlimited
-  bool replacement_ = false;
   EvictHandler evict_handler_;
 };
 

@@ -43,9 +43,7 @@ ChainNode::ChainNode(net::Network& network, const ChainParams& params,
   if (config_.store) chain_.attach_store(config_.store);
 
   utxo_pool_.set_capacity(config_.mempool_capacity_bytes);
-  utxo_pool_.set_replace_by_fee(config_.mempool_replacement);
   account_pool_.set_capacity(config_.mempool_capacity_bytes);
-  account_pool_.set_replacement(config_.mempool_replacement);
 
   if (config_.probe) {
     obs_blocks_mined_ = config_.probe.counter("chain.blocks_mined");

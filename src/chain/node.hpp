@@ -52,10 +52,8 @@ struct NodeConfig {
   /// chain via Blockchain::attach_store. Null = no write-through.
   std::shared_ptr<storage::LedgerStore> store;
   /// Mempool byte-capacity fee market (ISSUE 10): lowest-fee-rate
-  /// eviction + opt-in replacement once set. 0 = unlimited (historical).
+  /// eviction and replacement once set. 0 = unlimited (historical).
   std::uint64_t mempool_capacity_bytes = 0;
-  /// Enable replace-by-fee / same-nonce replacement in the mempools.
-  bool mempool_replacement = false;
 };
 
 /// Latency metrics a node records about its own submitted transactions.

@@ -64,13 +64,6 @@ Result<crypto::AccountId> ValidatorSet::proposer_for_slot(
   return validators_.rbegin()->first;
 }
 
-std::vector<crypto::AccountId> ValidatorSet::members() const {
-  std::vector<crypto::AccountId> out;
-  out.reserve(validators_.size());
-  for (const auto& [validator, entry] : validators_) out.push_back(validator);
-  return out;
-}
-
 Hash256 CheckpointVote::sighash() const {
   Writer w;
   w.fixed(validator);

@@ -53,8 +53,6 @@ class ValidatorSet {
   Result<crypto::AccountId> proposer_for_slot(const Hash256& seed,
                                               std::uint64_t slot) const;
 
-  std::vector<crypto::AccountId> members() const;
-
  private:
   struct Entry {
     Amount stake = 0;

@@ -5,12 +5,6 @@
 
 namespace dlt::chain {
 
-std::optional<TxOut> UtxoSet::get(const Outpoint& op) const {
-  auto it = map_.find(op);
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
-}
-
 Result<Amount> UtxoSet::check_transaction(
     const UtxoTransaction& tx, std::uint32_t height,
     crypto::SignatureCache* sigcache) const {

@@ -35,7 +35,6 @@ class UtxoSet {
  public:
   std::size_t size() const { return map_.size(); }
 
-  std::optional<TxOut> get(const Outpoint& op) const;
   bool contains(const Outpoint& op) const { return map_.count(op) != 0; }
 
   /// Validates a transaction against this set and current height:

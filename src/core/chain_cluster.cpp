@@ -185,10 +185,8 @@ void ChainTraits::build_nodes(Engine& e) {
     nc.sigcache = e.sigcache_handle();
     nc.probe = e.node_probe();
     nc.lifecycle = e.lifecycle_tracker();
-    if (config.traffic.enabled) {
+    if (config.traffic.enabled)
       nc.mempool_capacity_bytes = config.traffic.queue_capacity_bytes;
-      nc.mempool_replacement = true;
-    }
     nc.store = e.make_node_store(i);
     e.add_node(std::make_unique<chain::ChainNode>(
         e.network(), config.params, genesis, nc, e.rng().fork(), stakes));

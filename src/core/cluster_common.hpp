@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/traffic.hpp"
@@ -38,11 +37,6 @@ struct ObsConfig {
   /// Trace ring capacity in events; 0 = tracing disabled (the record path
   /// collapses to a branch, and no RunMetrics value may change either way).
   std::size_t trace_capacity = 0;
-  /// Streaming JSONL sink path; non-empty = every trace event is written
-  /// through to this file as it is recorded, so long runs keep full
-  /// fidelity after the ring wraps (`dropped` stays 0 while active). May be
-  /// combined with a ring (trace_capacity > 0) or used alone.
-  std::string trace_sink;
   /// Track per-transaction lifecycle latency (obs::LatencyTracker): each
   /// engine-submitted payment is stamped at submit/admit/include/confirm
   /// in sim time, feeding the latency.* histograms and tx_* trace events.
@@ -97,7 +91,6 @@ struct ClusterObs {
 
   explicit ClusterObs(const ObsConfig& config) {
     if (config.trace_capacity > 0) tracer.enable(config.trace_capacity);
-    if (!config.trace_sink.empty()) tracer.stream_to(config.trace_sink);
     if (config.track_latency)
       lifecycle.enable(probe(), config.latency_sample_cap);
   }

@@ -1,21 +1,8 @@
 #include "core/traffic.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dlt::core {
-
-const char* to_string(ArrivalProcess process) {
-  switch (process) {
-    case ArrivalProcess::kPoisson:
-      return "poisson";
-    case ArrivalProcess::kBursty:
-      return "bursty";
-    case ArrivalProcess::kDiurnal:
-      return "diurnal";
-  }
-  return "unknown";
-}
 
 std::uint64_t fee_class_multiplier(std::uint32_t fee_class) {
   const std::uint32_t k = std::min<std::uint32_t>(fee_class, 31);
@@ -26,63 +13,12 @@ TrafficSource::TrafficSource(const TrafficConfig& config,
                              std::size_t account_count)
     : cfg_(config),
       accounts_(account_count == 0 ? 1 : account_count),
-      rng_(config.seed) {
-  switch (cfg_.process) {
-    case ArrivalProcess::kPoisson:
-      peak_rate_ = cfg_.rate;
-      break;
-    case ArrivalProcess::kBursty:
-      peak_rate_ = cfg_.rate * std::max(cfg_.burst_multiplier,
-                                        cfg_.off_multiplier);
-      // The OFF→ON→OFF trajectory is drawn lazily by rate_at; start OFF
-      // with the first switch drawn on demand.
-      next_switch_ = -1.0;
-      break;
-    case ArrivalProcess::kDiurnal:
-      peak_rate_ = cfg_.rate * (1.0 + std::max(0.0, cfg_.diurnal_amplitude));
-      break;
-  }
-}
-
-double TrafficSource::rate_at(double t) {
-  switch (cfg_.process) {
-    case ArrivalProcess::kPoisson:
-      return cfg_.rate;
-    case ArrivalProcess::kBursty: {
-      // Advance the ON/OFF trajectory to t. Candidates arrive in
-      // non-decreasing t, so this walk is monotone and each dwell is
-      // drawn exactly once regardless of the thinning pattern.
-      if (next_switch_ < 0.0)
-        next_switch_ = rng_.exponential(cfg_.burst_off_mean);
-      while (t >= next_switch_) {
-        burst_on_ = !burst_on_;
-        next_switch_ += rng_.exponential(burst_on_ ? cfg_.burst_on_mean
-                                                   : cfg_.burst_off_mean);
-      }
-      return cfg_.rate *
-             (burst_on_ ? cfg_.burst_multiplier : cfg_.off_multiplier);
-    }
-    case ArrivalProcess::kDiurnal: {
-      const double phase = 2.0 * 3.14159265358979323846 * t /
-                           std::max(cfg_.diurnal_period, 1e-9);
-      const double r =
-          cfg_.rate * (1.0 + cfg_.diurnal_amplitude * std::sin(phase));
-      return std::max(r, 0.0);
-    }
-  }
-  return cfg_.rate;
-}
+      rng_(config.seed) {}
 
 bool TrafficSource::next(TrafficEvent& event) {
-  if (peak_rate_ <= 0.0 || cfg_.duration <= 0.0) return false;
-  // Lewis–Shedler thinning against the peak-rate envelope.
-  for (;;) {
-    t_ += rng_.exponential(1.0 / peak_rate_);
-    if (t_ >= cfg_.duration) return false;
-    if (cfg_.process == ArrivalProcess::kPoisson) break;  // envelope == rate
-    const double accept = rate_at(t_) / peak_rate_;
-    if (rng_.uniform01() < accept) break;
-  }
+  if (cfg_.rate <= 0.0 || cfg_.duration <= 0.0) return false;
+  t_ += rng_.exponential(1.0 / cfg_.rate);
+  if (t_ >= cfg_.duration) return false;
 
   event.time = t_;
   // Per-arrival draw schedule — fixed order, documented in DESIGN.md;

@@ -3,17 +3,10 @@
 // The closed-loop workloads (core/workload.hpp) pre-draw a payment list
 // whose offered load tracks achieved TPS by construction. TrafficSource
 // instead generates arrivals on sim-time events *independent of ledger
-// progress* — the open-loop shape production ledgers face — from three
-// arrival processes:
-//
-//   poisson — homogeneous rate r
-//   bursty  — 2-state MMPP: exponential ON/OFF dwells; the rate is
-//             r·burst_multiplier while ON and r·off_multiplier while OFF
-//   diurnal — sinusoidal modulation r·(1 + A·sin(2πt/period))
-//
-// all realized by Lewis–Shedler thinning against the process's peak rate,
-// so every process draws from ONE dedicated Rng stream (config.traffic.seed,
-// split from nothing else — see DESIGN.md "Admission determinism contract").
+// progress* — the open-loop shape production ledgers face — as a Poisson
+// process of rate r, drawn from ONE dedicated Rng stream
+// (config.traffic.seed, split from nothing else — see DESIGN.md
+// "Admission determinism contract").
 // Senders are Zipf-distributed (zipf_s, 0 = uniform) and receivers skew
 // onto a small hot set (hot_receiver_fraction/hot_receiver_count) to shape
 // contention on a few hot accounts.
@@ -25,8 +18,8 @@
 //
 // Admission control:
 //   chain   — chain::UtxoMempool / chain::AccountMempool grow a
-//             byte-capacity fee market (lowest-fee-rate eviction,
-//             opt-in replacement; see chain/mempool.hpp).
+//             byte-capacity fee market (lowest-fee-rate eviction and
+//             replacement; see chain/mempool.hpp).
 //   lattice — per-owner-node AdmissionQueue (below) drained on a fixed
 //   tangle    service cadence (drain_interval / drain_burst).
 //
@@ -45,13 +38,11 @@
 
 namespace dlt::core {
 
+/// Poisson is the only arrival process. The enum and
+/// TrafficConfig::process stay because perfbench/dltbench.cpp names them.
 enum class ArrivalProcess : std::uint8_t {
   kPoisson = 0,
-  kBursty,
-  kDiurnal,
 };
-
-const char* to_string(ArrivalProcess process);
 
 struct TrafficConfig {
   /// Master switch: off keeps every cluster byte-identical to the
@@ -59,21 +50,10 @@ struct TrafficConfig {
   bool enabled = false;
 
   ArrivalProcess process = ArrivalProcess::kPoisson;
-  /// Base arrival rate r in tx/s (bursty/diurnal modulate around it).
+  /// Arrival rate r in tx/s.
   double rate = 10.0;
   /// Arrival-window length in sim seconds; generation stops after it.
   double duration = 100.0;
-
-  // Bursty (MMPP-2) shape: rate multiplier while a burst is ON, the
-  // trickle multiplier while OFF, and the exponential dwell means.
-  double burst_multiplier = 8.0;
-  double off_multiplier = 0.25;
-  double burst_on_mean = 2.0;
-  double burst_off_mean = 10.0;
-
-  // Diurnal shape: r(t) = rate · (1 + amplitude · sin(2πt/period)).
-  double diurnal_period = 60.0;
-  double diurnal_amplitude = 0.8;
 
   /// Sender skew: Zipf exponent over the workload accounts (0 = uniform).
   double zipf_s = 1.0;
@@ -121,9 +101,9 @@ struct TrafficEvent {
 };
 
 /// Pull-based arrival generator. next() advances the single arrival Rng
-/// by a fixed per-arrival draw schedule (thinning gap [+ accept draw for
-/// modulated processes], sender, receiver, amount, fee class) so the
-/// event stream is a pure function of (config, account_count).
+/// by a fixed per-arrival draw schedule (exponential gap, sender,
+/// receiver, amount, fee class) so the event stream is a pure function of
+/// (config, account_count).
 class TrafficSource {
  public:
   TrafficSource(const TrafficConfig& config, std::size_t account_count);
@@ -131,20 +111,11 @@ class TrafficSource {
   /// Produces the next arrival; false once `duration` is exhausted.
   bool next(TrafficEvent& event);
 
-  /// The thinning envelope rate (peak of the modulated process).
-  double peak_rate() const { return peak_rate_; }
-
  private:
-  double rate_at(double t);  // advances the bursty state machine to t
-
   TrafficConfig cfg_;
   std::size_t accounts_;
   Rng rng_;
   double t_ = 0.0;
-  double peak_rate_ = 0.0;
-  // Bursty state machine (lazily advanced by rate_at).
-  bool burst_on_ = false;
-  double next_switch_ = 0.0;
 };
 
 /// Admission outcome tallies. The reconciliation identity is the

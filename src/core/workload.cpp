@@ -27,20 +27,4 @@ std::vector<PaymentEvent> generate_payments(const WorkloadConfig& config,
   return events;
 }
 
-std::vector<PaymentEvent> generate_spam(std::size_t attacker,
-                                        std::size_t victim, std::size_t count,
-                                        double start, double spacing) {
-  std::vector<PaymentEvent> events;
-  events.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    PaymentEvent ev;
-    ev.time = start + static_cast<double>(i) * spacing;
-    ev.from = attacker;
-    ev.to = victim;
-    ev.amount = 1;
-    events.push_back(ev);
-  }
-  return events;
-}
-
 }  // namespace dlt::core

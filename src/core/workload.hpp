@@ -2,8 +2,7 @@
 //
 // Transactions arrive as a Poisson process at a target rate; sender and
 // receiver accounts are drawn uniformly or zipf-skewed (real payment
-// traffic concentrates on popular merchants). A spam profile models the
-// §III-B attack that Nano's per-block hashcash throttles.
+// traffic concentrates on popular merchants).
 #pragma once
 
 #include <cstdint>
@@ -35,11 +34,5 @@ struct PaymentEvent {
 /// Materializes the full arrival schedule (deterministic given the rng).
 std::vector<PaymentEvent> generate_payments(const WorkloadConfig& config,
                                             Rng& rng);
-
-/// A burst of `count` spam transactions from one attacker account at
-/// maximum speed (inter-arrival `spacing` seconds).
-std::vector<PaymentEvent> generate_spam(std::size_t attacker,
-                                        std::size_t victim, std::size_t count,
-                                        double start, double spacing);
 
 }  // namespace dlt::core

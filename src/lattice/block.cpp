@@ -119,14 +119,4 @@ bool LatticeBlock::verify_work(int difficulty_bits) const {
                         difficulty_bits);
 }
 
-std::string LatticeBlock::to_short_string() const {
-  std::string out = to_string(type);
-  out += " ";
-  out += short_hex(hash());
-  out += " acct=";
-  out += short_hex(account);
-  out += " bal=" + std::to_string(balance);
-  return out;
-}
-
 }  // namespace dlt::lattice

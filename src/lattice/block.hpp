@@ -76,8 +76,6 @@ struct LatticeBlock {
   void solve_work(int difficulty_bits);
   bool verify_work(int difficulty_bits) const;
 
-  std::string to_short_string() const;
-
  private:
   crypto::DigestCache hash_memo_;
 };

@@ -49,9 +49,4 @@ const std::string& msg_type_name(MsgType id) {
   return r.names[id];
 }
 
-std::size_t msg_type_count() {
-  Registry& r = registry();
-  return r.names.size();
-}
-
 }  // namespace dlt::net

@@ -31,7 +31,4 @@ MsgType msg_type(std::string_view name);
 /// The name `id` was registered with. Asserts on unknown ids.
 const std::string& msg_type_name(MsgType id);
 
-/// Number of distinct types registered so far (ids are 0..count-1).
-std::size_t msg_type_count();
-
 }  // namespace dlt::net

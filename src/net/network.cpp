@@ -132,8 +132,7 @@ void Network::send(NodeId from, NodeId to, Message msg) {
                           trace_kind(msg.type), msg.bytes);
   }
 
-  sim_.schedule_at(arrive, [this, to, msg = std::move(msg), now] {
-    delivery_delay_.add(sim_.now() - now);
+  sim_.schedule_at(arrive, [this, to, msg = std::move(msg)] {
     deliver(msg.from, to, msg);
   });
 }

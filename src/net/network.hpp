@@ -8,8 +8,8 @@
 //
 // Hot-path representation: message types are interned MsgType ids
 // (net/msg_type.hpp) and payloads are single-allocation PayloadRef handles
-// (net/payload.hpp), so send/relay/deliver copies a Message with one atomic
-// increment and no string or std::any traffic. Strings survive only at the
+// (net/payload.hpp), so send/relay/deliver copies a Message with one plain
+// reference-count increment and no string or std::any traffic. Strings survive only at the
 // reporting edge (traffic_by_type(), net.kind.* gauges).
 #pragma once
 
@@ -29,7 +29,6 @@
 #include "sim/simulation.hpp"
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 
 namespace dlt::net {
 
@@ -105,7 +104,6 @@ class Network {
   /// from the flat per-id table — call once and keep the result, not in a
   /// loop.
   std::map<std::string, TrafficStats> traffic_by_type() const;
-  Summary& delivery_delay() { return delivery_delay_; }
 
   /// Attaches the observability probe: net.messages / net.bytes /
   /// net.dropped counters plus a message_sent trace event per send. The
@@ -157,7 +155,6 @@ class Network {
 
   TrafficStats total_traffic_;
   std::vector<TrafficStats> by_type_;  // indexed by MsgType id
-  Summary delivery_delay_;
 
   obs::Probe probe_;
   obs::Counter* obs_messages_ = nullptr;

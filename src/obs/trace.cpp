@@ -41,10 +41,6 @@ const EventSchema& schema(EventType t) {
 
 }  // namespace
 
-const char* event_type_name(EventType t) { return schema(t).name; }
-const char* event_field_a(EventType t) { return schema(t).a; }
-const char* event_field_b(EventType t) { return schema(t).b; }
-
 void Tracer::enable(std::size_t capacity) {
   if (capacity == 0) {
     disable();
@@ -66,32 +62,6 @@ void Tracer::disable() {
   head_ = 0;
   ring_.clear();
   ring_.shrink_to_fit();
-  close_sink();
-}
-
-bool Tracer::stream_to(const std::string& path) {
-  auto out = std::make_unique<std::ofstream>(path);
-  if (!*out) {
-    DLT_LOG_WARN("cannot open trace sink %s", path.c_str());
-    return false;
-  }
-  sink_ = std::move(out);
-  sink_path_ = path;
-  // Sink-only mode: a tracer with no ring still records through the sink.
-  enabled_ = true;
-  return true;
-}
-
-void Tracer::close_sink() {
-  if (!sink_) return;
-  sink_->flush();
-  sink_.reset();
-  // Keep sink_path_ so callers can report where the trace landed.
-  if (capacity_ == 0) enabled_ = false;  // sink-only tracer is done
-}
-
-void Tracer::write_sink(const TraceEvent& ev) {
-  *sink_ << event_json(ev) << '\n';
 }
 
 std::vector<TraceEvent> Tracer::events() const {
@@ -163,9 +133,6 @@ support::JsonObject Tracer::summary_json() const {
     o.put("first_time", evs.front().time);
     o.put("last_time", evs.back().time);
   }
-  // Only mention the sink when one was attached, so ring-only runs keep
-  // their exact historical summary bytes.
-  if (!sink_path_.empty()) o.put("sink", sink_path_);
   return o;
 }
 
@@ -178,11 +145,6 @@ std::size_t trace_capacity_from_env() {
   if (v == 0) return 0;              // "0" → disabled
   if (v == 1) return std::size_t{1} << 20;  // "1" → default capacity
   return static_cast<std::size_t>(v);
-}
-
-std::string trace_sink_from_env() {
-  const char* env = std::getenv("DLT_TRACE_SINK");
-  return (env && *env) ? std::string(env) : std::string();
 }
 
 }  // namespace dlt::obs

@@ -18,8 +18,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,12 +58,6 @@ enum class EventType : std::uint8_t {
 constexpr std::size_t kEventTypeCount =
     static_cast<std::size_t>(EventType::kEventCount_);
 
-/// snake_case name used in JSONL output ("block_mined", ...).
-const char* event_type_name(EventType t);
-/// Field names for the a/b payloads of `t` ("height", "txs", ...).
-const char* event_field_a(EventType t);
-const char* event_field_b(EventType t);
-
 /// Fixed-size POD record; 32 bytes, trivially copyable.
 struct TraceEvent {
   double time = 0.0;           // sim seconds
@@ -83,34 +75,20 @@ class Tracer {
   void disable();
   bool enabled() const { return enabled_; }
 
-  /// Opens a write-through JSONL sink at `path`: every record() appends one
-  /// line immediately, so long runs keep full fidelity even after the ring
-  /// wraps (`dropped` stays 0 while a sink is active — nothing is lost).
-  /// Enables the tracer if it is not already (capacity 0 = sink-only mode,
-  /// no ring memory at all). Returns false (after logging) on open failure.
-  bool stream_to(const std::string& path);
-  /// Flushes and closes the sink; the ring (if any) keeps recording.
-  void close_sink();
-  bool sink_active() const { return sink_ != nullptr; }
-  const std::string& sink_path() const { return sink_path_; }
-
   void record(double time, EventType type, std::uint32_t node,
               std::uint64_t a = 0, std::uint64_t b = 0) {
     if (!enabled_) return;
     ++recorded_;
     ++per_type_[static_cast<std::size_t>(type)];
     const TraceEvent ev{time, node, type, a, b};
-    if (sink_) write_sink(ev);
-    if (capacity_ == 0) return;  // sink-only mode: no ring
     if (ring_.size() < capacity_) {
       ring_.push_back(ev);
     } else {
       // Overwrite the oldest event; the ring keeps the most recent
-      // `capacity_` events. Without a sink the rest count as dropped; with
-      // a write-through sink they already hit disk, so nothing is lost.
+      // `capacity_` events and the rest count as dropped.
       ring_[head_] = ev;
       head_ = (head_ + 1) % capacity_;
-      if (!sink_) ++dropped_;
+      ++dropped_;
     }
   }
 
@@ -138,8 +116,6 @@ class Tracer {
   support::JsonObject summary_json() const;
 
  private:
-  void write_sink(const TraceEvent& ev);
-
   bool enabled_ = false;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;  // oldest element once the ring has wrapped
@@ -147,17 +123,11 @@ class Tracer {
   std::uint64_t dropped_ = 0;
   std::uint64_t per_type_[kEventTypeCount] = {};
   std::vector<TraceEvent> ring_;
-  std::unique_ptr<std::ofstream> sink_;
-  std::string sink_path_;
 };
 
 /// Reads the DLT_TRACE environment variable: unset/"0" → 0 (disabled),
 /// "1" → default capacity (1<<20 events), otherwise the numeric value.
 /// Benches use this to opt into JSONL export without recompiling.
 std::size_t trace_capacity_from_env();
-
-/// Reads DLT_TRACE_SINK: a non-empty value is a path for the streaming
-/// JSONL sink (write-through; see Tracer::stream_to). Empty/unset → "".
-std::string trace_sink_from_env();
 
 }  // namespace dlt::obs

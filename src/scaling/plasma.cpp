@@ -46,15 +46,7 @@ Hash256 PlasmaBlock::compute_root() const {
   return crypto::MerkleTree::compute_root(std::move(leaves));
 }
 
-void PlasmaContract::deposit(const crypto::AccountId& user, Amount amount) {
-  deposits_[user] += amount;
-  total_deposits_ += amount;
-}
-
-Amount PlasmaContract::deposited(const crypto::AccountId& user) const {
-  auto it = deposits_.find(user);
-  return it == deposits_.end() ? 0 : it->second;
-}
+void PlasmaContract::deposit(Amount amount) { total_deposits_ += amount; }
 
 void PlasmaContract::commit(std::uint64_t block_number, const Hash256& root) {
   roots_[block_number] = root;
@@ -79,8 +71,7 @@ Status PlasmaContract::exit(const crypto::AccountId& user, Amount amount,
     return make_error("bad-proof");
   if (total_deposits_ < amount)
     return make_error("insolvent", "exits exceed deposits");
-  total_deposits_ -= amount;
-  deposits_[user] += 0;  // the exit pays out on the root chain directly
+  total_deposits_ -= amount;  // the exit pays out on the root chain directly
   return Status::success();
 }
 
@@ -101,7 +92,7 @@ Status PlasmaContract::challenge(std::uint64_t block_number,
 
 void PlasmaOperator::sync_deposit(const crypto::AccountId& user,
                                   Amount amount) {
-  contract_.deposit(user, amount);
+  contract_.deposit(amount);
   balances_[user] += amount;
 }
 

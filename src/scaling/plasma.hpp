@@ -52,8 +52,8 @@ class PlasmaContract {
   explicit PlasmaContract(Amount operator_bond)
       : operator_bond_(operator_bond) {}
 
-  void deposit(const crypto::AccountId& user, Amount amount);
-  Amount deposited(const crypto::AccountId& user) const;
+  /// Locks `amount` on the root chain; the operator credits the user.
+  void deposit(Amount amount);
   Amount total_deposits() const { return total_deposits_; }
   Amount operator_bond() const { return operator_bond_; }
   bool operator_slashed() const { return operator_slashed_; }
@@ -77,7 +77,6 @@ class PlasmaContract {
                    std::size_t tx_index, const crypto::MerkleProof& proof);
 
  private:
-  std::map<crypto::AccountId, Amount> deposits_;
   std::map<std::uint64_t, Hash256> roots_;
   Amount total_deposits_ = 0;
   Amount operator_bond_;

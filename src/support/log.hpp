@@ -1,10 +1,9 @@
 // Minimal leveled logger. Simulations are chatty; default level is Warn so
-// tests and benches stay quiet, while examples turn on Info for narration.
+// tests, benches and examples stay quiet.
 //
-// The initial level can be overridden without recompiling via the
-// DLT_LOG_LEVEL environment variable (trace|debug|info|warn|error|off,
-// case-insensitive; numeric 0-5 also accepted). set_log_level() still wins
-// once called.
+// The level can be overridden without recompiling via the DLT_LOG_LEVEL
+// environment variable (trace|debug|info|warn|error|off, case-insensitive;
+// numeric 0-5 also accepted), read once at startup.
 //
 // The DLT_LOG_* macros guard on log_enabled() BEFORE evaluating their
 // arguments, so a disabled call site costs one branch — no formatting, no
@@ -20,7 +19,6 @@ namespace dlt {
 enum class LogLevel { Trace = 0, Debug, Info, Warn, Error, Off };
 
 LogLevel log_level();
-void set_log_level(LogLevel level);
 /// True when a message at `level` would be emitted. The macros use this to
 /// skip argument evaluation entirely when the level is disabled.
 inline bool log_enabled(LogLevel level) { return level >= log_level(); }

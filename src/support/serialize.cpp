@@ -66,17 +66,19 @@ Result<std::uint64_t> Reader::u64() {
 }
 
 Result<std::uint64_t> Reader::varint() {
+  // Only the minimal encoding Writer::varint emits decodes, so one value
+  // has one encoding: a zero final byte (after the first) and a tenth byte
+  // above 1 (bits past 2^64) are errors.
   std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
+  for (int shift = 0;; shift += 7) {
     if (remaining() < 1) return make_error("truncated", "varint");
-    if (shift >= 64) return make_error("overflow", "varint too long");
     const Byte b = data_[pos_++];
+    if (shift == 63 && b > 1) return make_error("overflow", "varint too long");
     v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
+    if ((b & 0x80) != 0) continue;
+    if (b == 0 && shift > 0) return make_error("non-minimal", "varint");
+    return v;
   }
-  return v;
 }
 
 Result<Bytes> Reader::raw(std::size_t n) {

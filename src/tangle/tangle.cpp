@@ -13,8 +13,6 @@ const char* to_string(TipStrategy strategy) {
   switch (strategy) {
     case TipStrategy::kUniform:
       return "uniform";
-    case TipStrategy::kMrts:
-      return "mrts";
     case TipStrategy::kMcmc:
       break;
   }
@@ -484,7 +482,7 @@ TxHash Tangle::select_tip(Rng& rng,
 
 TxHash Tangle::select_tip_with(TipStrategy strategy, Rng& rng,
                                const std::vector<Hash256>& spend_keys) const {
-  if (strategy != TipStrategy::kMcmc) {
+  if (strategy == TipStrategy::kUniform) {
     // Direct tip draw. Candidates are the tips whose past cone does not
     // conflict with the issuer's pending spends, in canonical (sorted
     // hash) order.
@@ -498,15 +496,6 @@ TxHash Tangle::select_tip_with(TipStrategy strategy, Rng& rng,
     // (no draw consumed; the caller's RNG stream stays aligned).
     if (viable.empty()) return genesis_hash_;
     std::sort(viable.begin(), viable.end());
-    if (strategy == TipStrategy::kMrts) {
-      double max_ts = 0.0;
-      for (const TxHash& tip : viable)
-        max_ts = std::max(max_ts, find(tip)->timestamp);
-      std::vector<TxHash> recent;
-      for (const TxHash& tip : viable)
-        if (find(tip)->timestamp == max_ts) recent.push_back(tip);
-      viable = std::move(recent);
-    }
     // Exactly one uniform01() draw (uniform(bound) would reject-sample a
     // data-dependent number of raw words; the draw-count contract in
     // tip_selection_test.cpp pins one draw per selection).

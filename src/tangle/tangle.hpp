@@ -72,16 +72,15 @@ struct TangleTx {
 };
 
 /// Tip-selection strategy (ISSUE 8). The whitepaper's MCMC walk is the
-/// reference; `uniform` and `mrts` are the degenerate strategies the SoK
-/// literature uses as attack baselines (uniform random tip, most-recent
-/// tips). Chosen per tangle by TangleParams::tip_selection.
+/// reference; `uniform` is the degenerate strategy the SoK literature uses
+/// as an attack baseline (uniform random tip). Chosen per tangle by
+/// TangleParams::tip_selection.
 enum class TipStrategy {
   kMcmc = 0,     // biased random walk, exp(alpha * cumulative weight)
   kUniform = 1,  // uniform over current tips (canonical hash order)
-  kMrts = 2,     // uniform over the most-recent (max timestamp) tips
 };
 
-/// Canonical lower-case name ("mcmc" / "uniform" / "mrts").
+/// Canonical lower-case name ("mcmc" / "uniform").
 const char* to_string(TipStrategy strategy);
 
 struct TangleParams {
@@ -145,16 +144,15 @@ class Tangle {
   /// baseline strategies. Never selects into a cone that conflicts with
   /// `spend_keys` (the issuer's own pending spends). Returns a tip (or an
   /// interior vertex when every tip's cone conflicts — MCMC — / genesis —
-  /// uniform, mrts).
+  /// uniform).
   TxHash select_tip(Rng& rng,
                     const std::vector<Hash256>& spend_keys = {}) const;
 
   /// Tip selection with an explicit strategy (ignores the configured one).
-  /// RNG discipline, pinned by tests/tip_selection_test.cpp: `uniform` and
-  /// `mrts` consume exactly one uniform01() draw per selection; `mcmc`
-  /// consumes one per walk step. Candidate orderings are fixed: tips sorted
-  /// by hash for `uniform`/`mrts`, each vertex's approvers in attach order
-  /// for `mcmc`. So the draw count and the selected tip depend only on the
+  /// RNG discipline, pinned by tests/tip_selection_test.cpp: `uniform`
+  /// consumes exactly one uniform01() draw per selection; `mcmc` consumes
+  /// one per walk step. Candidate orderings are fixed: tips sorted by hash
+  /// for `uniform`, each vertex's approvers in attach order for `mcmc`. So the draw count and the selected tip depend only on the
   /// replica's attach history and the RNG stream.
   TxHash select_tip_with(TipStrategy strategy, Rng& rng,
                          const std::vector<Hash256>& spend_keys = {}) const;

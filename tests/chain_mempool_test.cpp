@@ -65,6 +65,27 @@ TEST_F(UtxoMempoolTest, RejectsPoolConflict) {
   EXPECT_EQ(st.error().code, "mempool-conflict");
 }
 
+TEST_F(UtxoMempoolTest, CappedPoolReplacesByStrictlyHigherFeeRate) {
+  std::vector<TxId> evicted;
+  pool.set_evict_handler(
+      [&](const UtxoTransaction& tx) { evicted.push_back(tx.id()); });
+  pool.set_capacity(1 << 20);  // a capped pool runs replace-by-fee
+  const auto first = spend(0, 99'000);  // fee 1000
+  ASSERT_TRUE(pool.add(first, utxo, 1).ok());
+
+  // The same input at a lower fee rate cannot displace the pooled spend.
+  auto st = pool.add(spend(0, 99'500), utxo, 1);  // fee 500
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, "mempool-conflict");
+
+  // A strictly higher fee rate replaces it, through the evict handler.
+  const auto richer = spend(0, 98'000);  // fee 2000
+  ASSERT_TRUE(pool.add(richer, utxo, 1).ok());
+  EXPECT_FALSE(pool.contains(first.id()));
+  EXPECT_TRUE(pool.contains(richer.id()));
+  EXPECT_EQ(evicted, std::vector<TxId>{first.id()});
+}
+
 TEST_F(UtxoMempoolTest, SelectionPrefersFeeRate) {
   auto cheap = spend(0, 99'900);   // fee 100
   auto rich = spend(1, 90'000);    // fee 10000
@@ -258,6 +279,28 @@ TEST_F(AccountMempoolTest, NonceOrderEnforced) {
   auto stale = pool.add(tx_with(0, 0, 2), state);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.error().code, "duplicate-nonce");
+}
+
+TEST_F(AccountMempoolTest, CappedPoolReplacesSameNonceAtHigherPrice) {
+  std::vector<Hash256> evicted;
+  pool.set_evict_handler(
+      [&](const AccountTransaction& tx) { evicted.push_back(tx.id()); });
+  pool.set_capacity(1 << 20);  // a capped pool runs same-nonce replacement
+  const auto first = tx_with(0, 0, 5);
+  ASSERT_TRUE(pool.add(first, state).ok());
+
+  // An equal gas price never replaces.
+  auto same = pool.add(tx_with(0, 0, 5), state);
+  ASSERT_FALSE(same.ok());
+  EXPECT_EQ(same.error().code, "duplicate-nonce");
+
+  // A strictly higher one takes the nonce slot, through the evict handler.
+  const auto higher = tx_with(0, 0, 6);
+  ASSERT_TRUE(pool.add(higher, state).ok());
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_FALSE(pool.contains(first.id()));
+  EXPECT_TRUE(pool.contains(higher.id()));
+  EXPECT_EQ(evicted, std::vector<Hash256>{first.id()});
 }
 
 TEST_F(AccountMempoolTest, SelectRespectsGasLimitAndPrice) {

@@ -4,9 +4,7 @@
 // RunMetrics value.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -287,97 +285,6 @@ TEST(Tracer, CapacityFromEnv) {
   unsetenv("DLT_TRACE");
 }
 
-// ------------------------------------------------- streaming JSONL sink
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-TEST(TracerSink, StreamMatchesRingExportByteForByte) {
-  const std::string path = testing::TempDir() + "dlt_sink_full.jsonl";
-  Tracer tracer;
-  tracer.enable(64);
-  ASSERT_TRUE(tracer.stream_to(path));
-  EXPECT_TRUE(tracer.sink_active());
-  tracer.record(1.0, EventType::kBlockMined, 0, 5, 2);
-  tracer.record(2.0, EventType::kSendIssued, 1, 100, 3);
-  tracer.record(2.5, EventType::kTipAttached, 2, 42, 2);
-  tracer.close_sink();
-  EXPECT_FALSE(tracer.sink_active());
-  // Nothing wrapped, so the write-through file and the ring export are
-  // the same bytes.
-  EXPECT_EQ(slurp(path), tracer.to_jsonl());
-  // The summary advertises where the stream went.
-  EXPECT_NE(tracer.summary_json().to_string().find("dlt_sink_full.jsonl"),
-            std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(TracerSink, KeepsFullFidelityAfterRingWraps) {
-  const std::string path = testing::TempDir() + "dlt_sink_wrap.jsonl";
-  Tracer tracer;
-  tracer.enable(4);  // tiny ring: would drop 6 of 10 events on its own
-  ASSERT_TRUE(tracer.stream_to(path));
-  for (std::uint64_t i = 0; i < 10; ++i)
-    tracer.record(static_cast<double>(i), EventType::kMessageSent, 0, i, 0);
-  tracer.close_sink();
-  // With a write-through sink nothing is lost, so dropped stays 0 ...
-  EXPECT_EQ(tracer.recorded(), 10u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-  // ... the file holds every event, and the ring still serves the newest.
-  std::istringstream in(slurp(path));
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 10u);
-  EXPECT_NE(lines[0].find("\"t\":0"), std::string::npos);
-  EXPECT_NE(lines[9].find("\"t\":9"), std::string::npos);
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].a, 6u);
-  std::remove(path.c_str());
-}
-
-TEST(TracerSink, SinkOnlyModeBuffersNothing) {
-  const std::string path = testing::TempDir() + "dlt_sink_only.jsonl";
-  Tracer tracer;
-  // stream_to on a disabled tracer enables sink-only mode: no ring at all.
-  ASSERT_TRUE(tracer.stream_to(path));
-  EXPECT_TRUE(tracer.enabled());
-  tracer.record(1.0, EventType::kVoteCast, 3, 7, 9);
-  tracer.record(2.0, EventType::kVoteCast, 3, 8, 9);
-  EXPECT_EQ(tracer.recorded(), 2u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_TRUE(tracer.events().empty());  // nothing retained in memory
-  tracer.close_sink();
-  EXPECT_FALSE(tracer.enabled());  // sink-only: closing ends recording
-  std::istringstream in(slurp(path));
-  std::size_t lines = 0;
-  for (std::string line; std::getline(in, line);) ++lines;
-  EXPECT_EQ(lines, 2u);
-  std::remove(path.c_str());
-}
-
-TEST(TracerSink, OpenFailureLeavesTracerUsable) {
-  Tracer tracer;
-  tracer.enable(8);
-  EXPECT_FALSE(tracer.stream_to("/nonexistent-dir/trace.jsonl"));
-  EXPECT_FALSE(tracer.sink_active());
-  tracer.record(1.0, EventType::kBlockMined, 0);
-  EXPECT_EQ(tracer.recorded(), 1u);
-}
-
-TEST(TracerSink, SinkPathFromEnv) {
-  unsetenv("DLT_TRACE_SINK");
-  EXPECT_EQ(trace_sink_from_env(), "");
-  setenv("DLT_TRACE_SINK", "/tmp/t.jsonl", 1);
-  EXPECT_EQ(trace_sink_from_env(), "/tmp/t.jsonl");
-  unsetenv("DLT_TRACE_SINK");
-}
-
-
 // --------------------------------------------------------- JSONL escaping
 
 /// Minimal unescaper for the subset json_escape emits; round-tripping
@@ -452,28 +359,6 @@ std::string run_traced_chain(core::ChainClusterConfig cfg) {
   EXPECT_TRUE(cluster.tracer().enabled());
   EXPECT_GT(cluster.tracer().recorded(), 0u);
   return cluster.tracer().to_jsonl();
-}
-
-TEST(TracerSink, ClusterStreamsWholeRunThroughTinyRing) {
-  const std::string sink_path = testing::TempDir() + "dlt_sink_cluster.jsonl";
-  // Reference: ring big enough to retain everything.
-  core::ChainClusterConfig cfg = traced_fork_config();
-  core::ChainCluster reference(cfg);
-  reference.start();
-  reference.run_for(200.0);
-  ASSERT_EQ(reference.tracer().dropped(), 0u);
-
-  // Same seed, 16-event ring + write-through sink: the file carries the
-  // run's complete trace even though the ring wrapped many times over.
-  cfg.obs.trace_capacity = 16;
-  cfg.obs.trace_sink = sink_path;
-  core::ChainCluster streamed(cfg);
-  streamed.start();
-  streamed.run_for(200.0);
-  EXPECT_EQ(streamed.tracer().dropped(), 0u);
-  streamed.tracer().close_sink();
-  EXPECT_EQ(slurp(sink_path), reference.tracer().to_jsonl());
-  std::remove(sink_path.c_str());
 }
 
 TEST(TraceDeterminism, IdenticalSeedsGiveByteIdenticalJsonl) {

@@ -657,7 +657,7 @@ TEST(ChainCodec, OversizedCountsReturnErrors) {
 // Flip, truncate or splice valid header and body records (the mutation
 // loop of StorageFrames.SeededMutationRecoversAStablePrefix): every
 // decoder must decode the result or return an error, and what decodes
-// must survive an encode/decode round trip.
+// must re-encode to the same bytes (each record has one encoding).
 TEST(ChainCodec, SeededMutationDecodesOrReturnsAnError) {
   const auto keys = chain::testutil::make_keys(2);
   Rng rng(9);
@@ -688,6 +688,17 @@ TEST(ChainCodec, SeededMutationDecodesOrReturnsAnError) {
   const std::vector<Bytes> records = {chain::encode_header_record(utxo.header),
                                       chain::encode_body_record(utxo),
                                       chain::encode_body_record(account)};
+
+  // Random mutation rarely forms a padded varint, so pin one: the account
+  // body's transaction count 02 re-encoded as 82 00 is the same count in a
+  // second encoding and must not decode.
+  Bytes padded = records[2];
+  ASSERT_EQ(padded[1], 0x02);
+  padded[1] = 0x82;
+  padded.insert(padded.begin() + 2, 0x00);
+  chain::Block padded_block;
+  EXPECT_FALSE(chain::decode_body_record(padded, padded_block).ok());
+
   std::size_t decoded = 0, rejected = 0;
   for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
     SCOPED_TRACE(seed);
@@ -697,27 +708,138 @@ TEST(ChainCodec, SeededMutationDecodesOrReturnsAnError) {
 
     if (const auto header = chain::decode_header_record(data)) {
       ++decoded;
-      const auto again =
-          chain::decode_header_record(chain::encode_header_record(*header));
-      ASSERT_TRUE(again);
-      EXPECT_EQ(again->hash(), header->hash());
+      EXPECT_EQ(chain::encode_header_record(*header), data);
     } else {
       ++rejected;
     }
     chain::Block block;
     if (chain::decode_body_record(data, block).ok()) {
       ++decoded;
-      chain::Block again;
-      ASSERT_TRUE(
-          chain::decode_body_record(chain::encode_body_record(block), again)
-              .ok());
-      EXPECT_EQ(again.tx_ids(), block.tx_ids());
+      EXPECT_EQ(chain::encode_body_record(block), data);
     } else {
       ++rejected;
     }
   }
   EXPECT_GT(decoded, 100u);
   EXPECT_GT(rejected, 100u);
+}
+
+// The same mutation loop over a record type T with a Result<T> decoder
+// T::deserialize and the encoder T::serialize.
+template <typename T>
+void expect_mutants_decode_exactly_or_fail(const std::vector<Bytes>& records) {
+  std::size_t decoded = 0, rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng mut(seed);
+    Bytes data = records[mut.uniform(records.size())];
+    testutil::mutate_bytes(data, mut, records);
+    if (const auto rec = T::deserialize(data)) {
+      ++decoded;
+      EXPECT_EQ(rec->serialize(), data);
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
+TEST(LatticeCodec, SeededMutationDecodesOrReturnsAnError) {
+  const crypto::KeyPair key = crypto::KeyPair::from_seed(0x700);
+  Rng rng(10);
+  std::vector<Bytes> records;
+  for (const lattice::BlockType type :
+       {lattice::BlockType::kOpen, lattice::BlockType::kSend,
+        lattice::BlockType::kChange}) {
+    lattice::LatticeBlock b;
+    b.type = type;
+    b.account = key.account_id();
+    if (type != lattice::BlockType::kOpen) b.previous = corrupt_key(1);
+    b.balance = 1'000 + static_cast<lattice::Amount>(type);
+    b.link = corrupt_key(2);
+    b.representative = key.account_id();
+    b.work = 0xabcdefULL;
+    b.sign(key, rng);
+    records.push_back(b.serialize());
+  }
+  expect_mutants_decode_exactly_or_fail<lattice::LatticeBlock>(records);
+}
+
+TEST(TangleCodec, SeededMutationDecodesOrReturnsAnError) {
+  const crypto::KeyPair key = crypto::KeyPair::from_seed(0x701);
+  Rng rng(11);
+  std::vector<Bytes> records;
+  for (int i = 0; i < 2; ++i) {
+    tangle::TangleTx tx;
+    tx.issuer = key.account_id();
+    tx.trunk = corrupt_key(3 + i);
+    tx.branch = corrupt_key(5);
+    tx.payload = corrupt_key(6 + i);
+    if (i == 1) tx.spend_key = corrupt_key(8);
+    tx.timestamp = 12.375 + i;
+    tx.own_weight = 1 + static_cast<std::uint64_t>(i);
+    tx.work = 0x1234ULL;
+    tx.sign(key, rng);
+    records.push_back(tx.serialize());
+  }
+  expect_mutants_decode_exactly_or_fail<tangle::TangleTx>(records);
+}
+
+// offload_bodies drops resident bodies in disk mode and names read_block
+// as the way to reach them: every offloaded block must read back from the
+// log with its original hash and transaction ids.
+TEST(StorageRecovery, OffloadedBodiesReadBackThroughReadBlock) {
+  const auto keys = chain::testutil::make_keys(1);
+  const chain::GenesisSpec genesis = chain::testutil::fund_all(keys, 1'000'000);
+  const crypto::AccountId miner = keys[0].account_id();
+  const chain::ChainParams params = chain::testutil::cheap_pow_utxo();
+  ScratchDir scratch("read_block");
+
+  chain::Blockchain chain(params, genesis);
+  auto store =
+      std::make_shared<storage::LedgerStore>(disk_config(scratch), "chain");
+  chain.attach_store(store);
+  ASSERT_TRUE(store->disk());
+
+  // Each block rolls one coin forward, so every body past genesis holds a
+  // coinbase and a signed spend.
+  std::vector<chain::Block> blocks{*chain.at_height(0)};
+  chain::Outpoint coin{blocks[0].utxo_txs().front().id(), 0};
+  Rng rng(12);
+  for (std::uint32_t h = 1; h <= 6; ++h) {
+    chain::UtxoTransaction pay;
+    pay.inputs.push_back(chain::TxIn{coin, keys[0].public_key(), {}});
+    pay.outputs.push_back(chain::TxOut{1'000'000, miner});
+    pay.sign_all({keys[0]}, rng);
+    coin = chain::Outpoint{pay.id(), 0};
+    blocks.push_back(chain::testutil::seal_block(
+        chain, chain.tip_hash(),
+        chain::UtxoTxList{
+            chain::UtxoTransaction::coinbase(miner, params.block_reward, h),
+            pay},
+        miner));
+    ASSERT_TRUE(chain.submit(blocks.back()));
+  }
+
+  // Tip 6, keep 2: the bodies of heights 0-3 leave RAM.
+  EXPECT_GT(chain.offload_bodies(2), 0u);
+  std::size_t offloaded = 0;
+  for (const chain::Block& b : blocks) {
+    SCOPED_TRACE(b.header.height);
+    const bool resident = !chain.find(b.hash())->utxo_txs().empty();
+    EXPECT_EQ(resident, b.header.height >= 4);
+    if (!resident) ++offloaded;
+    const auto back = chain.read_block(b.hash());
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->hash(), b.hash());
+    EXPECT_EQ(back->tx_ids(), b.tx_ids());
+  }
+  EXPECT_EQ(offloaded, 4u);
+
+  const auto unknown = chain.read_block(corrupt_key(0));
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code, "not-in-log");
 }
 
 // ------------------------------------- pruning as log-catalog operations

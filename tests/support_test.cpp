@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "support/hex.hpp"
 #include "support/inplace_function.hpp"
@@ -166,15 +167,52 @@ TEST(Serialize, FixedWidthRoundTrip) {
 }
 
 TEST(Serialize, VarintRoundTrip) {
-  const std::uint64_t cases[] = {0, 1, 127, 128, 300, 1ULL << 20,
-                                 ~0ULL};
+  // Every length boundary (2^7k - 1 and 2^7k), the top of the range, and
+  // a seeded sample spread over every bit length.
+  std::vector<std::uint64_t> cases = {0, 300, 1ULL << 63, ~0ULL};
+  for (int k = 1; k <= 9; ++k) {
+    cases.push_back((1ULL << (7 * k)) - 1);
+    cases.push_back(1ULL << (7 * k));
+  }
+  Rng rng(0x5eed);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t shift = rng.uniform(64);
+    cases.push_back(rng.next() >> shift);
+  }
   for (std::uint64_t v : cases) {
     Writer w;
     w.varint(v);
     EXPECT_EQ(w.size(), varint_size(v));
     Reader r(ByteView{w.bytes().data(), w.size()});
-    EXPECT_EQ(*r.varint(), v) << v;
+    const auto got = r.varint();
+    ASSERT_TRUE(got.ok()) << v;
+    EXPECT_EQ(*got, v);
+    EXPECT_TRUE(r.done()) << v;
   }
+}
+
+TEST(Serialize, NonMinimalVarintsReturnErrors) {
+  auto decode = [](const Bytes& raw) {
+    Reader r(ByteView{raw.data(), raw.size()});
+    return r.varint();
+  };
+  // 5 has the one encoding 05; 85 80 00 pads it with zero groups.
+  EXPECT_EQ(*decode({0x05}), 5u);
+  EXPECT_EQ(decode({0x85, 0x80, 0x00}).error().code, "non-minimal");
+  EXPECT_EQ(decode({0x80, 0x00}).error().code, "non-minimal");
+  // 2^64 - 1 is nine ff bytes then 01; a larger tenth byte carries bits
+  // past 2^64 or a continuation.
+  Bytes max(9, 0xff);
+  max.push_back(0x01);
+  EXPECT_EQ(*decode(max), ~0ULL);
+  for (const Byte tenth : {Byte{0x7f}, Byte{0x02}, Byte{0x81}}) {
+    Bytes raw(9, 0xff);
+    raw.push_back(tenth);
+    EXPECT_EQ(decode(raw).error().code, "overflow") << int{tenth};
+  }
+  Bytes zero_tenth(9, 0xff);
+  zero_tenth.push_back(0x00);
+  EXPECT_EQ(decode(zero_tenth).error().code, "non-minimal");
 }
 
 TEST(Serialize, BlobAndString) {

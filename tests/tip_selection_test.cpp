@@ -2,7 +2,7 @@
 // that makes the adversarial differential harness possible —
 //
 //  - every strategy prints its canonical name;
-//  - the RNG draw discipline is exact (uniform/mrts: one uniform01 per
+//  - the RNG draw discipline is exact (uniform: one uniform01 per
 //    selection, genesis fallback: zero), so a strategy swap can never
 //    shift any other consumer's stream;
 //  - draws and selected tips are identical whether the tangle was built
@@ -73,26 +73,22 @@ struct Star {
 TEST(TipSelection, NamesRoundTrip) {
   EXPECT_EQ(std::string(to_string(TipStrategy::kMcmc)), "mcmc");
   EXPECT_EQ(std::string(to_string(TipStrategy::kUniform)), "uniform");
-  EXPECT_EQ(std::string(to_string(TipStrategy::kMrts)), "mrts");
 }
 
 // ------------------------------------------------------- draw discipline
 
-TEST(TipSelection, UniformAndMrtsConsumeExactlyOneDraw) {
+TEST(TipSelection, UniformConsumesExactlyOneDraw) {
   Star star(6);
-  for (TipStrategy s : {TipStrategy::kUniform, TipStrategy::kMrts}) {
-    SCOPED_TRACE(to_string(s));
-    Rng rng(21);
-    const Rng before = rng;
-    const TxHash tip = star.tangle.select_tip_with(s, rng);
-    EXPECT_TRUE(star.tangle.contains(tip));
-    EXPECT_EQ(draws_consumed(before, rng), 1u);
-  }
+  Rng rng(21);
+  const Rng before = rng;
+  const TxHash tip = star.tangle.select_tip_with(TipStrategy::kUniform, rng);
+  EXPECT_TRUE(star.tangle.contains(tip));
+  EXPECT_EQ(draws_consumed(before, rng), 1u);
 }
 
 TEST(TipSelection, GenesisFallbackConsumesNoDraws) {
-  // Every tip's cone carries the contested spend key, so uniform/mrts
-  // must fall back to genesis without burning a draw.
+  // Every tip's cone carries the contested spend key, so uniform must
+  // fall back to genesis without burning a draw.
   const Hash256 contested = crypto::Sha256::digest(as_bytes("contested"));
   Tangle tangle(cheap_params());
   const crypto::KeyPair issuer = crypto::KeyPair::from_seed(9);
@@ -104,35 +100,11 @@ TEST(TipSelection, GenesisFallbackConsumesNoDraws) {
     ASSERT_TRUE(tangle.attach(tx).ok());
   }
 
-  for (TipStrategy s : {TipStrategy::kUniform, TipStrategy::kMrts}) {
-    SCOPED_TRACE(to_string(s));
-    Rng rng(31);
-    const Rng before = rng;
-    EXPECT_EQ(tangle.select_tip_with(s, rng, {contested}),
-              tangle.genesis());
-    EXPECT_EQ(draws_consumed(before, rng), 0u);
-  }
-}
-
-TEST(TipSelection, MrtsSelectsOnlyMostRecentTips) {
-  // Three tips at timestamps 1, 2, 2: mrts must never pick the stale one.
-  Tangle tangle(cheap_params());
-  const crypto::KeyPair issuer = crypto::KeyPair::from_seed(3);
-  Rng build(5);
-  std::vector<TxHash> tips;
-  for (int i = 0; i < 3; ++i) {
-    TangleTx tx = make_tx(tangle, issuer, tangle.genesis(),
-                          tangle.genesis(), payload_for(200 + i),
-                          /*timestamp=*/i == 0 ? 1.0 : 2.0, build);
-    ASSERT_TRUE(tangle.attach(tx).ok());
-    tips.push_back(tx.hash());
-  }
-
-  Rng rng(41);
-  for (int i = 0; i < 200; ++i) {
-    const TxHash pick = tangle.select_tip_with(TipStrategy::kMrts, rng);
-    EXPECT_NE(pick, tips[0]) << "stale tip selected";
-  }
+  Rng rng(31);
+  const Rng before = rng;
+  EXPECT_EQ(tangle.select_tip_with(TipStrategy::kUniform, rng, {contested}),
+            tangle.genesis());
+  EXPECT_EQ(draws_consumed(before, rng), 0u);
 }
 
 // ---------------------------------------------- live-built == replayed
@@ -158,8 +130,7 @@ TEST(TipSelection, DrawsIndependentOfHowTheTangleWasBuilt) {
   for (const TangleTx& tx : txs) EXPECT_TRUE(replayed.attach(tx).ok());
   EXPECT_EQ(live.tips(), replayed.tips());
 
-  for (TipStrategy s :
-       {TipStrategy::kMcmc, TipStrategy::kUniform, TipStrategy::kMrts}) {
+  for (TipStrategy s : {TipStrategy::kMcmc, TipStrategy::kUniform}) {
     SCOPED_TRACE(to_string(s));
     Rng a(23), b(23);
     const Rng before = a;

@@ -10,6 +10,7 @@
 #   tools/check.sh --attacks      # tier-1 + adversarial-suite safety gate
 #   tools/check.sh --storage      # tier-1 + §V on-disk ledger-size gate
 #   tools/check.sh --traffic      # tier-1 + E20 open-loop admission gate
+#   tools/check.sh --perfbench    # tier-1 + benchmark driver build + runs
 #
 # Flags combine: `tools/check.sh --determinism --attacks` runs the tier-1
 # suite once, then both extra passes in one invocation. Any extra flag
@@ -54,6 +55,11 @@
 # top point per ledger is past saturation (offered > achieved) with
 # admission pressure (evictions or backpressure), and every fee class
 # has a non-empty latency histogram there.
+# --perfbench runs `python3 -m unittest perfbench/test_perfbench.py`: it
+# builds the benchmark driver (perfbench/dltbench.cpp over every src/ file,
+# under .bench_build/perfbench) and runs each of its workloads in short
+# mode, traced and untraced. Nothing else builds that driver, so this is
+# the leg that fails when a src/ change breaks it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -66,6 +72,7 @@ LATENCY=0
 ATTACKS=0
 STORAGE=0
 TRAFFIC=0
+PERFBENCH=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
@@ -75,8 +82,9 @@ for arg in "$@"; do
     --attacks) FAST=1; ATTACKS=1 ;;
     --storage) FAST=1; STORAGE=1 ;;
     --traffic) FAST=1; TRAFFIC=1 ;;
+    --perfbench) FAST=1; PERFBENCH=1 ;;
     *)
-      echo "usage: tools/check.sh [--fast] [--determinism] [--perf] [--latency] [--attacks] [--storage] [--traffic]" >&2
+      echo "usage: tools/check.sh [--fast] [--determinism] [--perf] [--latency] [--attacks] [--storage] [--traffic] [--perfbench]" >&2
       exit 2
       ;;
   esac
@@ -348,6 +356,12 @@ EOF
     echo "FAIL: bench_diff did not flag the confirmed-count drop" >&2; exit 1; }
   rm -rf "$latdir"
   echo "=== [latency] OK ==="
+fi
+
+if [[ "$PERFBENCH" == "1" ]]; then
+  echo "=== [perfbench] build the benchmark driver, run every workload short ==="
+  python3 -m unittest perfbench/test_perfbench.py
+  echo "=== [perfbench] OK ==="
 fi
 
 if [[ "$FAST" == "0" ]]; then
