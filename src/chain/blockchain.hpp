@@ -111,9 +111,9 @@ class Blockchain {
   /// On a fresh store the genesis block and initial chainstate are
   /// persisted; on a recovered store (LedgerStore opened with
   /// truncate=false) existing records are left in place — combine with
-  /// replay_from_store(). Works identically in memory and disk mode; all
-  /// storage accounting is mode-independent arithmetic, so attaching a
-  /// store never changes traces or RunMetrics across modes.
+  /// replay_from_store(). All storage accounting is mode-independent
+  /// arithmetic, so attaching a store never changes traces or RunMetrics
+  /// across modes.
   void attach_store(std::shared_ptr<storage::LedgerStore> store);
   const storage::LedgerStore* store() const { return store_.get(); }
 
@@ -121,11 +121,12 @@ class Blockchain {
   /// log in append order and re-submits it. Fork choice re-derives the
   /// active chain deterministically. Returns blocks accepted (duplicates
   /// and the genesis record are skipped). Idempotent: replaying into a
-  /// chain that already holds the blocks is a no-op.
+  /// chain that already holds the blocks is a no-op. Disk mode only: a
+  /// memory-mode log keeps no record bytes, so this returns 0 there.
   std::size_t replay_from_store();
 
   /// Reads a block back from the attached store's log (works for bodies
-  /// offloaded from RAM).
+  /// offloaded from RAM). Disk mode only: "not-in-log" in memory mode.
   Result<Block> read_block(const BlockHash& hash) const;
 
   /// Disk mode only: drops the in-RAM transaction lists and undo data of

@@ -134,7 +134,8 @@ class Ledger {
   /// Recovery: decodes every kBlock record in append order and re-offers
   /// it to process(). Append order is admission order, so predecessors and
   /// source sends always precede their dependents. Returns blocks
-  /// accepted; duplicates (genesis, already-replayed) are skipped.
+  /// accepted; duplicates (genesis, already-replayed) are skipped. Disk
+  /// mode only: a memory-mode log keeps no record bytes, so this returns 0.
   std::size_t replay_from_store();
 
   // ---- Pruning (§V-B) ------------------------------------------------------

@@ -67,9 +67,7 @@ void Tracer::disable() {
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());
-  // head_ is the oldest element once wrapped; before wrapping head_ == 0.
-  for (std::size_t i = 0; i < ring_.size(); ++i)
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
+  for (std::size_t i = 0; i < ring_.size(); ++i) out.push_back(retained(i));
   return out;
 }
 
@@ -95,8 +93,8 @@ std::string Tracer::event_json(const TraceEvent& ev) {
 
 std::string Tracer::to_jsonl() const {
   std::string out;
-  for (const TraceEvent& ev : events()) {
-    out += event_json(ev);
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    out += event_json(retained(i));
     out += "\n";
   }
   return out;
@@ -108,7 +106,8 @@ bool Tracer::export_jsonl(const std::string& path) const {
     DLT_LOG_WARN("cannot write trace %s", path.c_str());
     return false;
   }
-  out << to_jsonl();
+  for (std::size_t i = 0; i < ring_.size(); ++i)
+    out << event_json(retained(i)) << '\n';
   return out.good();
 }
 
@@ -129,9 +128,8 @@ support::JsonObject Tracer::summary_json() const {
   o.put_raw("by_type", types.to_string());
 
   if (!ring_.empty()) {
-    const std::vector<TraceEvent> evs = events();
-    o.put("first_time", evs.front().time);
-    o.put("last_time", evs.back().time);
+    o.put("first_time", retained(0).time);
+    o.put("last_time", retained(ring_.size() - 1).time);
   }
   return o;
 }

@@ -107,7 +107,8 @@ class Tracer {
   ///   {"t":12.5,"ev":"reorg_applied","node":3,"depth":2,"height":40}
   static std::string event_json(const TraceEvent& ev);
   std::string to_jsonl() const;
-  /// Writes to_jsonl() to `path`; false (after logging) on failure.
+  /// Writes to_jsonl() to `path` line by line, straight from the ring;
+  /// false (after logging) on failure.
   bool export_jsonl(const std::string& path) const;
 
   /// {"enabled":...,"recorded":...,"dropped":...,"retained":...,
@@ -116,6 +117,12 @@ class Tracer {
   support::JsonObject summary_json() const;
 
  private:
+  /// The i-th retained event, oldest first; head_ is the oldest slot once
+  /// the ring has wrapped and 0 before.
+  const TraceEvent& retained(std::size_t i) const {
+    return ring_[(head_ + i) % ring_.size()];
+  }
+
   bool enabled_ = false;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;  // oldest element once the ring has wrapped

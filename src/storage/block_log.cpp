@@ -1,14 +1,10 @@
 #include "storage/block_log.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cassert>
 #include <charconv>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
-
-#include "support/log.hpp"
 
 namespace dlt::storage {
 
@@ -21,20 +17,18 @@ constexpr std::uint64_t kSegmentMagic = 0x44'4C'54'4C'4F'47'30'31ULL;  // DLTLOG
 
 BlockLog::BlockLog(const StorageConfig& config, std::string dir,
                    bool truncate)
-    : mode_(config.mode),
+    : disk_(config.mode == StorageMode::kDisk),
       dir_(std::move(dir)),
       segment_bytes_(config.segment_bytes) {
-  if (mode_ == StorageMode::kDisk) {
+  if (disk_) {
     assert(!dir_.empty());
     std::filesystem::create_directories(dir_);
   }
-  if (truncate || mode_ == StorageMode::kMemory)
+  if (truncate || !disk_)
     open_fresh();
   else
     recover();
 }
-
-BlockLog::~BlockLog() { close_segments(); }
 
 std::string BlockLog::segment_path(std::uint32_t index) const {
   char name[32];
@@ -43,12 +37,12 @@ std::string BlockLog::segment_path(std::uint32_t index) const {
 }
 
 void BlockLog::open_fresh() {
-  if (mode_ == StorageMode::kDisk) remove_segment_files(0);
+  files_.clear();
+  if (disk_) remove_segment_files(0);
   segments_.clear();
   catalog_.clear();
   next_seq_ = 0;
   physical_bytes_ = 0;
-  live_bytes_ = 0;
   new_segment();
 }
 
@@ -72,88 +66,55 @@ std::uint64_t BlockLog::remove_segment_files(std::uint32_t first) {
 }
 
 void BlockLog::new_segment() {
-  Segment seg;
-  if (mode_ == StorageMode::kMemory) {
-    seg.data.resize(kFileHeaderBytes);
-    encode_file_header(seg.data.data(), kSegmentMagic);
-  } else {
-    const std::string path =
-        segment_path(static_cast<std::uint32_t>(segments_.size()));
-    seg.file = std::fopen(path.c_str(), "wb+");
-    if (!seg.file) {
-      DLT_LOG_ERROR("storage: cannot create %s", path.c_str());
-      std::abort();
-    }
-    Byte header[kFileHeaderBytes];
-    encode_file_header(header, kSegmentMagic);
-    std::fwrite(header, 1, sizeof(header), seg.file);
-  }
-  segments_.push_back(std::move(seg));
+  if (disk_)
+    files_.emplace_back(
+        segment_path(static_cast<std::uint32_t>(segments_.size())),
+        kSegmentMagic, kFrameMagic);
+  segments_.push_back(kFileHeaderBytes);
   physical_bytes_ += kFileHeaderBytes;
 }
 
-void BlockLog::rotate_if_needed(std::size_t frame_bytes) {
+BlockLog::Entry BlockLog::place(std::size_t payload_len) {
   // Rotation is pure arithmetic on appended bytes: a frame that would push
   // a non-header-only segment past segment_bytes starts the next one.
   // Oversized frames land alone in their own segment.
-  const Segment& cur = segments_.back();
-  if (cur.bytes > kFileHeaderBytes &&
-      cur.bytes + frame_bytes > segment_bytes_)
+  const std::uint64_t frame_bytes = frame_size(payload_len);
+  if (segments_.back() > kFileHeaderBytes &&
+      segments_.back() + frame_bytes > segment_bytes_)
     new_segment();
+  const Entry at{static_cast<std::uint32_t>(segments_.size() - 1),
+                 segments_.back(), static_cast<std::uint32_t>(payload_len),
+                 0};
+  segments_.back() += frame_bytes;
+  physical_bytes_ += frame_bytes;
+  return at;
 }
 
-void BlockLog::append_frame(RecordType type, const Hash256& key,
-                            ByteView payload) {
-  const std::size_t frame_bytes = frame_size(payload.size());
-  rotate_if_needed(frame_bytes);
-  Segment& seg = segments_.back();
+void BlockLog::add(RecordType type, const Hash256& key,
+                   std::size_t payload_len) {
+  Entry e = place(payload_len);
+  e.seq = next_seq_++;
+  catalog_[CatalogKey{type, key}] = e;
+}
 
-  Byte head[kFrameOverhead];
-  encode_frame_head(head, kFrameMagic, static_cast<std::uint8_t>(type), key,
-                    payload);
-
-  if (mode_ == StorageMode::kMemory) {
-    seg.data.insert(seg.data.end(), head, head + sizeof(head));
-    seg.data.insert(seg.data.end(), payload.begin(), payload.end());
-  } else {
-    // The stream stays at the end of the file: read_at reads with pread
-    // and recover() seeks to the end once, so no per-append seek (which
-    // would flush the stdio buffer, one write(2) per record).
-    std::fwrite(head, 1, sizeof(head), seg.file);
-    if (!payload.empty())
-      std::fwrite(payload.data(), 1, payload.size(), seg.file);
-    seg.dirty = true;
-  }
-  seg.bytes += frame_bytes;
-  physical_bytes_ += frame_bytes;
+void BlockLog::write(RecordType type, const Hash256& key, ByteView payload) {
+  if (disk_)
+    files_.back().append(static_cast<std::uint8_t>(type), key, payload);
 }
 
 void BlockLog::append(RecordType type, const Hash256& key, ByteView payload) {
   assert(type != RecordType::kTombstone);
-  const CatalogKey ck{type, key};
-  const std::size_t frame_bytes = frame_size(payload.size());
-
-  // Record where this frame will start *after* any rotation.
-  rotate_if_needed(frame_bytes);
-  const std::uint32_t segment =
-      static_cast<std::uint32_t>(segments_.size() - 1);
-  const std::uint64_t offset = segments_.back().bytes;
-  append_frame(type, key, payload);
-
-  auto [it, inserted] = catalog_.try_emplace(ck);
-  if (!inserted) live_bytes_ -= frame_size(it->second.payload_len);
-  it->second = Entry{segment, offset,
-                     static_cast<std::uint32_t>(payload.size()), next_seq_++};
-  live_bytes_ += frame_bytes;
+  add(type, key, payload.size());
+  write(type, key, payload);
 }
 
 bool BlockLog::erase(RecordType type, const Hash256& key) {
   const auto it = catalog_.find(CatalogKey{type, key});
   if (it == catalog_.end()) return false;
-  live_bytes_ -= frame_size(it->second.payload_len);
   catalog_.erase(it);
   const Byte target = static_cast<Byte>(type);
-  append_frame(RecordType::kTombstone, key, ByteView{&target, 1});
+  place(sizeof(target));
+  write(RecordType::kTombstone, key, ByteView{&target, 1});
   return true;
 }
 
@@ -162,27 +123,11 @@ bool BlockLog::contains(RecordType type, const Hash256& key) const {
 }
 
 Bytes BlockLog::read_at(const Entry& e) const {
-  const Segment& seg = segments_[e.segment];
-  Bytes out(e.payload_len);
-  const std::uint64_t payload_offset = e.offset + kFrameOverhead;
-  if (mode_ == StorageMode::kMemory) {
-    std::memcpy(out.data(), seg.data.data() + payload_offset, e.payload_len);
-  } else {
-    // Flush pending appends so the fd sees them; pread leaves the stream
-    // position at the end.
-    std::fflush(seg.file);
-    if (::pread(::fileno(seg.file), out.data(), e.payload_len,
-                static_cast<off_t>(payload_offset)) !=
-        static_cast<ssize_t>(e.payload_len)) {
-      DLT_LOG_ERROR("storage: short read from %s",
-                    segment_path(e.segment).c_str());
-      std::abort();
-    }
-  }
-  return out;
+  return files_[e.segment].read(e.offset + kFrameOverhead, e.payload_len);
 }
 
 std::optional<Bytes> BlockLog::read(RecordType type, const Hash256& key) const {
+  if (!disk_) return std::nullopt;
   const auto it = catalog_.find(CatalogKey{type, key});
   if (it == catalog_.end()) return std::nullopt;
   return read_at(it->second);
@@ -190,6 +135,7 @@ std::optional<Bytes> BlockLog::read(RecordType type, const Hash256& key) const {
 
 void BlockLog::for_each(const std::function<void(RecordType, const Hash256&,
                                                  ByteView)>& fn) const {
+  if (!disk_) return;
   std::vector<const std::pair<const CatalogKey, Entry>*> live;
   live.reserve(catalog_.size());
   for (const auto& kv : catalog_) live.push_back(&kv);
@@ -206,104 +152,55 @@ std::uint64_t BlockLog::compact() {
   const std::uint64_t before = physical_bytes_;
 
   // Snapshot the live set in append-sequence order (deterministic), then
-  // rebuild fresh segments from it.
-  struct Live {
-    RecordType type;
-    Hash256 key;
-    Bytes payload;
-    std::uint64_t seq;
-  };
-  std::vector<Live> live;
-  live.reserve(catalog_.size());
-  for (const auto& [ck, e] : catalog_)
-    live.push_back(Live{ck.type, ck.key, read_at(e), e.seq});
-  std::sort(live.begin(), live.end(),
-            [](const Live& a, const Live& b) { return a.seq < b.seq; });
+  // rebuild fresh segments from it. Only disk mode has payloads to copy;
+  // the record lengths alone drive the same arithmetic in memory mode.
+  std::vector<std::pair<CatalogKey, Entry>> live(catalog_.begin(),
+                                                 catalog_.end());
+  std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
+    return a.second.seq < b.second.seq;
+  });
+  std::vector<Bytes> payloads;
+  if (disk_) {
+    payloads.reserve(live.size());
+    for (const auto& [ck, e] : live) payloads.push_back(read_at(e));
+  }
 
-  close_segments();
   open_fresh();
-  for (const Live& rec : live) append(rec.type, rec.key, rec.payload);
-
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const CatalogKey& ck = live[i].first;
+    add(ck.type, ck.key, live[i].second.payload_len);
+    if (disk_) write(ck.type, ck.key, payloads[i]);
+  }
   return before - physical_bytes_;
 }
 
 void BlockLog::sync() {
-  for (Segment& seg : segments_) {
-    if (!seg.dirty || !seg.file) continue;
-    std::fflush(seg.file);
-    ::fsync(::fileno(seg.file));
-    seg.dirty = false;
-  }
-}
-
-void BlockLog::close_segments() {
-  for (Segment& seg : segments_) {
-    if (seg.file) {
-      std::fclose(seg.file);
-      seg.file = nullptr;
-    }
-  }
+  for (FrameFile& file : files_) file.sync();
 }
 
 void BlockLog::recover() {
-  segments_.clear();
-  catalog_.clear();
-  next_seq_ = 0;
-  physical_bytes_ = 0;
-  live_bytes_ = 0;
-  recovered_records_ = 0;
-  truncated_tail_bytes_ = 0;
-
   for (std::uint32_t index = 0;; ++index) {
-    const std::string path = segment_path(index);
-    std::FILE* file = std::fopen(path.c_str(), "rb+");
-    if (!file) break;
-    const Bytes data = read_file(file);
-
-    Segment seg;
-    seg.file = file;
-    std::uint64_t used = kFileHeaderBytes;
-    const bool header_ok = has_file_header(data, kSegmentMagic);
-    if (!header_ok) {
-      // A segment whose header never made it to disk holds nothing
-      // recoverable; rewrite the header and keep it as the tail.
-      std::fseek(file, 0, SEEK_SET);
-      Byte header[kFileHeaderBytes];
-      encode_file_header(header, kSegmentMagic);
-      std::fwrite(header, 1, sizeof(header), file);
-    } else {
-      while (const auto frame = read_frame(data, used, kFrameMagic)) {
-        const auto type = static_cast<RecordType>(frame->tag);
-        if (type == RecordType::kTombstone) {
-          if (frame->payload.size() == 1)
+    auto file = FrameFile::reopen(
+        segment_path(index), kSegmentMagic, kFrameMagic,
+        [&](const Frame& frame, std::uint64_t offset) {
+          const auto type = static_cast<RecordType>(frame.tag);
+          if (type != RecordType::kTombstone) {
+            catalog_[CatalogKey{type, frame.key}] =
+                Entry{index, offset,
+                      static_cast<std::uint32_t>(frame.payload.size()),
+                      next_seq_++};
+          } else if (frame.payload.size() == 1) {
             catalog_.erase(CatalogKey{
-                static_cast<RecordType>(frame->payload[0]), frame->key});
-        } else {
-          catalog_[CatalogKey{type, frame->key}] =
-              Entry{index, used,
-                    static_cast<std::uint32_t>(frame->payload.size()),
-                    next_seq_++};
-        }
-        used += frame_size(frame->payload.size());
-      }
-    }
-
+                static_cast<RecordType>(frame.payload[0]), frame.key});
+          }
+        });
+    if (!file) break;
+    truncated_tail_bytes_ += file->cut_bytes();
+    segments_.push_back(file->size());
+    physical_bytes_ += file->size();
+    files_.push_back(std::move(*file));
     // A torn header or frame (partial append, bit rot) ends the log here.
-    const bool torn = !header_ok || used != data.size();
-    if (torn) {
-      if (data.size() > used) truncated_tail_bytes_ += data.size() - used;
-      std::fflush(file);
-      // Drop the torn tail so future appends start from a clean frame
-      // boundary.
-      std::error_code ec;
-      std::filesystem::resize_file(path, used, ec);
-    }
-    // Appends resume at the end of what was kept.
-    std::fseek(file, 0, SEEK_END);
-    seg.bytes = used;
-    physical_bytes_ += used;
-    segments_.push_back(std::move(seg));
-    if (torn) break;
+    if (files_.back().torn()) break;
   }
   // Segments after a torn one, or after a gap in the numbering, are
   // unreachable: delete them so the files match physical_bytes() and a
@@ -311,15 +208,10 @@ void BlockLog::recover() {
   truncated_tail_bytes_ +=
       remove_segment_files(static_cast<std::uint32_t>(segments_.size()));
 
-  if (segments_.empty()) {
+  if (segments_.empty())
     open_fresh();
-    return;
-  }
-
-  // Live bytes + seq renumbering: walk the catalog once.
-  for (const auto& [ck, e] : catalog_)
-    live_bytes_ += frame_size(e.payload_len);
-  recovered_records_ = catalog_.size();
+  else
+    recovered_records_ = catalog_.size();
 }
 
 }  // namespace dlt::storage

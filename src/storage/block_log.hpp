@@ -8,14 +8,17 @@
 // live set to reclaim the difference, which is exactly how the paper's
 // pruning disciplines (§V) are realised on disk.
 //
-// Segments are files in the storage/frame.hpp format (the frame tag is the
-// RecordType) and rotate once their appended bytes pass `segment_bytes`.
+// Segments are seg-NNNNNN.dlog files in the storage/frame.hpp format (the
+// frame tag is the RecordType), one FrameFile each, and rotate once their
+// appended bytes pass `segment_bytes`.
 //
 // Determinism contract: the catalog, rotation points and every byte
 // counter are pure arithmetic over the append sequence, computed
-// identically whether frames land in RAM vectors (kMemory) or in
-// seg-NNNNNN.dlog files (kDisk). Disk I/O happens synchronously on the
-// caller's (sim) thread, so switching modes cannot reorder events.
+// identically in both modes. Memory mode (kMemory) stops there: it keeps
+// no payloads, frame heads or CRCs, so record bytes exist only in disk
+// mode (kDisk), and read(), for_each() and the replay built on them are
+// disk-only. Disk I/O happens synchronously on the caller's (sim) thread,
+// so switching modes cannot reorder events.
 //
 // Reopen (truncate = false, disk mode) scans the segment files in index
 // order, validates magic + CRC frame by frame, truncates the first torn
@@ -26,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
@@ -56,7 +58,6 @@ class BlockLog {
   /// mode). truncate = true starts from an empty log, removing stale
   /// segments; false recovers whatever the directory holds.
   BlockLog(const StorageConfig& config, std::string dir, bool truncate);
-  ~BlockLog();
 
   BlockLog(const BlockLog&) = delete;
   BlockLog& operator=(const BlockLog&) = delete;
@@ -71,17 +72,19 @@ class BlockLog {
 
   bool contains(RecordType type, const Hash256& key) const;
 
-  /// Reads a live record's payload back (RAM vector or pread).
+  /// Disk mode only: reads a live record's payload back with pread.
+  /// nullopt when the record is not live, and always in memory mode.
   std::optional<Bytes> read(RecordType type, const Hash256& key) const;
 
-  /// Visits every live record in append-sequence order — the replay order
-  /// for recovery.
+  /// Disk mode only: visits every live record in append-sequence order —
+  /// the replay order for recovery. Visits nothing in memory mode.
   void for_each(const std::function<void(RecordType, const Hash256&,
                                          ByteView)>& fn) const;
 
   /// Rewrites the live set (in append-sequence order) into fresh
   /// segments, dropping dead frames and tombstones. Returns the physical
-  /// bytes reclaimed.
+  /// bytes reclaimed. Memory mode replays the same rotation and byte
+  /// arithmetic from the catalog's record lengths.
   std::uint64_t compact();
 
   /// Flushes and fsyncs every dirty segment (disk mode; no-op in memory
@@ -92,11 +95,6 @@ class BlockLog {
   /// Total bytes the log occupies: segment headers + every appended frame,
   /// live or dead. In disk mode this equals the summed file sizes.
   std::uint64_t physical_bytes() const { return physical_bytes_; }
-  std::uint64_t live_bytes() const { return live_bytes_; }
-  std::uint64_t dead_bytes() const {
-    return physical_bytes_ - live_bytes_ -
-           kFileHeaderBytes * segments_.size();
-  }
   std::size_t segment_count() const { return segments_.size(); }
   std::size_t live_records() const { return catalog_.size(); }
 
@@ -124,33 +122,33 @@ class BlockLog {
     std::uint32_t payload_len;
     std::uint64_t seq;  // append sequence, for deterministic iteration
   };
-  struct Segment {
-    std::uint64_t bytes = kFileHeaderBytes;  // header + appended frames
-    Bytes data;          // memory mode: the full segment image
-    std::FILE* file = nullptr;  // disk mode
-    bool dirty = false;
-  };
 
   void open_fresh();
   void recover();
-  void rotate_if_needed(std::size_t frame_bytes);
   void new_segment();
-  void append_frame(RecordType type, const Hash256& key, ByteView payload);
+  /// Places a frame with a `payload_len`-byte payload at the end of the
+  /// log, rotating first when needed, and returns where it starts.
+  Entry place(std::size_t payload_len);
+  /// Upserts (type, key) at a freshly placed frame.
+  void add(RecordType type, const Hash256& key, std::size_t payload_len);
+  /// Disk mode: writes the frame just placed into the last segment.
+  void write(RecordType type, const Hash256& key, ByteView payload);
   Bytes read_at(const Entry& e) const;
-  void close_segments();
   /// Deletes every seg-NNNNNN.dlog with NNNNNN >= `first`; returns the
   /// bytes they held.
   std::uint64_t remove_segment_files(std::uint32_t first);
   std::string segment_path(std::uint32_t index) const;
 
-  StorageMode mode_;
+  bool disk_;
   std::string dir_;
   std::size_t segment_bytes_;
-  std::vector<Segment> segments_;
+  /// Per segment: header + appended frames. The byte count is all a
+  /// segment is in memory mode.
+  std::vector<std::uint64_t> segments_;
+  std::vector<FrameFile> files_;  // disk mode: one per segment
   std::unordered_map<CatalogKey, Entry, CatalogKeyHash> catalog_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t physical_bytes_ = 0;
-  std::uint64_t live_bytes_ = 0;
   std::size_t recovered_records_ = 0;
   std::uint64_t truncated_tail_bytes_ = 0;
 };

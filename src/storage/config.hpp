@@ -1,18 +1,18 @@
 // Storage-layer configuration shared by every ledger and cluster driver.
 //
 // Two modes behind one switch:
-//   kMemory — the log lives in RAM and the state arena keeps only its
-//             byte count and live keys (the historical behaviour;
-//             nothing touches the filesystem).
-//   kDisk   — the same data structures write through to an append-only
-//             segmented log plus an append-only state arena under
-//             `path/<instance>/`.
+//   kMemory — the log keeps its catalog and the state arena its live keys,
+//             both with their byte counts, but no record bytes: nothing
+//             touches the filesystem and nothing can be read back.
+//   kDisk   — the same data structures also write every frame to an
+//             append-only segmented log plus an append-only state arena
+//             under `path/<instance>/`, which reads and replay use.
 //
 // The determinism contract (DESIGN.md "Storage determinism contract")
 // requires that every byte-accounting figure the simulation can observe —
-// frame sizes, segment rotation points, physical/live/dead byte gauges —
-// is computed by identical arithmetic in both modes, so switching modes
-// can never shift a trace or a RunMetrics value.
+// frame sizes, segment rotation points, the physical byte gauges — is
+// computed by identical arithmetic in both modes, so switching modes can
+// never shift a trace or a RunMetrics value.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +43,7 @@ struct StorageConfig {
 
 /// Applies the `DLT_STORAGE` environment override used by benches and the
 /// determinism gate, logging the resolved config when present:
-///   DLT_STORAGE=memory          — in-RAM backends (the default)
+///   DLT_STORAGE=memory          — byte counts only (the default)
 ///   DLT_STORAGE=disk            — disk backends under ./dlt-storage
 ///   DLT_STORAGE=disk:/some/dir  — disk backends under /some/dir
 /// Unset or invalid values leave `config` untouched.

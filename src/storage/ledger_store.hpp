@@ -10,7 +10,8 @@
 //   storage.segments     — log segment count
 //   storage.pruned_bytes — cumulative bytes reclaimed by pruning
 // with identical values in memory and disk mode (the determinism
-// contract: all accounting is mode-independent arithmetic).
+// contract: all accounting is mode-independent arithmetic). Only disk
+// mode keeps record bytes, so reading the log back is disk-only.
 #pragma once
 
 #include <cstdint>

@@ -5,18 +5,19 @@
 // here; nothing reads it back. So the backend keeps only the set of live
 // keys and the arena's byte count. Memory mode stops there; disk mode also
 // appends the frames to `state.arena` (storage/frame.hpp format; tag 0 =
-// put, 1 = erase marker) through buffered stdio, so the file equals
+// put, 1 = erase marker) through one FrameFile, so the file equals
 // physical_bytes() whenever it is flushed. An upsert appends a fresh frame
 // and the old one becomes dead weight. Reopen rescans the frames, rebuilds
 // the key set and truncates the first torn frame and everything after it.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
+#include <optional>
 #include <string>
 #include <unordered_set>
 
 #include "storage/config.hpp"
+#include "storage/frame.hpp"
 #include "support/bytes.hpp"
 
 namespace dlt::storage {
@@ -27,7 +28,6 @@ class StateBackend {
   /// truncate = true starts an empty arena; false recovers the file.
   StateBackend(const StorageConfig& config, const std::string& dir,
                bool truncate);
-  ~StateBackend();
 
   StateBackend(const StateBackend&) = delete;
   StateBackend& operator=(const StateBackend&) = delete;
@@ -43,14 +43,11 @@ class StateBackend {
   void sync();
 
  private:
-  void start_fresh();
-  void recover();
   void append_frame(std::uint8_t tag, const Hash256& key, ByteView payload);
 
-  std::string path_;
-  std::FILE* file_ = nullptr;  // disk mode only
+  std::optional<FrameFile> file_;  // disk mode only
   std::unordered_set<Hash256> live_;
-  std::uint64_t physical_ = 0;
+  std::uint64_t physical_ = kFileHeaderBytes;
 };
 
 }  // namespace dlt::storage

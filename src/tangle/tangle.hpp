@@ -179,7 +179,8 @@ class Tangle {
 
   /// Recovery: decodes every kSite record in append order and re-offers it
   /// to attach(). Append order is admission order, so parents always
-  /// precede children. Returns transactions accepted.
+  /// precede children. Returns transactions accepted. Disk mode only: a
+  /// memory-mode log keeps no record bytes, so this returns 0.
   std::size_t replay_from_store();
 
   /// §V-B head-only pruning as a log-catalog operation: erases the kSite

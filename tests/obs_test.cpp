@@ -3,8 +3,13 @@
 // seeds give byte-identical traces, and tracing on/off never changes a
 // RunMetrics value.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -271,6 +276,28 @@ TEST(Tracer, SummaryJsonCountsByType) {
   EXPECT_NE(summary.find("\"recorded\":6"), std::string::npos);
   EXPECT_NE(summary.find("\"dropped\":2"), std::string::npos);
   EXPECT_NE(summary.find("\"vote_cast\":6"), std::string::npos);
+}
+
+// A wrapped ring is read in place: the summary's time span comes from its
+// oldest and newest slots, and the export writes the lines of to_jsonl().
+TEST(Tracer, WrappedRingSummaryAndExportReadInPlace) {
+  Tracer tracer;
+  tracer.enable(4);
+  for (std::uint64_t i = 0; i < 10; ++i)
+    tracer.record(static_cast<double>(i), EventType::kTxConfirmed, 1, i, 0);
+  const std::string summary = tracer.summary_json().to_string();
+  EXPECT_NE(summary.find("\"first_time\":6,"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("\"last_time\":9"), std::string::npos) << summary;
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("dlt_obs_wrapped_" + std::to_string(::getpid()) + ".jsonl");
+  ASSERT_TRUE(tracer.export_jsonl(path.string()));
+  std::ifstream in(path);
+  const std::string exported{std::istreambuf_iterator<char>(in), {}};
+  std::filesystem::remove(path);
+  EXPECT_EQ(exported, tracer.to_jsonl());
+  EXPECT_EQ(std::count(exported.begin(), exported.end(), '\n'), 4);
 }
 
 TEST(Tracer, CapacityFromEnv) {

@@ -543,8 +543,9 @@ TEST(StorageRecovery, ChainReplaySkipsHeaderWithUnhashableDoubles) {
   const chain::GenesisSpec genesis = chain::testutil::fund_all(keys, 1'000);
   const crypto::AccountId miner = keys[0].account_id();
   const chain::ChainParams params = chain::testutil::cheap_pow_utxo();
-  auto store =
-      std::make_shared<storage::LedgerStore>(storage::StorageConfig{}, "c");
+  ScratchDir scratch("chain_unhashable");
+  auto store = std::make_shared<storage::LedgerStore>(disk_config(scratch),
+                                                      "c");
   chain::Block last;
   {
     chain::Blockchain chain(params, genesis);
@@ -589,8 +590,9 @@ TEST(StorageRecovery, TangleReplaySkipsSiteWithUnhashableTimestamp) {
   tangle::TangleParams params;
   params.work_bits = 2;
   const crypto::KeyPair issuer = crypto::KeyPair::from_seed(3);
-  auto store =
-      std::make_shared<storage::LedgerStore>(storage::StorageConfig{}, "t");
+  ScratchDir scratch("tangle_unhashable");
+  auto store = std::make_shared<storage::LedgerStore>(disk_config(scratch),
+                                                      "t");
   tangle::TangleTx last;
   std::vector<tangle::TxHash> tips;
   {
@@ -840,6 +842,80 @@ TEST(StorageRecovery, OffloadedBodiesReadBackThroughReadBlock) {
   const auto unknown = chain.read_block(corrupt_key(0));
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.error().code, "not-in-log");
+}
+
+// Memory mode keeps the log's catalog and byte arithmetic but no record
+// bytes, so replay and read_block find nothing there: a memory-mode node
+// catches up from its peers, and replay from its own store is disk-only.
+TEST(StorageRecovery, MemoryModeStoreHasNothingToReplay) {
+  const storage::StorageConfig memory;  // the default mode
+  {
+    const auto keys = chain::testutil::make_keys(1);
+    const chain::GenesisSpec genesis = chain::testutil::fund_all(keys, 1'000);
+    const crypto::AccountId miner = keys[0].account_id();
+    const chain::ChainParams params = chain::testutil::cheap_pow_utxo();
+    auto store = std::make_shared<storage::LedgerStore>(memory, "c");
+    chain::Blockchain chain(params, genesis);
+    chain.attach_store(store);
+    const chain::Block b = chain::testutil::seal_block(
+        chain, chain.tip_hash(),
+        chain::UtxoTxList{
+            chain::UtxoTransaction::coinbase(miner, params.block_reward, 1)},
+        miner);
+    ASSERT_TRUE(chain.submit(b));
+    ASSERT_TRUE(store->log().contains(storage::RecordType::kBody, b.hash()));
+    const auto back = chain.read_block(b.hash());
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.error().code, "not-in-log");
+
+    chain::Blockchain fresh(params, genesis);
+    fresh.attach_store(store);
+    EXPECT_EQ(fresh.replay_from_store(), 0u);
+    EXPECT_EQ(fresh.height(), 0u);
+  }
+  {
+    const lattice::LatticeParams params = lattice::testutil::cheap_params();
+    const crypto::KeyPair genesis_key = crypto::KeyPair::from_seed(1);
+    const crypto::KeyPair alice = crypto::KeyPair::from_seed(0x700);
+    auto store = std::make_shared<storage::LedgerStore>(memory, "lat");
+    lattice::Ledger ledger(params, genesis_key.account_id(),
+                           genesis_key.account_id(), 1'000'000);
+    ledger.attach_store(store);
+    Rng rng(9);
+    lattice::testutil::Builder build{ledger, rng, params.work_bits};
+    ASSERT_TRUE(
+        ledger.process(build.send(genesis_key, alice.account_id(), 10)).ok());
+    ASSERT_EQ(store->log().live_records(), 2u);
+
+    lattice::Ledger fresh(params, genesis_key.account_id(),
+                          genesis_key.account_id(), 1'000'000);
+    fresh.attach_store(store);
+    EXPECT_EQ(fresh.replay_from_store(), 0u);
+  }
+  {
+    tangle::TangleParams params;
+    params.work_bits = 2;
+    const crypto::KeyPair issuer = crypto::KeyPair::from_seed(3);
+    auto store = std::make_shared<storage::LedgerStore>(memory, "tgl");
+    tangle::Tangle ref(params);
+    ref.attach_store(store);
+    Rng rng(6);
+    for (int i = 0; i < 3; ++i) {
+      const tangle::TxHash trunk = ref.select_tip(rng);
+      ASSERT_TRUE(ref.attach(tangle::make_tx(
+                                 ref, issuer, trunk, ref.select_tip(rng),
+                                 crypto::Sha256::digest(as_bytes(
+                                     "mem-" + std::to_string(i))),
+                                 static_cast<double>(i), rng))
+                      .ok());
+    }
+    ASSERT_EQ(store->log().live_records(), 4u);
+
+    tangle::Tangle fresh(params);
+    fresh.attach_store(store);
+    EXPECT_EQ(fresh.replay_from_store(), 0u);
+    EXPECT_EQ(fresh.size(), 1u);
+  }
 }
 
 // ------------------------------------- pruning as log-catalog operations

@@ -1,8 +1,9 @@
 // Storage engine: append-only segmented block log + state arena. Covers
 // catalog semantics (upsert last-wins, tombstones, compaction), the
 // memory/disk accounting parity that underpins the storage determinism
-// contract, reopen persistence, crash recovery from truncated or corrupted
-// tails, and seeded mutation of the on-disk frames.
+// contract, memory mode holding no record bytes, reopen persistence, crash
+// recovery from truncated or corrupted tails, seeded mutation of the
+// on-disk frames, and digests that pin every byte written.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,9 +13,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "mutation_util.hpp"
 #include "storage/block_log.hpp"
 #include "storage/config.hpp"
@@ -22,6 +25,7 @@
 #include "storage/ledger_store.hpp"
 #include "storage/state_backend.hpp"
 #include "support/bytes.hpp"
+#include "support/hex.hpp"
 #include "support/rng.hpp"
 
 namespace dlt::storage {
@@ -94,7 +98,8 @@ TEST(Crc32, KnownVectorAndIncremental) {
 // -------------------------------------------------------- block log
 
 TEST(BlockLog, AppendReadEraseRoundtrip) {
-  BlockLog log(config_for(StorageMode::kMemory), "", true);
+  ScratchDir scratch("roundtrip");
+  BlockLog log(config_for(StorageMode::kDisk), scratch.str(), true);
   const Hash256 a = key_of(1), b = key_of(2);
 
   log.append(RecordType::kHeader, a, payload_of(100, 0xAA));
@@ -117,22 +122,24 @@ TEST(BlockLog, AppendReadEraseRoundtrip) {
 }
 
 TEST(BlockLog, UpsertIsLastWinsAndDeadBytesAccrue) {
-  BlockLog log(config_for(StorageMode::kMemory), "", true);
+  ScratchDir scratch("upsert");
+  BlockLog log(config_for(StorageMode::kDisk), scratch.str(), true);
   const Hash256 a = key_of(3);
 
   log.append(RecordType::kBlock, a, payload_of(64, 0x01));
-  const std::uint64_t live_once = log.live_bytes();
+  EXPECT_EQ(log.physical_bytes(), kFileHeaderBytes + frame_size(64));
   log.append(RecordType::kBlock, a, payload_of(64, 0x02));
 
   EXPECT_EQ(log.live_records(), 1u);
-  EXPECT_EQ(log.live_bytes(), live_once);         // one live frame
-  EXPECT_EQ(log.dead_bytes(), live_once);         // the shadowed frame
+  // One live frame plus the shadowed one, still on disk as dead bytes.
+  EXPECT_EQ(log.physical_bytes(), kFileHeaderBytes + 2 * frame_size(64));
   EXPECT_EQ(*log.read(RecordType::kBlock, a), payload_of(64, 0x02));
 }
 
 TEST(BlockLog, RotationBySegmentBytesAndCompaction) {
   // 1 KiB segments; 200-byte payloads (245-byte frames) → 4 per segment.
-  BlockLog log(config_for(StorageMode::kMemory, 1024), "", true);
+  ScratchDir scratch("rotation");
+  BlockLog log(config_for(StorageMode::kDisk, 1024), scratch.str(), true);
   for (std::uint8_t i = 0; i < 12; ++i)
     log.append(RecordType::kSite, key_of(i), payload_of(200, i));
   EXPECT_EQ(log.segment_count(), 3u);
@@ -151,7 +158,8 @@ TEST(BlockLog, RotationBySegmentBytesAndCompaction) {
 }
 
 TEST(BlockLog, ForEachVisitsLiveRecordsInAppendOrder) {
-  BlockLog log(config_for(StorageMode::kMemory), "", true);
+  ScratchDir scratch("for_each");
+  BlockLog log(config_for(StorageMode::kDisk), scratch.str(), true);
   log.append(RecordType::kBlock, key_of(1), payload_of(8, 1));
   log.append(RecordType::kBlock, key_of(2), payload_of(8, 2));
   log.append(RecordType::kBlock, key_of(3), payload_of(8, 3));
@@ -173,28 +181,59 @@ TEST(BlockLog, MemoryAndDiskAccountingIdentical) {
   BlockLog mem(config_for(StorageMode::kMemory, 2048), "", true);
   BlockLog disk(config_for(StorageMode::kDisk, 2048), scratch.str(), true);
 
-  const auto drive = [](BlockLog& log) {
-    for (std::uint8_t i = 0; i < 20; ++i)
-      log.append(RecordType::kHeader, key_of(i), payload_of(100 + i * 7, i));
-    for (std::uint8_t i = 0; i < 20; i += 3)
-      log.erase(RecordType::kHeader, key_of(i));
-    for (std::uint8_t i = 0; i < 5; ++i)  // upserts
-      log.append(RecordType::kHeader, key_of(i + 1), payload_of(50, 0xEE));
+  // Memory mode keeps no payloads, so its compactions rebuild the same
+  // segments from record lengths alone; every figure must still match.
+  const auto expect_same = [&] {
+    EXPECT_EQ(mem.physical_bytes(), disk.physical_bytes());
+    EXPECT_EQ(mem.segment_count(), disk.segment_count());
+    EXPECT_EQ(mem.live_records(), disk.live_records());
   };
-  drive(mem);
-  drive(disk);
-
-  EXPECT_EQ(mem.physical_bytes(), disk.physical_bytes());
-  EXPECT_EQ(mem.live_bytes(), disk.live_bytes());
-  EXPECT_EQ(mem.dead_bytes(), disk.dead_bytes());
-  EXPECT_EQ(mem.segment_count(), disk.segment_count());
-  EXPECT_EQ(mem.live_records(), disk.live_records());
+  const auto drive = [](BlockLog& log, std::uint8_t base) {
+    std::vector<bool> erased;
+    for (std::uint8_t i = 0; i < 20; ++i)
+      log.append(RecordType::kHeader, key_of(base + i),
+                 payload_of(100 + i * 7, i));
+    for (std::uint8_t i = 0; i < 30; i += 3)  // some were never appended
+      erased.push_back(log.erase(RecordType::kHeader, key_of(base + i)));
+    for (std::uint8_t i = 0; i < 5; ++i)  // upserts, one of an erased key
+      log.append(RecordType::kHeader, key_of(base + i + 2),
+                 payload_of(50, 0xEE));
+    log.append(RecordType::kBody, key_of(base), payload_of(2500, 0xB0));
+    return erased;
+  };
+  EXPECT_EQ(drive(mem, 0), drive(disk, 0));
+  expect_same();
   EXPECT_EQ(mem.compact(), disk.compact());
-  EXPECT_EQ(mem.physical_bytes(), disk.physical_bytes());
+  expect_same();
+  EXPECT_GT(disk.segment_count(), 2u);  // the compaction spans segments
+
+  // A second round on the compacted log, then a second compaction.
+  EXPECT_EQ(drive(mem, 100), drive(disk, 100));
+  expect_same();
+  EXPECT_EQ(mem.compact(), disk.compact());
+  expect_same();
+  EXPECT_EQ(mem.compact(), 0u);  // nothing dead left to reclaim
+  EXPECT_EQ(disk.compact(), 0u);
+  expect_same();
 
   // Disk physical accounting equals real file bytes (after flush).
   disk.sync();
   EXPECT_EQ(disk.physical_bytes(), file_bytes(scratch.path, ".dlog"));
+}
+
+TEST(BlockLog, MemoryModeKeepsNoRecordBytes) {
+  BlockLog log(config_for(StorageMode::kMemory), "", true);
+  log.append(RecordType::kBlock, key_of(1), payload_of(40, 1));
+  log.append(RecordType::kSite, key_of(2), payload_of(8, 2));
+  ASSERT_TRUE(log.contains(RecordType::kBlock, key_of(1)));
+  EXPECT_FALSE(log.read(RecordType::kBlock, key_of(1)).has_value());
+
+  std::size_t visited = 0;
+  log.for_each([&](RecordType, const Hash256&, ByteView) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  // The byte arithmetic is kept all the same.
+  EXPECT_EQ(log.physical_bytes(),
+            kFileHeaderBytes + frame_size(40) + frame_size(8));
 }
 
 TEST(BlockLog, ReopenRecoversCatalogAndTombstones) {
@@ -521,6 +560,73 @@ TEST(StorageFrames, SeededMutationRecoversAStablePrefix) {
     EXPECT_EQ(log_bytes[0], log_bytes[1]);
     EXPECT_EQ(arena_bytes[0], arena_bytes[1]);
   }
+}
+
+// --------------------------------------------------- on-disk format
+
+/// SHA-256 (hex) of every file under `dir`, keyed by its relative path.
+std::map<std::string, std::string> file_digests(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir))
+    if (e.is_regular_file())
+      out[std::filesystem::relative(e.path(), dir).string()] =
+          to_hex(crypto::Sha256::digest(read_bytes(e.path())));
+  return out;
+}
+
+// Pins every byte the storage layer writes: a fixed sequence through a
+// disk LedgerStore must leave files with these SHA-256 digests. It crosses
+// 1 KiB segment rotations, an upsert, tombstones and a compaction in the
+// log, an upsert and erase markers in the arena, and a reopen that
+// appends to both.
+TEST(StorageFormat, DiskFilesMatchPinnedDigests) {
+  ScratchDir scratch("format");
+  StorageConfig config = config_for(StorageMode::kDisk, 1024);
+  config.path = scratch.str();
+  {
+    LedgerStore store(config, "pin");
+    BlockLog& log = store.log();
+    for (std::uint8_t i = 0; i < 12; ++i)
+      log.append(RecordType::kSite, key_of(i), payload_of(150 + i * 9, i));
+    log.append(RecordType::kSite, key_of(3), payload_of(40, 0x33));
+    log.append(RecordType::kHeader, key_of(3), payload_of(70, 0x3A));
+    for (std::uint8_t i = 0; i < 12; i += 4)
+      EXPECT_TRUE(log.erase(RecordType::kSite, key_of(i)));
+    EXPECT_EQ(log.segment_count(), 4u);
+    EXPECT_GT(log.compact(), 0u);
+    log.append(RecordType::kBody, key_of(20), payload_of(300, 0x20));
+    EXPECT_TRUE(log.erase(RecordType::kSite, key_of(5)));
+    EXPECT_EQ(log.segment_count(), 3u);
+
+    StateBackend& state = store.state();
+    for (std::uint8_t i = 0; i < 6; ++i)
+      state.put(key_of(i), payload_of(24 + i * 5, i));
+    state.put(key_of(2), payload_of(10, 0x22));
+    EXPECT_TRUE(state.erase(key_of(1)));
+    EXPECT_TRUE(state.erase(key_of(4)));
+    store.commit();
+  }
+  {
+    LedgerStore store(config, "pin", false);
+    EXPECT_EQ(store.log().truncated_tail_bytes(), 0u);
+    EXPECT_EQ(store.log().live_records(), 10u);
+    store.log().append(RecordType::kBlock, key_of(50), payload_of(90, 0x50));
+    store.state().put(key_of(50), payload_of(16, 0x50));
+  }
+  const std::map<std::string, std::string> want = {
+      {"seg-000000.dlog",
+       "4b7d9dc910c765f7acc20ef42bae559eb33562a7a225c6c8599b6116bd126f5c"},
+      {"seg-000001.dlog",
+       "81fc4ac2e1ab4048d8acfdbc591acd49b3ed94ea8075b4061f9662dff4753b29"},
+      {"seg-000002.dlog",
+       "021de367d0c3b2cc970f352ce89049f826371b2fc40d2db0b1d420be95e2e779"},
+      {"seg-000003.dlog",
+       "5fbcf2fe350f5dfe80237180cb26bc7e4f8b8313a63b4fb0bcde9b079ac26f76"},
+      {"state.arena",
+       "1ec5554b945bf77473cb04b23b1bdbf279425d9a6e3f7e892070c78b66628423"},
+  };
+  EXPECT_EQ(file_digests(scratch.path / "pin"), want);
 }
 
 // ------------------------------------------------------ ledger store

@@ -46,10 +46,12 @@
 # --storage runs bench_ledger_size (E19) in both DLT_STORAGE modes and
 # gates on: the bench's own exit status (every §V-A pruning discipline
 # shrinks its log, the on-disk bytes match the storage.* gauges, and the
-# overbudget ledger outgrows its RAM budget), memory-vs-disk equality of
-# the exported report (the storage determinism contract), and the §V
-# size ordering on real bytes: UTXO archival > account state-pruned >
-# lattice head-only.
+# overbudget ledger outgrows its RAM budget), the SHA-256 of every log
+# segment and state arena the disk run writes against
+# tools/golden/storage.sha256 (the on-disk format moved no byte),
+# memory-vs-disk equality of the exported report (the storage determinism
+# contract), and the §V size ordering on real bytes: UTXO archival >
+# account state-pruned > lattice head-only.
 # --traffic runs bench_openloop (E20) and re-derives its gates from the
 # exported JSON: admission.* reconciles exactly on every sweep row, the
 # top point per ledger is past saturation (offered > achieved) with
@@ -187,6 +189,12 @@ if [[ "$STORAGE" == "1" ]]; then
       exit 1
     }
   done
+  echo "=== [storage] disk files vs tools/golden/storage.sha256 ==="
+  (cd "$stodir/disk" &&
+   sha256sum --quiet -c "$OLDPWD/tools/golden/storage.sha256") || {
+    echo "FAIL: disk-mode files differ from tools/golden/storage.sha256" >&2
+    exit 1
+  }
   echo "=== [storage] memory-vs-disk report equality (determinism contract) ==="
   python3 tools/bench_diff.py --exact --quiet \
     "$stodir/memory/BENCH_ledger_size.json" \
