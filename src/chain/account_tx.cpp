@@ -1,7 +1,6 @@
 #include "chain/account_tx.hpp"
 
 #include "crypto/hash.hpp"
-#include "support/serialize.hpp"
 
 namespace dlt::chain {
 namespace {
@@ -30,9 +29,13 @@ std::uint64_t AccountTransaction::intrinsic_gas(const GasSchedule& gs) const {
   return gas;
 }
 
+void AccountTransaction::write(Writer& w) const {
+  write_core(w, *this, /*with_sig=*/true);
+}
+
 Bytes AccountTransaction::serialize() const {
   Writer w;
-  write_core(w, *this, /*with_sig=*/true);
+  write(w);
   return std::move(w).take();
 }
 

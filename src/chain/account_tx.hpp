@@ -12,6 +12,7 @@
 #include "crypto/keys.hpp"
 #include "crypto/sigcache.hpp"
 #include "support/bytes.hpp"
+#include "support/serialize.hpp"
 
 namespace dlt::chain {
 
@@ -49,6 +50,9 @@ class AccountTransaction {
 
   Amount max_fee() const { return gas_limit * gas_price; }
 
+  /// Canonical serialization with the signature (the id's preimage). The
+  /// block log's body records store the same bytes (chain/codec.hpp).
+  void write(Writer& w) const;
   Bytes serialize() const;
   std::size_t serialized_size() const;
 

@@ -1,5 +1,8 @@
 #include "chain/block.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "crypto/hash.hpp"
 #include "support/serialize.hpp"
 
@@ -46,6 +49,20 @@ bool meets_target(const Hash256& digest, double difficulty) {
   // target = 2^64 / difficulty; success prob per try = 1/difficulty.
   const double target = 18446744073709551616.0 /* 2^64 */ / difficulty;
   return static_cast<double>(crypto::hash_prefix_u64(digest)) < target;
+}
+
+Status check_header(const ChainParams& params, const BlockHeader& header,
+                    const BlockHeader& parent, double expected_difficulty) {
+  if (header.height != parent.height + 1) return make_error("bad-height");
+  if (header.timestamp + 1e-9 < parent.timestamp)
+    return make_error("timestamp-regression");
+  if (std::abs(header.difficulty - expected_difficulty) >
+      1e-9 * std::max(1.0, expected_difficulty))
+    return make_error("bad-difficulty");
+  if (params.verify_pow && params.consensus == ConsensusKind::kProofOfWork &&
+      !meets_target(header.pow_digest(), header.difficulty))
+    return make_error("bad-pow", "hash does not meet target");
+  return Status::success();
 }
 
 std::size_t Block::tx_count() const {

@@ -17,6 +17,7 @@
 #include "crypto/hashcash.hpp"
 #include "crypto/merkle.hpp"
 #include "support/bytes.hpp"
+#include "support/result.hpp"
 
 namespace dlt::chain {
 
@@ -68,6 +69,13 @@ struct BlockHeader {
 /// tries. This is partial hash inversion with a fractional target, matching
 /// Bitcoin's 256-bit target semantics at simulation precision.
 bool meets_target(const Hash256& digest, double difficulty);
+
+/// The header rules a full node and an SPV client both apply to a header
+/// extending `parent` (paper §II-A): the next height, no timestamp
+/// regression, the scheduled difficulty (`expected_difficulty`, to within
+/// 1e-9 relative) and, under PoW with params.verify_pow, the proof of work.
+Status check_header(const ChainParams& params, const BlockHeader& header,
+                    const BlockHeader& parent, double expected_difficulty);
 
 /// Body payload: one of the two transaction models.
 using UtxoTxList = std::vector<UtxoTransaction>;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <deque>
 #include <map>
 #include <unordered_set>
@@ -34,14 +33,6 @@ Bytes encode_txout(const TxOut& out) {
   w.u64(out.value);
   w.fixed(out.owner);
   return std::move(w).take();
-}
-
-/// Trie keys come back as nibble sequences; fold them into the AccountId.
-crypto::AccountId nibbles_to_account(const crypto::Nibbles& nibbles) {
-  crypto::AccountId id;
-  for (std::size_t i = 0; i + 1 < nibbles.size() && i / 2 < 32; i += 2)
-    id[i / 2] = static_cast<Byte>((nibbles[i] << 4) | nibbles[i + 1]);
-  return id;
 }
 
 /// Accounts a connected account-model block touches, in deterministic
@@ -98,10 +89,8 @@ Blockchain::Blockchain(ChainParams params, GenesisSpec genesis)
   rec.total_work = block_work(g.header.difficulty);
 
   if (params_.tx_model == TxModel::kUtxo) {
-    for (const auto& tx : rec.block.utxo_txs()) {
-      tx_index_[tx.id()] = gh;
+    for (const auto& tx : rec.block.utxo_txs())
       rec.undo.txs.push_back(utxo_.apply_transaction(tx));
-    }
   } else {
     WorldState state;
     for (const auto& [account, amount] : genesis.allocations)
@@ -130,11 +119,6 @@ const Block* Blockchain::find(const BlockHash& hash) const {
   return rec ? &rec->block : nullptr;
 }
 
-bool Blockchain::body_pruned(const BlockHash& hash) const {
-  const Record* rec = find_record(hash);
-  return rec != nullptr && rec->body_pruned;
-}
-
 const Block* Blockchain::at_height(std::uint32_t h) const {
   if (h >= active_.size()) return nullptr;
   return find(active_[h]);
@@ -152,55 +136,37 @@ double Blockchain::total_work() const {
 }
 
 std::uint32_t Blockchain::confirmations(const TxId& txid) const {
-  auto h = tx_height(txid);
-  if (!h) return 0;
-  return height() - *h + 1;
+  for (std::uint32_t h = height() + 1; h-- > 0;) {
+    const std::vector<Hash256> ids = at_height(h)->tx_ids();
+    if (std::find(ids.begin(), ids.end(), txid) != ids.end())
+      return height() - h + 1;
+  }
+  return 0;
 }
 
-std::optional<std::uint32_t> Blockchain::tx_height(const TxId& txid) const {
-  auto it = tx_index_.find(txid);
-  if (it == tx_index_.end()) return std::nullopt;
-  const Record* rec = find_record(it->second);
-  if (!rec) return std::nullopt;
-  const std::uint32_t h = rec->block.header.height;
-  if (h >= active_.size() || active_[h] != it->second) return std::nullopt;
-  return h;
+Result<Block> Blockchain::full_block(const BlockHash& hash) const {
+  const Record* rec = find_record(hash);
+  if (!rec) return make_error("unknown-block");
+  if (rec->body_pruned)
+    return make_error("pruned", "block body no longer stored (§V-A)");
+  if (rec->offloaded_body_bytes) return read_block(hash);
+  return rec->block;
 }
 
 double Blockchain::next_difficulty(const BlockHash& parent_hash) const {
   const Record* parent = find_record(parent_hash);
   assert(parent && "next_difficulty of unknown parent");
-  if (params_.consensus == ConsensusKind::kProofOfStake) return 1.0;
-
-  const std::uint32_t h_next = parent->block.header.height + 1;
-  const std::uint32_t window = params_.retarget_window;
-  if (window == 0 || h_next % window != 0)
-    return parent->block.header.difficulty;
-
-  std::uint32_t anc_height;
-  std::uint32_t intervals;
-  if (window == 1) {
-    // Per-block adjustment (Ethereum-style): last observed interval.
-    if (parent->block.header.height < 1)
-      return parent->block.header.difficulty;
-    anc_height = parent->block.header.height - 1;
-    intervals = 1;
-  } else {
-    if (h_next < window) return parent->block.header.difficulty;
-    anc_height = h_next - window;
-    intervals = window - 1;
-    if (intervals == 0) return parent->block.header.difficulty;
-  }
-
-  const Record* anc = parent;
-  while (anc->block.header.height > anc_height) {
-    anc = find_record(anc->block.header.parent);
-    assert(anc && "broken parent linkage");
-  }
-  const double span =
-      parent->block.header.timestamp - anc->block.header.timestamp;
-  return retarget_difficulty(params_, parent->block.header.difficulty, span,
-                             intervals);
+  const BlockHeader& ph = parent->block.header;
+  return scheduled_difficulty(
+      params_, ph.height, ph.difficulty, ph.timestamp,
+      [this, parent](std::uint32_t h) {
+        const Record* anc = parent;
+        while (anc->block.header.height > h) {
+          anc = find_record(anc->block.header.parent);
+          assert(anc && "broken parent linkage");
+        }
+        return anc->block.header.timestamp;
+      });
 }
 
 Status Blockchain::check_stateless(const Block& block) const {
@@ -228,23 +194,6 @@ Status Blockchain::check_stateless(const Block& block) const {
   return Status::success();
 }
 
-Status Blockchain::check_contextual(const Block& block,
-                                    const Record& parent) const {
-  if (block.header.height != parent.block.header.height + 1)
-    return make_error("bad-height");
-  if (block.header.timestamp + 1e-9 < parent.block.header.timestamp)
-    return make_error("timestamp-regression");
-  const double expected = next_difficulty(parent.hash);
-  if (std::abs(block.header.difficulty - expected) >
-      1e-9 * std::max(1.0, expected))
-    return make_error("bad-difficulty");
-  if (params_.verify_pow &&
-      params_.consensus == ConsensusKind::kProofOfWork &&
-      !meets_target(block.header.pow_digest(), block.header.difficulty))
-    return make_error("bad-pow", "hash does not meet target");
-  return Status::success();
-}
-
 void Blockchain::set_metrics(obs::MetricsRegistry* metrics) {
   profile_connect_ =
       metrics ? &metrics->histogram("profile.connect_block_us") : nullptr;
@@ -257,7 +206,7 @@ Status Blockchain::connect_block(Record& rec) {
   if (!st.ok()) return st;
 
   persist_connect(rec);
-  for (const auto& hook : connect_hooks_) hook(block);
+  if (connect_hook_) connect_hook_(block);
   return Status::success();
 }
 
@@ -295,33 +244,36 @@ Status Blockchain::connect_utxo(Record& rec) {
   // Apply the coinbase and move its undo to the front (block order).
   TxUndo cb_undo = utxo_.apply_transaction(txs.front());
   rec.undo.txs.insert(rec.undo.txs.begin(), std::move(cb_undo));
-  for (const auto& tx : txs) tx_index_[tx.id()] = rec.hash;
   return Status::success();
 }
 
 Status Blockchain::connect_account(Record& rec) {
   const Block& block = rec.block;
-  WorldState state = state_;
-  const auto& txs = block.account_txs();
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    auto next = state.apply_transaction(txs[i], block.header.proposer, gas_,
-                                        sigcache_.get());
-    if (!next) {
-      rec.state_valid = false;
-      return next.error();
-    }
-    state = std::move(*next);
+  auto state = execute_account(block.account_txs(), block.header.proposer);
+  if (!state) {
+    rec.state_valid = false;
+    return state.error();
   }
-  if (params_.block_reward > 0)
-    state = state.credit(block.header.proposer, params_.block_reward);
-  if (state.root() != block.header.state_root) {
+  if (state->root() != block.header.state_root) {
     rec.state_valid = false;
     return make_error("bad-state-root");
   }
-  state_db_.put(state.root(), state);
-  state_ = std::move(state);
-  for (const auto& tx : block.account_txs()) tx_index_[tx.id()] = rec.hash;
+  state_db_.put(state->root(), *state);
+  state_ = std::move(*state);
   return Status::success();
+}
+
+Result<WorldState> Blockchain::execute_account(
+    const AccountTxList& txs, const crypto::AccountId& proposer) const {
+  WorldState state = state_;
+  for (const auto& tx : txs) {
+    auto next = state.apply_transaction(tx, proposer, gas_, sigcache_.get());
+    if (!next) return next.error();
+    state = std::move(*next);
+  }
+  if (params_.block_reward > 0)
+    state = state.credit(proposer, params_.block_reward);
+  return state;
 }
 
 void Blockchain::disconnect_tip() {
@@ -335,7 +287,6 @@ void Blockchain::disconnect_tip() {
     assert(rec->undo.txs.size() == txs.size());
     for (std::size_t i = txs.size(); i-- > 0;)
       utxo_.revert_transaction(rec->undo.txs[i]);
-    for (const auto& tx : txs) tx_index_.erase(tx.id());
     persist_disconnect(*rec);  // needs the undo record; clear after
     rec->undo.txs.clear();
   } else {
@@ -344,11 +295,10 @@ void Blockchain::disconnect_tip() {
     auto prev = state_db_.get(parent->block.header.state_root);
     assert(prev && "reorg past pruned state (increase keep window)");
     state_ = std::move(*prev);
-    for (const auto& tx : block.account_txs()) tx_index_.erase(tx.id());
     persist_disconnect(*rec);
   }
 
-  for (const auto& hook : disconnect_hooks_) hook(block);
+  if (disconnect_hook_) disconnect_hook_(block);
   active_.pop_back();
 }
 
@@ -432,7 +382,8 @@ Result<AcceptResult> Blockchain::submit(const Block& block) {
   if (!parent->state_valid)
     return make_error("invalid-ancestor", "parent failed state validation");
 
-  st = check_contextual(block, *parent);
+  st = check_header(params_, block.header, parent->block.header,
+                    next_difficulty(parent->hash));
   if (!st.ok()) return st.error();
 
   Record rec;
@@ -495,15 +446,9 @@ Status Blockchain::finalize(const BlockHash& hash) {
 Result<Hash256> Blockchain::compute_state_root(
     const AccountTxList& txs, const crypto::AccountId& proposer) const {
   assert(params_.tx_model == TxModel::kAccount);
-  WorldState state = state_;
-  for (const auto& tx : txs) {
-    auto next = state.apply_transaction(tx, proposer, gas_, sigcache_.get());
-    if (!next) return next.error();
-    state = std::move(*next);
-  }
-  if (params_.block_reward > 0)
-    state = state.credit(proposer, params_.block_reward);
-  return state.root();
+  auto state = execute_account(txs, proposer);
+  if (!state) return state.error();
+  return state->root();
 }
 
 std::uint64_t Blockchain::prune_bodies(std::uint32_t keep_depth) {
@@ -607,7 +552,7 @@ void Blockchain::attach_store(std::shared_ptr<storage::LedgerStore> store) {
       // AccountState — exactly what persist_connect writes per block.
       state_.trie().for_each(
           [&](const crypto::Nibbles& key, const Bytes& value) {
-            store_->state().put(nibbles_to_account(key), value);
+            store_->state().put(crypto::nibbles_to_key(key), value);
           });
     }
   }

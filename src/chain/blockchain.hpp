@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -71,18 +70,21 @@ class Blockchain {
     return static_cast<std::uint32_t>(active_.size() - 1);
   }
   const Block* find(const BlockHash& hash) const;
-  /// True if the block's body was discarded by prune_bodies (§V-A); such
-  /// blocks cannot be served to syncing peers.
-  bool body_pruned(const BlockHash& hash) const;
   const Block* at_height(std::uint32_t h) const;
   bool on_active_chain(const BlockHash& hash) const;
   double total_work() const;
 
   /// Confirmations of the block containing `txid`: tip_height - h + 1, or
-  /// 0 if absent from the active chain (paper §IV-A's depth rule).
+  /// 0 if absent from the active chain (paper §IV-A's depth rule). There is
+  /// no transaction index: this scans the resident bodies down from the
+  /// tip, so a tx in a pruned or offloaded body counts 0.
   std::uint32_t confirmations(const TxId& txid) const;
-  /// Height of the active-chain block containing the tx, if any.
-  std::optional<std::uint32_t> tx_height(const TxId& txid) const;
+
+  /// The block with its transactions, as served to syncing peers and
+  /// provers: the resident copy, or read back from the log when
+  /// offload_bodies moved its body to disk. Errors: unknown-block, pruned
+  /// (prune_bodies discarded the body, §V-A).
+  Result<Block> full_block(const BlockHash& hash) const;
 
   // ---- State access ----------------------------------------------------
   const UtxoSet& utxo_set() const { return utxo_; }
@@ -131,8 +133,9 @@ class Blockchain {
 
   /// Disk mode only: drops the in-RAM transaction lists and undo data of
   /// active-chain blocks deeper than `keep_depth`, keeping their bodies
-  /// readable via read_block(). This is how a ledger grows past RAM: the
-  /// log keeps every byte while the resident index holds headers only.
+  /// readable via read_block() and full_block(). This is how a ledger
+  /// grows past RAM: the log keeps every byte while the resident index
+  /// holds headers only.
   /// Reorgs below the offload point are rejected (as with prune_bodies).
   /// Returns resident bytes dropped. §V accounting is unchanged — the
   /// bodies still exist, on disk.
@@ -167,10 +170,10 @@ class Blockchain {
   /// Fires after a block joins / leaves the active chain (mempool upkeep,
   /// confirmation metrics). Disconnect fires in reverse chain order.
   void on_connect(std::function<void(const Block&)> fn) {
-    connect_hooks_.push_back(std::move(fn));
+    connect_hook_ = std::move(fn);
   }
   void on_disconnect(std::function<void(const Block&)> fn) {
-    disconnect_hooks_.push_back(std::move(fn));
+    disconnect_hook_ = std::move(fn);
   }
 
   /// Fires once per applied reorg with (depth, new tip height) — exactly
@@ -216,7 +219,6 @@ class Blockchain {
   Record* find_record(const BlockHash& hash);
   const Record* find_record(const BlockHash& hash) const;
   Status check_stateless(const Block& block) const;
-  Status check_contextual(const Block& block, const Record& parent) const;
 
   /// Connects `rec`'s block on top of the current state. On failure the
   /// state is left untouched and the record is marked invalid.
@@ -225,6 +227,11 @@ class Blockchain {
   /// The stateful phase, one per ledger model.
   Status connect_utxo(Record& rec);
   Status connect_account(Record& rec);
+  /// Account-model block execution, shared by connect and block templates:
+  /// the tip state after applying `txs` and crediting `proposer` the
+  /// block reward.
+  Result<WorldState> execute_account(const AccountTxList& txs,
+                                     const crypto::AccountId& proposer) const;
 
   void disconnect_tip();
 
@@ -248,7 +255,6 @@ class Blockchain {
   std::unordered_map<BlockHash, Record> index_;
   std::vector<BlockHash> active_;  // height -> hash
   std::unordered_map<BlockHash, std::vector<Block>> orphans_;  // by parent
-  std::unordered_map<TxId, BlockHash> tx_index_;  // active-chain txs only
 
   UtxoSet utxo_;
   WorldState state_;
@@ -258,8 +264,8 @@ class Blockchain {
   std::uint32_t pruned_below_ = 0;  // bodies pruned strictly below height
   ForkStats fork_stats_;
 
-  std::vector<std::function<void(const Block&)>> connect_hooks_;
-  std::vector<std::function<void(const Block&)>> disconnect_hooks_;
+  std::function<void(const Block&)> connect_hook_;
+  std::function<void(const Block&)> disconnect_hook_;
   std::function<void(std::uint32_t, std::uint32_t)> reorg_hook_;
   std::function<void(const Block&)> side_chain_hook_;
 

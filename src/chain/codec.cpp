@@ -27,23 +27,6 @@ std::size_t capacity_for(std::uint64_t count, const Reader& r,
       std::min<std::uint64_t>(count, r.remaining() / element_bytes));
 }
 
-void write_utxo_tx(Writer& w, const UtxoTransaction& tx) {
-  w.varint(tx.inputs.size());
-  for (const TxIn& in : tx.inputs) {
-    w.fixed(in.prevout.txid);
-    w.u32(in.prevout.index);
-    w.u64(in.pubkey);
-    w.u64(in.signature.r);
-    w.u64(in.signature.s);
-  }
-  w.varint(tx.outputs.size());
-  for (const TxOut& out : tx.outputs) {
-    w.u64(out.value);
-    w.fixed(out.owner);
-  }
-  w.u32(tx.lock_height);
-}
-
 Result<UtxoTransaction> read_utxo_tx(Reader& r) {
   UtxoTransaction tx;
   auto n_in = r.varint();
@@ -85,19 +68,6 @@ Result<UtxoTransaction> read_utxo_tx(Reader& r) {
   if (!lock) return lock.error();
   tx.lock_height = *lock;
   return tx;
-}
-
-void write_account_tx(Writer& w, const AccountTransaction& tx) {
-  w.fixed(tx.from);
-  w.fixed(tx.to);
-  w.u64(tx.nonce);
-  w.u64(tx.value);
-  w.u64(tx.gas_limit);
-  w.u64(tx.gas_price);
-  w.u32(tx.data_size);
-  w.u64(tx.pubkey);
-  w.u64(tx.signature.r);
-  w.u64(tx.signature.s);
 }
 
 Result<AccountTransaction> read_account_tx(Reader& r) {
@@ -196,12 +166,12 @@ Bytes encode_body_record(const Block& block) {
     w.u8(kModelUtxo);
     const auto& txs = block.utxo_txs();
     w.varint(txs.size());
-    for (const auto& tx : txs) write_utxo_tx(w, tx);
+    for (const auto& tx : txs) tx.write(w);
   } else {
     w.u8(kModelAccount);
     const auto& txs = block.account_txs();
     w.varint(txs.size());
-    for (const auto& tx : txs) write_account_tx(w, tx);
+    for (const auto& tx : txs) tx.write(w);
   }
   return std::move(w).take();
 }

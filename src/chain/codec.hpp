@@ -11,7 +11,8 @@
 //   kHeader — u32 height | parent | merkle | state_root | u64 ts_bits |
 //             u64 diff_bits | u64 nonce | proposer | u64 slot
 //   kBody   — u8 model (0 = UTXO, 1 = account) | varint count | txs,
-//             each in its canonical wire order with signatures.
+//             each as its own write() emits it: canonical wire order
+//             with signatures, the bytes the txid hashes.
 #pragma once
 
 #include "chain/block.hpp"

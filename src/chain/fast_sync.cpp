@@ -63,12 +63,8 @@ Result<WorldState> execute_fast_sync(const Blockchain& source,
   WorldState rebuilt;
   std::vector<std::pair<Hash256, Bytes>> entries;
   pivot_state->trie().for_each(
-      [&entries](const crypto::Nibbles& key_nibbles, const Bytes& value) {
-        Hash256 key;
-        for (std::size_t i = 0; i + 1 < key_nibbles.size(); i += 2)
-          key.v[i / 2] = static_cast<Byte>((key_nibbles[i] << 4) |
-                                           key_nibbles[i + 1]);
-        entries.emplace_back(key, value);
+      [&entries](const crypto::Nibbles& key, const Bytes& value) {
+        entries.emplace_back(crypto::nibbles_to_key(key), value);
       });
   for (const auto& [key, value] : entries) {
     auto st = AccountState::decode(ByteView{value.data(), value.size()});

@@ -1,6 +1,6 @@
 #include "chain/light_client.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "chain/difficulty.hpp"
 
@@ -21,25 +21,9 @@ const BlockHeader* LightClient::header_at(std::uint32_t h) const {
 
 double LightClient::next_difficulty() const {
   const BlockHeader& parent = headers_.back();
-  if (params_.consensus == ConsensusKind::kProofOfStake) return 1.0;
-  const std::uint32_t h_next =
-      static_cast<std::uint32_t>(headers_.size());
-  const std::uint32_t window = params_.retarget_window;
-  if (window == 0 || h_next % window != 0) return parent.difficulty;
-
-  std::uint32_t anc_height;
-  std::uint32_t intervals;
-  if (window == 1) {
-    if (headers_.size() < 2) return parent.difficulty;
-    anc_height = h_next - 2;
-    intervals = 1;
-  } else {
-    if (h_next < window) return parent.difficulty;
-    anc_height = h_next - window;
-    intervals = window - 1;
-  }
-  const double span = parent.timestamp - headers_[anc_height].timestamp;
-  return retarget_difficulty(params_, parent.difficulty, span, intervals);
+  return scheduled_difficulty(
+      params_, height(), parent.difficulty, parent.timestamp,
+      [this](std::uint32_t h) { return headers_[h].timestamp; });
 }
 
 Status LightClient::accept_header(const BlockHeader& header) {
@@ -49,17 +33,8 @@ Status LightClient::accept_header(const BlockHeader& header) {
   if (header.parent != parent.hash())
     return make_error("wrong-parent",
                       "header does not extend this client's chain");
-  if (header.height != parent.height + 1) return make_error("bad-height");
-  if (header.timestamp + 1e-9 < parent.timestamp)
-    return make_error("timestamp-regression");
-  const double expected = next_difficulty();
-  if (std::abs(header.difficulty - expected) >
-      1e-9 * std::max(1.0, expected))
-    return make_error("bad-difficulty");
-  if (params_.verify_pow &&
-      params_.consensus == ConsensusKind::kProofOfWork &&
-      !meets_target(header.pow_digest(), header.difficulty))
-    return make_error("bad-pow");
+  Status st = check_header(params_, header, parent, next_difficulty());
+  if (!st.ok()) return st;
   headers_.push_back(header);
   return Status::success();
 }
@@ -76,23 +51,18 @@ Result<std::uint32_t> LightClient::verify_inclusion(
 }
 
 Result<InclusionProof> make_inclusion_proof(const Blockchain& chain,
-                                            const TxId& txid) {
-  auto h = chain.tx_height(txid);
-  if (!h) return make_error("unknown-tx", "not on the active chain");
-  const Block* block = chain.at_height(*h);
-  if (!block) return make_error("unknown-block");
-  if (block->tx_count() == 0)
-    return make_error("pruned", "block body no longer stored (§V-A)");
+                                            const TxId& txid,
+                                            std::uint32_t height) {
+  const Block* resident = chain.at_height(height);
+  if (!resident) return make_error("unknown-block");
+  auto block = chain.full_block(resident->hash());
+  if (!block) return block.error();
 
   const std::vector<Hash256> ids = block->tx_ids();
-  std::size_t index = ids.size();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] == txid) {
-      index = i;
-      break;
-    }
-  }
-  if (index == ids.size()) return make_error("index-mismatch");
+  const auto it = std::find(ids.begin(), ids.end(), txid);
+  if (it == ids.end())
+    return make_error("unknown-tx", "not in the named block");
+  const auto index = static_cast<std::size_t>(it - ids.begin());
 
   crypto::MerkleTree tree(ids);
   auto merkle = tree.prove(index);
@@ -100,7 +70,7 @@ Result<InclusionProof> make_inclusion_proof(const Blockchain& chain,
 
   InclusionProof proof;
   proof.txid = txid;
-  proof.height = *h;
+  proof.height = height;
   proof.index = index;
   proof.merkle = std::move(*merkle);
   return proof;

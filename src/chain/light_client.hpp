@@ -35,10 +35,11 @@ class LightClient {
   /// Accepts the trusted genesis header (hard-coded, like the state).
   Status set_genesis(const BlockHeader& genesis);
 
-  /// Appends one header after full SPV validation: parent link, height,
-  /// difficulty schedule (against the observed header chain) and proof of
-  /// work. Headers forming side chains are rejected -- this minimal
-  /// client follows a single best chain as served by its peer.
+  /// Appends one header after full SPV validation: the parent link, then
+  /// the full node's own check_header (height, timestamp, difficulty
+  /// schedule against the observed header chain, proof of work). Headers
+  /// forming side chains are rejected -- this minimal client follows a
+  /// single best chain as served by its peer.
   Status accept_header(const BlockHeader& header);
 
   std::uint32_t height() const {
@@ -55,8 +56,8 @@ class LightClient {
   /// confirmations the transaction has from this client's viewpoint.
   Result<std::uint32_t> verify_inclusion(const InclusionProof& proof) const;
 
-  /// Expected difficulty of the next header (mirrors full-node logic but
-  /// computed purely from headers).
+  /// Expected difficulty of the next header: the full node's
+  /// scheduled_difficulty, fed purely from headers.
   double next_difficulty() const;
 
  private:
@@ -64,9 +65,13 @@ class LightClient {
   std::vector<BlockHeader> headers_;
 };
 
-/// Full-node side: builds an inclusion proof for a transaction on the
-/// active chain (fails if its block body was pruned, §V-A's trade-off).
+/// Full-node side: proves `txid` is in the active-chain block at `height`.
+/// The caller names the block, as Bitcoin's gettxoutproof does on a node
+/// without a transaction index. Errors: unknown-block (no such height),
+/// pruned (its body was discarded, §V-A's trade-off), unknown-tx (the
+/// block does not hold the tx). An offloaded body is read from the log.
 Result<InclusionProof> make_inclusion_proof(const Blockchain& chain,
-                                            const TxId& txid);
+                                            const TxId& txid,
+                                            std::uint32_t height);
 
 }  // namespace dlt::chain

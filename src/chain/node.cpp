@@ -161,12 +161,11 @@ void ChainNode::request_block(net::NodeId peer, const BlockHash& hash) {
 }
 
 void ChainNode::serve_block(net::NodeId peer, const BlockHash& hash) {
-  const Block* block = chain_.find(hash);
-  if (!block || chain_.body_pruned(hash)) return;  // unknown or pruned (§V-A)
-  net_.send(id_, peer,
-            net::make_message(kMsgBlock, *block,
-                              block->serialized_size() +
-                                  params_.simulated_extra_block_bytes));
+  auto block = chain_.full_block(hash);
+  if (!block) return;  // unknown or pruned (§V-A)
+  const std::size_t bytes =
+      block->serialized_size() + params_.simulated_extra_block_bytes;
+  net_.send(id_, peer, net::make_message(kMsgBlock, std::move(*block), bytes));
 }
 
 // ---------------------------------------------------------------------------

@@ -28,9 +28,13 @@ void write_core(Writer& w, const UtxoTransaction& tx, bool with_sigs) {
 
 }  // namespace
 
+void UtxoTransaction::write(Writer& w) const {
+  write_core(w, *this, /*with_sigs=*/true);
+}
+
 Bytes UtxoTransaction::serialize() const {
   Writer w;
-  write_core(w, *this, /*with_sigs=*/true);
+  write(w);
   return std::move(w).take();
 }
 

@@ -46,7 +46,9 @@ class UtxoTransaction {
 
   bool is_coinbase() const { return inputs.empty(); }
 
-  /// Canonical serialization; its double-SHA is the txid.
+  /// Canonical serialization with signatures; its double-SHA is the txid.
+  /// The block log's body records store the same bytes (chain/codec.hpp).
+  void write(Writer& w) const;
   Bytes serialize() const;
   std::size_t serialized_size() const;
 

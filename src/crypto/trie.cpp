@@ -56,6 +56,14 @@ Nibbles key_to_nibbles(const Hash256& key) {
   return out;
 }
 
+Hash256 nibbles_to_key(const Nibbles& nibbles) {
+  Hash256 key;
+  for (std::size_t i = 0; i + 1 < nibbles.size() && i / 2 < key.v.size();
+       i += 2)
+    key.v[i / 2] = static_cast<Byte>((nibbles[i] << 4) | nibbles[i + 1]);
+  return key;
+}
+
 const Hash256& Trie::Node::hash() const {
   if (!cached_hash) {
     std::vector<std::pair<std::uint8_t, Hash256>> kids;

@@ -35,6 +35,9 @@ namespace dlt::crypto {
 using Nibbles = std::vector<std::uint8_t>;  // values 0..15
 
 Nibbles key_to_nibbles(const Hash256& key);
+/// Inverse of key_to_nibbles: folds nibble pairs back into the key (how
+/// for_each's keys become the 32-byte keys callers stored).
+Hash256 nibbles_to_key(const Nibbles& nibbles);
 
 class Trie {
  public:

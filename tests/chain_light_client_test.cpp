@@ -25,7 +25,7 @@ class LightClientTest : public ::testing::Test {
   }
 
   /// Mines a block containing one payment and feeds its header to the
-  /// client. Returns the payment's txid.
+  /// client. Returns the payment's txid; the block is at chain.height().
   TxId grow_with_payment() {
     auto coins = chain.utxo_set().find_owned(keys[0].account_id());
     UtxoTransaction tx;
@@ -104,9 +104,10 @@ TEST_F(LightClientTest, RejectsBadHeaders) {
 
 TEST_F(LightClientTest, VerifiesInclusionAndConfirmations) {
   const TxId txid = grow_with_payment();
+  const std::uint32_t paid_at = chain.height();
   grow_empty(5);
 
-  auto proof = make_inclusion_proof(chain, txid);
+  auto proof = make_inclusion_proof(chain, txid, paid_at);
   ASSERT_TRUE(proof.ok()) << proof.error().to_string();
   auto confirmations = client.verify_inclusion(*proof);
   ASSERT_TRUE(confirmations.ok()) << confirmations.error().to_string();
@@ -116,8 +117,9 @@ TEST_F(LightClientTest, VerifiesInclusionAndConfirmations) {
 
 TEST_F(LightClientTest, RejectsForgedProofs) {
   const TxId txid = grow_with_payment();
+  const std::uint32_t paid_at = chain.height();
   grow_empty(1);
-  auto proof = make_inclusion_proof(chain, txid);
+  auto proof = make_inclusion_proof(chain, txid, paid_at);
   ASSERT_TRUE(proof.ok());
 
   InclusionProof tampered = *proof;
@@ -135,43 +137,55 @@ TEST_F(LightClientTest, RejectsForgedProofs) {
 
 TEST_F(LightClientTest, ProofUnavailableAfterPruning) {
   const TxId txid = grow_with_payment();
+  const std::uint32_t paid_at = chain.height();
   grow_empty(8);
   chain.prune_bodies(2);
-  auto proof = make_inclusion_proof(chain, txid);
+  auto proof = make_inclusion_proof(chain, txid, paid_at);
   ASSERT_FALSE(proof.ok());
   EXPECT_EQ(proof.error().code, "pruned");  // §V-A's trade-off, observed
 }
 
 TEST_F(LightClientTest, UnknownTxRejected) {
+  grow_with_payment();
+  const std::uint32_t paid_at = chain.height();
   grow_empty(2);
   TxId ghost;
   ghost.v[7] = 0x77;
-  EXPECT_EQ(make_inclusion_proof(chain, ghost).error().code, "unknown-tx");
+  EXPECT_EQ(make_inclusion_proof(chain, ghost, paid_at).error().code,
+            "unknown-tx");
+  EXPECT_EQ(make_inclusion_proof(chain, ghost, chain.height() + 1)
+                .error()
+                .code,
+            "unknown-block");
 }
 
 TEST_F(LightClientTest, TracksDifficultyRetarget) {
-  // Client must compute the same retarget schedule as full nodes.
-  ChainParams p = cheap_pow_utxo();
-  p.retarget_window = 4;
-  p.initial_difficulty = 8.0;
-  auto ks = make_keys(1);
-  Blockchain full(p, testutil::fund_all(ks, 1000));
-  LightClient spv(p);
-  ASSERT_TRUE(spv.set_genesis(full.at_height(0)->header).ok());
+  // Client must compute the same retarget schedule as full nodes: per
+  // block (window 1, ethereum_like) and per window of 4.
+  for (const std::uint32_t window : {1u, 4u}) {
+    SCOPED_TRACE(window);
+    ChainParams p = cheap_pow_utxo();
+    p.retarget_window = window;
+    p.initial_difficulty = 8.0;
+    auto ks = make_keys(1);
+    Blockchain full(p, testutil::fund_all(ks, 1000));
+    LightClient spv(p);
+    ASSERT_TRUE(spv.set_genesis(full.at_height(0)->header).ok());
 
-  double t = 0;
-  for (int i = 0; i < 9; ++i) {
-    t += p.block_interval * 3;  // slow blocks: difficulty must drop
-    UtxoTxList txs{UtxoTransaction::coinbase(ks[0].account_id(),
-                                             p.block_reward,
-                                             full.height() + 1)};
-    Block b = seal_block(full, full.tip_hash(), std::move(txs),
-                         ks[0].account_id(), t);
-    ASSERT_TRUE(full.submit(b).ok()) << i;
-    ASSERT_TRUE(spv.accept_header(b.header).ok()) << i;
+    double t = 0;
+    for (int i = 0; i < 9; ++i) {
+      t += p.block_interval * 3;  // slow blocks: difficulty must drop
+      UtxoTxList txs{UtxoTransaction::coinbase(ks[0].account_id(),
+                                               p.block_reward,
+                                               full.height() + 1)};
+      Block b = seal_block(full, full.tip_hash(), std::move(txs),
+                           ks[0].account_id(), t);
+      ASSERT_TRUE(full.submit(b).ok()) << i;
+      ASSERT_TRUE(spv.accept_header(b.header).ok()) << i;
+    }
+    EXPECT_EQ(spv.next_difficulty(), full.next_difficulty(full.tip_hash()));
+    EXPECT_LT(spv.tip().difficulty, 8.0);
   }
-  EXPECT_EQ(spv.next_difficulty(), full.next_difficulty(full.tip_hash()));
-  EXPECT_LT(spv.tip().difficulty, 8.0);
 }
 
 }  // namespace

@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "chain/codec.hpp"
+#include "chain/light_client.hpp"
+#include "chain/node.hpp"
 #include "chain_test_util.hpp"
 #include "core/chain_cluster.hpp"
 #include "core/lattice_cluster.hpp"
@@ -788,13 +790,38 @@ TEST(TangleCodec, SeededMutationDecodesOrReturnsAnError) {
   expect_mutants_decode_exactly_or_fail<tangle::TangleTx>(records);
 }
 
+/// Grows `chain` by six blocks on its tip. Each rolls one coin of `key`'s
+/// genesis allocation forward, so every body past genesis holds a coinbase
+/// and a signed spend. Returns genesis and the six blocks, by height.
+std::vector<chain::Block> grow_paying_chain(chain::Blockchain& chain,
+                                            const crypto::KeyPair& key) {
+  const crypto::AccountId miner = key.account_id();
+  std::vector<chain::Block> blocks{*chain.at_height(0)};
+  chain::Outpoint coin{blocks[0].utxo_txs().front().id(), 0};
+  Rng rng(12);
+  for (std::uint32_t h = 1; h <= 6; ++h) {
+    chain::UtxoTransaction pay;
+    pay.inputs.push_back(chain::TxIn{coin, key.public_key(), {}});
+    pay.outputs.push_back(chain::TxOut{1'000'000, miner});
+    pay.sign_all({key}, rng);
+    coin = chain::Outpoint{pay.id(), 0};
+    blocks.push_back(chain::testutil::seal_block(
+        chain, chain.tip_hash(),
+        chain::UtxoTxList{chain::UtxoTransaction::coinbase(
+                              miner, chain.params().block_reward, h),
+                          pay},
+        miner));
+    EXPECT_TRUE(chain.submit(blocks.back()));
+  }
+  return blocks;
+}
+
 // offload_bodies drops resident bodies in disk mode and names read_block
 // as the way to reach them: every offloaded block must read back from the
 // log with its original hash and transaction ids.
 TEST(StorageRecovery, OffloadedBodiesReadBackThroughReadBlock) {
   const auto keys = chain::testutil::make_keys(1);
   const chain::GenesisSpec genesis = chain::testutil::fund_all(keys, 1'000'000);
-  const crypto::AccountId miner = keys[0].account_id();
   const chain::ChainParams params = chain::testutil::cheap_pow_utxo();
   ScratchDir scratch("read_block");
 
@@ -803,26 +830,8 @@ TEST(StorageRecovery, OffloadedBodiesReadBackThroughReadBlock) {
       std::make_shared<storage::LedgerStore>(disk_config(scratch), "chain");
   chain.attach_store(store);
   ASSERT_TRUE(store->disk());
-
-  // Each block rolls one coin forward, so every body past genesis holds a
-  // coinbase and a signed spend.
-  std::vector<chain::Block> blocks{*chain.at_height(0)};
-  chain::Outpoint coin{blocks[0].utxo_txs().front().id(), 0};
-  Rng rng(12);
-  for (std::uint32_t h = 1; h <= 6; ++h) {
-    chain::UtxoTransaction pay;
-    pay.inputs.push_back(chain::TxIn{coin, keys[0].public_key(), {}});
-    pay.outputs.push_back(chain::TxOut{1'000'000, miner});
-    pay.sign_all({keys[0]}, rng);
-    coin = chain::Outpoint{pay.id(), 0};
-    blocks.push_back(chain::testutil::seal_block(
-        chain, chain.tip_hash(),
-        chain::UtxoTxList{
-            chain::UtxoTransaction::coinbase(miner, params.block_reward, h),
-            pay},
-        miner));
-    ASSERT_TRUE(chain.submit(blocks.back()));
-  }
+  const std::vector<chain::Block> blocks = grow_paying_chain(chain, keys[0]);
+  ASSERT_EQ(chain.height(), 6u);
 
   // Tip 6, keep 2: the bodies of heights 0-3 leave RAM.
   EXPECT_GT(chain.offload_bodies(2), 0u);
@@ -842,6 +851,76 @@ TEST(StorageRecovery, OffloadedBodiesReadBackThroughReadBlock) {
   const auto unknown = chain.read_block(corrupt_key(0));
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.error().code, "not-in-log");
+}
+
+// An offloaded body is still the block's body: proving a transaction in it
+// reads the body back from the log, and the proof verifies against a light
+// client that holds only headers.
+TEST(StorageRecovery, OffloadedTxProvesToLightClient) {
+  const auto keys = chain::testutil::make_keys(1);
+  const chain::ChainParams params = chain::testutil::cheap_pow_utxo();
+  ScratchDir scratch("offload_proof");
+
+  chain::Blockchain chain(params, chain::testutil::fund_all(keys, 1'000'000));
+  chain.attach_store(
+      std::make_shared<storage::LedgerStore>(disk_config(scratch), "chain"));
+  const std::vector<chain::Block> blocks = grow_paying_chain(chain, keys[0]);
+  chain::LightClient spv(params);
+  ASSERT_TRUE(spv.set_genesis(blocks[0].header).ok());
+  for (std::size_t h = 1; h < blocks.size(); ++h)
+    ASSERT_TRUE(spv.accept_header(blocks[h].header).ok()) << h;
+
+  ASSERT_GT(chain.offload_bodies(2), 0u);
+  ASSERT_TRUE(chain.find(blocks[2].hash())->utxo_txs().empty());
+  const chain::TxId paid = blocks[2].utxo_txs()[1].id();
+  const auto proof = chain::make_inclusion_proof(chain, paid, 2);
+  ASSERT_TRUE(proof.ok()) << proof.error().to_string();
+  const auto confirmations = spv.verify_inclusion(*proof);
+  ASSERT_TRUE(confirmations.ok()) << confirmations.error().to_string();
+  EXPECT_EQ(*confirmations, 5u);  // heights 2..6
+}
+
+// A disk-mode node asked for a block whose body it offloaded serves the
+// whole block, read back from its log: the merkle root matches the header
+// and a peer holding the parent connects it.
+TEST(StorageRecovery, NodeServesOffloadedBlockWithItsBody) {
+  const auto keys = chain::testutil::make_keys(1);
+  const chain::GenesisSpec genesis = chain::testutil::fund_all(keys, 1'000'000);
+  const chain::ChainParams params = chain::testutil::cheap_pow_utxo();
+  ScratchDir scratch("offload_serve");
+
+  sim::Simulation sim;
+  net::Network net(sim, Rng(1));
+  chain::NodeConfig config;
+  config.store =
+      std::make_shared<storage::LedgerStore>(disk_config(scratch), "chain");
+  chain::ChainNode server(net, params, genesis, config, Rng(2));
+  const std::vector<chain::Block> blocks =
+      grow_paying_chain(server.chain(), keys[0]);
+  ASSERT_GT(server.chain().offload_bodies(2), 0u);
+  ASSERT_TRUE(server.chain().find(blocks[2].hash())->utxo_txs().empty());
+
+  const net::NodeId asker = net.add_node();
+  net.connect(asker, server.id());
+  std::vector<chain::Block> served;
+  net.set_handler(asker, [&](const net::Message& m) {
+    if (m.type == net::msg_type("block"))
+      served.push_back(net::payload_as<chain::Block>(m));
+  });
+  net.send(asker, server.id(),
+           net::make_message("get-block", blocks[2].hash(), 40));
+  sim.run();
+
+  ASSERT_EQ(served.size(), 1u);
+  EXPECT_EQ(served[0].hash(), blocks[2].hash());
+  EXPECT_EQ(served[0].compute_merkle_root(), served[0].header.merkle_root);
+  EXPECT_EQ(served[0].tx_ids(), blocks[2].tx_ids());
+
+  chain::Blockchain peer(params, genesis);
+  ASSERT_TRUE(peer.submit(blocks[1]).ok());
+  const auto res = peer.submit(served[0]);
+  ASSERT_TRUE(res.ok()) << res.error().to_string();
+  EXPECT_EQ(res->outcome, chain::Accept::kConnected);
 }
 
 // Memory mode keeps the log's catalog and byte arithmetic but no record

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # One-shot gate: tier-1 build + tests, then the same suite under
-# AddressSanitizer and UndefinedBehaviorSanitizer.
+# AddressSanitizer and UndefinedBehaviorSanitizer. The UBSan pass also
+# compiles without -DNDEBUG (RelWithDebInfo flags "-O2 -g"), so every
+# runtime assert in src/ runs there; tier-1 and ASan keep the default
+# "-O2 -g -DNDEBUG".
 #
 #   tools/check.sh                # tier-1 + asan + ubsan
 #   tools/check.sh --fast         # tier-1 only
@@ -11,6 +14,7 @@
 #   tools/check.sh --storage      # tier-1 + §V on-disk ledger-size gate
 #   tools/check.sh --traffic      # tier-1 + E20 open-loop admission gate
 #   tools/check.sh --perfbench    # tier-1 + benchmark driver build + runs
+#   tools/check.sh --examples     # tier-1 + examples' stdout vs golden digests
 #
 # Flags combine: `tools/check.sh --determinism --attacks` runs the tier-1
 # suite once, then both extra passes in one invocation. Any extra flag
@@ -62,6 +66,11 @@
 # under .bench_build/perfbench) and runs each of its workloads in short
 # mode, traced and untraced. Nothing else builds that driver, so this is
 # the leg that fails when a src/ change breaks it.
+# --examples builds the examples and runs each one from a scratch
+# directory with every DLT_* variable unset; the SHA-256 of each one's
+# stdout must match tools/golden/examples.sha256 (the examples are
+# deterministic, so any change to what they print shows here). Regenerate
+# that file only in a change that means to move their output.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -75,6 +84,7 @@ ATTACKS=0
 STORAGE=0
 TRAFFIC=0
 PERFBENCH=0
+EXAMPLES=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
@@ -85,8 +95,9 @@ for arg in "$@"; do
     --storage) FAST=1; STORAGE=1 ;;
     --traffic) FAST=1; TRAFFIC=1 ;;
     --perfbench) FAST=1; PERFBENCH=1 ;;
+    --examples) FAST=1; EXAMPLES=1 ;;
     *)
-      echo "usage: tools/check.sh [--fast] [--determinism] [--perf] [--latency] [--attacks] [--storage] [--traffic] [--perfbench]" >&2
+      echo "usage: tools/check.sh [--fast] [--determinism] [--perf] [--latency] [--attacks] [--storage] [--traffic] [--perfbench] [--examples]" >&2
       exit 2
       ;;
   esac
@@ -372,9 +383,32 @@ if [[ "$PERFBENCH" == "1" ]]; then
   echo "=== [perfbench] OK ==="
 fi
 
+if [[ "$EXAMPLES" == "1" ]]; then
+  echo "=== [examples] stdout of each example vs tools/golden/examples.sha256 ==="
+  examples="$(sed 's/.*  \(.*\)\.stdout$/\1/' tools/golden/examples.sha256)"
+  cmake --build build -j "$JOBS" --target $examples
+  exdir="$(mktemp -d)"
+  for ex in $examples; do
+    (for var in $(compgen -e); do
+       if [[ "$var" == DLT_* ]]; then unset "$var"; fi
+     done
+     cd "$exdir" && "$OLDPWD/build/examples/$ex" > "$ex.stdout") || {
+      echo "FAIL: example $ex exited nonzero" >&2
+      exit 1
+    }
+  done
+  (cd "$exdir" && sha256sum --quiet -c "$OLDPWD/tools/golden/examples.sha256") || {
+    echo "FAIL: example output differs from tools/golden/examples.sha256" >&2
+    exit 1
+  }
+  rm -rf "$exdir"
+  echo "=== [examples] OK ==="
+fi
+
 if [[ "$FAST" == "0" ]]; then
   run_pass asan build-asan -DDLT_SANITIZE=address
-  run_pass ubsan build-ubsan -DDLT_SANITIZE=undefined
+  run_pass ubsan build-ubsan -DDLT_SANITIZE=undefined \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 fi
 
 echo "All checks passed."
