@@ -11,10 +11,18 @@
 //  3. Tangle attach scaling: mean attach() wall time early and late in one
 //     16,000-transaction honest tangle. Attach cost must not grow with
 //     tangle size (tools/check.sh --perf gates late/early <= 2).
+//  4. Flat hash table against clustered keys: count, insert and erase of
+//     36,000 foreign random digests in a FlatSet already holding 36,000
+//     outpoint-shaped keys (one txid, index in bytes 0-3) vs one holding
+//     36,000 random digests. A table indexed by the hash's low bits piles
+//     the outpoint keys into one run that foreign keys walk; the per-op
+//     time must not depend on the residents' shape (tools/check.sh --perf
+//     gates structured/random <= 2).
 //
 // Results also land in BENCH_hotpath.json for tooling.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -31,6 +39,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sha256_compress.hpp"
 #include "crypto/sigcache.hpp"
+#include "support/flat_map.hpp"
 #include "tangle/tangle.hpp"
 
 using namespace dlt;
@@ -255,6 +264,56 @@ AttachScaling tangle_attach_scaling() {
 }
 
 // --------------------------------------------------------------------------
+// Flat hash table against clustered keys.
+
+constexpr std::uint32_t kFlatHashKeys = 36'000;
+
+// ns per operation for count, then insert, then erase of every `foreign`
+// key in a FlatSet filled with `resident`; best of three fills.
+double flat_hash_ns(const std::vector<Hash256>& resident,
+                    const std::vector<Hash256>& foreign) {
+  double best = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    support::FlatSet<Hash256> set;
+    for (const Hash256& key : resident) set.insert(key);
+    std::size_t hits = 0;
+    const double secs = time_seconds([&] {
+      for (const Hash256& key : foreign) hits += set.count(key);
+      for (const Hash256& key : foreign) hits += set.insert(key).second;
+      for (const Hash256& key : foreign) hits += set.erase(key);
+    });
+    if (hits != 2 * foreign.size() || set.size() != resident.size()) {
+      std::cerr << "flat_hash: foreign keys collided with residents\n";
+      std::exit(1);
+    }
+    best = std::min(best, secs / (3.0 * static_cast<double>(foreign.size())) *
+                              1e9);
+  }
+  return best;
+}
+
+struct FlatHashProbe {
+  double structured_ns = 0;  // residents: one txid, index in bytes 0-3
+  double random_ns = 0;      // residents: random digests
+};
+
+FlatHashProbe flat_hash_probe() {
+  const auto digest = [](const std::string& tag, std::uint32_t i) {
+    return crypto::Sha256::digest(as_bytes(tag + std::to_string(i)));
+  };
+  const Hash256 txid = digest("txid", 0);
+  std::vector<Hash256> structured, random, foreign;
+  for (std::uint32_t i = 0; i < kFlatHashKeys; ++i) {
+    Hash256 key = txid;  // as the chain's outpoint_key folds the index
+    for (int b = 0; b < 4; ++b) key[b] ^= static_cast<Byte>(i >> (8 * b));
+    structured.push_back(key);
+    random.push_back(digest("resident", i));
+    foreign.push_back(digest("foreign", i));
+  }
+  return {flat_hash_ns(structured, foreign), flat_hash_ns(random, foreign)};
+}
+
+// --------------------------------------------------------------------------
 // Macro: saturated 8-node cluster, shared sigcache on vs off.
 
 std::string fingerprint(const RunMetrics& m) {
@@ -387,6 +446,18 @@ int main(int argc, char** argv) {
   attach_json.put("late_us", attach.late_us);
   attach_json.put("late_over_early", attach_growth);
 
+  const FlatHashProbe flat = flat_hash_probe();
+  const double flat_ratio = flat.structured_ns / flat.random_ns;
+  std::cout << "FlatSet<Hash256>, foreign count/insert/erase beside "
+            << kFlatHashKeys << " residents: " << fmt(flat.structured_ns, 1)
+            << " ns/op (outpoint-shaped), " << fmt(flat.random_ns, 1)
+            << " ns/op (random), structured/random " << fmt(flat_ratio, 2)
+            << "\n\n";
+  JsonObject flat_json;
+  flat_json.put("structured_ns", flat.structured_ns);
+  flat_json.put("random_ns", flat.random_ns);
+  flat_json.put("ratio", flat_ratio);
+
   std::cout << "Macro: saturated 8-node bitcoin-like cluster, one seed, "
                "~25 tx/s offered for 240 s.\n";
   const ClusterRun off = run_cluster(/*shared_sigcache=*/false);
@@ -422,6 +493,7 @@ int main(int argc, char** argv) {
   report.put("bench", "hotpath");
   report.put_raw("micro", micro_json.to_string());
   report.put_raw("tangle_attach", attach_json.to_string());
+  report.put_raw("flat_hash", flat_json.to_string());
   report.put_raw("cluster", macro_json.to_string());
   report.put_raw("metrics", on.metrics_json);  // sigcache-on reference run
   report.put_raw("trace_summary", on.trace_summary_json);

@@ -117,7 +117,11 @@ void UtxoMempool::evict_tx(const TxId& id) {
   for (std::uint32_t j = 0; j < static_cast<std::uint32_t>(tx.outputs.size());
        ++j) {
     auto claim = claimed_.find(Outpoint{id, j});
-    if (claim != claimed_.end()) evict_tx(claim->second);
+    if (claim == claimed_.end()) continue;
+    // By value: the child's own descendants erase from claimed_, which may
+    // move this entry before the child's frame reads its id again.
+    const TxId child = claim->second;
+    evict_tx(child);
   }
   it = pool_.find(id);
   if (it == pool_.end()) return;

@@ -28,6 +28,7 @@
 #include "chain/state.hpp"
 #include "chain/transaction.hpp"
 #include "chain/utxo.hpp"
+#include "support/flat_map.hpp"
 #include "support/result.hpp"
 
 namespace dlt::chain {
@@ -109,9 +110,12 @@ class UtxoMempool {
                              std::unordered_set<TxId>& planned) const;
 
   std::unordered_map<TxId, Entry> pool_;
-  std::unordered_map<Outpoint, TxId> claimed_;  // input -> claiming tx
+  // input -> claiming tx. A flat table: any erase may move the other
+  // entries, so copy a claimant's id out before erasing from it.
+  support::FlatMap<Outpoint, TxId> claimed_;
   // Fee-rate-ordered view of pool_ (pointees are stable: pool_ is
-  // node-based), kept in sync by add/drop_entry.
+  // node-based, which is why pool_ stays a std:: map), kept in sync by
+  // add/drop_entry.
   std::map<SelKey, const Entry*, SelOrder> by_rate_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t pending_bytes_ = 0;

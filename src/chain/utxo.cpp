@@ -62,7 +62,7 @@ TxUndo UtxoSet::apply_transaction(const UtxoTransaction& tx) {
   const TxId txid = tx.id();
   for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
     const Outpoint op{txid, i};
-    map_.emplace(op, tx.outputs[i]);
+    map_.try_emplace(op, tx.outputs[i]);
     by_owner_[tx.outputs[i].owner].insert(op);
     undo.created.push_back(op);
   }
@@ -79,7 +79,7 @@ void UtxoSet::revert_transaction(const TxUndo& undo) {
     }
   }
   for (const auto& [op, out] : undo.spent) {
-    map_.emplace(op, out);
+    map_.try_emplace(op, out);
     by_owner_[out.owner].insert(op);
   }
 }

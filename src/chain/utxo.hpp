@@ -7,6 +7,7 @@
 // back block by block.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -16,6 +17,7 @@
 #include "chain/transaction.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sigcache.hpp"
+#include "support/flat_map.hpp"
 #include "support/result.hpp"
 
 namespace dlt::chain {
@@ -76,7 +78,8 @@ class UtxoSet {
     if (idx == by_owner_.end()) return;
     for (const Outpoint& op : idx->second) {
       auto it = map_.find(op);
-      if (it == map_.end()) continue;  // index is kept in lockstep; defensive
+      assert(it != map_.end() && "wallet index out of lockstep with the set");
+      if (it == map_.end()) continue;
       if (!fn(it->first, it->second)) return;
     }
   }
@@ -87,8 +90,9 @@ class UtxoSet {
  private:
   void drop_index(const Outpoint& op, const crypto::AccountId& owner);
 
-  std::unordered_map<Outpoint, TxOut> map_;
-  // Wallet index: owner -> outpoints. Kept in lockstep with map_.
+  support::FlatMap<Outpoint, TxOut> map_;
+  // Wallet index: owner -> outpoints. Kept in lockstep with map_. Stays a
+  // std:: set: for_each_owned's order picks the coins a wallet spends.
   std::unordered_map<crypto::AccountId, std::unordered_set<Outpoint>>
       by_owner_;
   std::uint64_t generation_ = 0;

@@ -28,7 +28,7 @@ std::size_t SignatureCache::EntryHash::operator()(const Entry& e) const {
 
 SignatureCache::SignatureCache(std::size_t max_entries, std::uint64_t salt)
     : max_entries_(max_entries > 0 ? max_entries : 1),
-      set_(16, EntryHash{salt}) {}
+      set_(EntryHash{salt}) {}
 
 bool SignatureCache::contains(std::uint64_t pubkey, const Hash256& sighash,
                               const Signature& sig) {

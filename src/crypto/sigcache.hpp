@@ -15,10 +15,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 
 #include "crypto/keys.hpp"
 #include "support/bytes.hpp"
+#include "support/flat_map.hpp"
 
 namespace dlt::crypto {
 
@@ -66,7 +66,7 @@ class SignatureCache {
   };
 
   std::size_t max_entries_;
-  std::unordered_set<Entry, EntryHash> set_;
+  support::FlatSet<Entry, EntryHash> set_;
   SigCacheStats stats_;
 };
 

@@ -181,6 +181,7 @@ void Ledger::apply_validated(const LatticeBlock& block, const BlockHash& hash) {
   if (block.type == BlockType::kOpen) {
     auto pend = pending_.find(block.link);
     claimed_.emplace(block.link, std::make_pair(hash, pend->second));
+    pending_total_ -= pend->second.amount;
     pending_.erase(pend);
 
     AccountInfo info;
@@ -196,9 +197,11 @@ void Ledger::apply_validated(const LatticeBlock& block, const BlockHash& hash) {
       const Amount amount = head.balance - block.balance;
       crypto::AccountId destination = block.link;
       pending_.emplace(hash, PendingInfo{block.account, destination, amount});
+      pending_total_ += amount;
     } else if (block.type == BlockType::kReceive) {
       auto pend = pending_.find(block.link);
       claimed_.emplace(block.link, std::make_pair(hash, pend->second));
+      pending_total_ -= pend->second.amount;
       pending_.erase(pend);
     }
 
@@ -286,9 +289,7 @@ Amount Ledger::weight_of(const crypto::AccountId& representative) const {
   return it == weights_.end() ? 0 : it->second;
 }
 
-Amount Ledger::total_weight() const {
-  return supply_ - total_pending();
-}
+Amount Ledger::total_weight() const { return supply_ - pending_total_; }
 
 Status Ledger::rollback_one(const BlockHash& hash,
                             std::vector<LatticeBlock>& removed) {
@@ -321,6 +322,7 @@ Status Ledger::rollback_one(const BlockHash& hash,
       }
       auto pend = pending_.find(top_hash);
       assert(pend != pending_.end());
+      pending_total_ -= pend->second.amount;
       pending_.erase(pend);
     } else if (top.type == BlockType::kReceive ||
                top.type == BlockType::kOpen) {
@@ -328,6 +330,7 @@ Status Ledger::rollback_one(const BlockHash& hash,
       auto claim = claimed_.find(top.link);
       assert(claim != claimed_.end());
       pending_.emplace(top.link, claim->second.second);
+      pending_total_ += claim->second.second.amount;
       claimed_.erase(claim);
     }
 
@@ -419,7 +422,8 @@ Ledger::StorageBreakdown Ledger::storage() const {
 bool Ledger::conserves_value() const {
   Amount balances = 0;
   for (const auto& [id, info] : accounts_) balances += info.head().balance;
-  return balances + total_pending() == supply_;
+  const Amount pending = total_pending();
+  return pending == pending_total_ && balances + pending == supply_;
 }
 
 }  // namespace dlt::lattice

@@ -105,7 +105,7 @@ class Ledger {
   /// "A representative's weight is calculated as the sum of all balances
   /// for accounts that chose this representative."
   Amount weight_of(const crypto::AccountId& representative) const;
-  Amount total_weight() const;  // == supply minus pending amounts
+  Amount total_weight() const;  // == supply minus pending amounts, O(1)
 
   // ---- Conflict resolution support (§IV-B) --------------------------------
   /// Removes `hash` and everything depending on it (later blocks in its
@@ -155,7 +155,8 @@ class Ledger {
   };
   StorageBreakdown storage() const;
 
-  /// Invariant check: balances + pending == supply (tests).
+  /// Invariant check: balances + pending == supply, and the running
+  /// pending sum behind total_weight() equals a rescan (tests).
   bool conserves_value() const;
 
  private:
@@ -184,6 +185,7 @@ class Ledger {
   std::unordered_map<crypto::AccountId, AccountInfo> accounts_;
   std::unordered_map<BlockHash, BlockLocation> locations_;
   std::unordered_map<BlockHash, PendingInfo> pending_;
+  Amount pending_total_ = 0;  // sum of pending_ amounts, kept in step
   // Claimed sends: send hash -> (claiming block hash, original info);
   // needed to restore pending entries on rollback.
   std::unordered_map<BlockHash, std::pair<BlockHash, PendingInfo>> claimed_;

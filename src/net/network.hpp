@@ -20,7 +20,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/msg_type.hpp"
@@ -28,6 +27,7 @@
 #include "obs/probe.hpp"
 #include "sim/simulation.hpp"
 #include "support/bytes.hpp"
+#include "support/flat_map.hpp"
 #include "support/rng.hpp"
 
 namespace dlt::net {
@@ -124,8 +124,8 @@ class Network {
   // reaches half the window the older generation is dropped. Rotation
   // order depends only on the insertion sequence, so it is deterministic.
   struct GossipDedup {
-    std::unordered_set<std::uint64_t> cur;
-    std::unordered_set<std::uint64_t> prev;
+    support::FlatSet<std::uint64_t> cur;
+    support::FlatSet<std::uint64_t> prev;
   };
   struct NodeState {
     std::function<void(const Message&)> handler;

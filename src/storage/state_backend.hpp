@@ -14,11 +14,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_set>
 
 #include "storage/config.hpp"
 #include "storage/frame.hpp"
 #include "support/bytes.hpp"
+#include "support/flat_map.hpp"
 
 namespace dlt::storage {
 
@@ -46,7 +46,7 @@ class StateBackend {
   void append_frame(std::uint8_t tag, const Hash256& key, ByteView payload);
 
   std::optional<FrameFile> file_;  // disk mode only
-  std::unordered_set<Hash256> live_;
+  support::FlatSet<Hash256> live_;
   std::uint64_t physical_ = kFileHeaderBytes;
 };
 

@@ -244,6 +244,74 @@ TEST_F(UtxoMempoolTest, CascadeEvictionDropsChainedChild) {
   EXPECT_EQ(pool.pending_bytes(), rich.serialized_size());
 }
 
+TEST_F(UtxoMempoolTest, CascadeEvictionDropsThreeDeepChains) {
+  // Evicting a parent recurses into its child and from there into the
+  // grandchild, whose removal erases claims while the child's eviction is
+  // still under way: a child id read back from the claim table after those
+  // erases, instead of copied out, may have moved. Each round adds 32
+  // parent -> child -> grandchild chains to a capped pool, then evicts
+  // every parent by replace-by-fee. The chains go in bottom-up, so a
+  // grandchild's claim is older than its child's and erasing it can shift
+  // the child's. Whether it does depends on where the txids hash, so the
+  // rounds sign with 64 different seeds.
+  constexpr std::uint32_t kChains = 32;
+  UtxoTransaction mint;
+  for (std::uint32_t i = 0; i < kChains; ++i)
+    mint.outputs.push_back(TxOut{100'000, keys[i % 4].account_id()});
+  const TxId wide_mint = mint.id();
+  utxo.apply_transaction(mint);
+
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(testing::Message() << "signing seed " << seed);
+    Rng signer(seed);
+    const auto pay = [&](const Outpoint& from, std::size_t owner,
+                         Amount value, std::size_t to) {
+      UtxoTransaction tx;
+      tx.inputs.push_back(TxIn{from, 0, {}});
+      tx.outputs.push_back(TxOut{value, keys[to].account_id()});
+      tx.sign_all({keys[owner]}, signer);
+      return tx;
+    };
+
+    UtxoMempool capped;
+    std::vector<TxId> evicted;
+    capped.set_evict_handler(
+        [&](const UtxoTransaction& tx) { evicted.push_back(tx.id()); });
+    capped.set_capacity(1 << 20);  // a capped pool runs replace-by-fee
+    std::vector<TxId> expected;
+    for (std::uint32_t i = 0; i < kChains; ++i) {
+      const auto parent = pay(Outpoint{wide_mint, i}, i % 4, 99'800, 1);
+      UtxoSet with_parent = utxo;  // each descendant sees its ancestors
+      with_parent.apply_transaction(parent);
+      const auto child = pay(Outpoint{parent.id(), 0}, 1, 99'600, 2);
+      UtxoSet with_child = with_parent;
+      with_child.apply_transaction(child);
+      const auto grandchild = pay(Outpoint{child.id(), 0}, 2, 99'400, 3);
+      ASSERT_TRUE(capped.add(grandchild, with_child, 1).ok());
+      ASSERT_TRUE(capped.add(child, with_parent, 1).ok());
+      ASSERT_TRUE(capped.add(parent, utxo, 1).ok());
+      expected.insert(expected.end(),
+                      {grandchild.id(), child.id(), parent.id()});
+    }
+    ASSERT_EQ(capped.size(), 3u * kChains);
+
+    std::uint64_t replacement_bytes = 0;
+    std::vector<TxId> replacements;
+    for (std::uint32_t i = 0; i < kChains; ++i) {
+      // Fee 1,000 against the parent's 200, at the parent's size.
+      const auto replacement = pay(Outpoint{wide_mint, i}, i % 4, 99'000, 0);
+      ASSERT_TRUE(capped.add(replacement, utxo, 1).ok()) << "chain " << i;
+      replacement_bytes += replacement.serialized_size();
+      replacements.push_back(replacement.id());
+    }
+
+    ASSERT_EQ(evicted, expected);  // grandchild, child, parent per chain
+    ASSERT_EQ(capped.size(), replacements.size());
+    for (const TxId& id : replacements) ASSERT_TRUE(capped.contains(id));
+    ASSERT_EQ(capped.pending_bytes(), replacement_bytes);
+  }
+}
+
 class AccountMempoolTest : public ::testing::Test {
  protected:
   AccountMempoolTest() : keys(make_keys(3)), rng(2) {

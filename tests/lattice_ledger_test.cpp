@@ -207,6 +207,36 @@ TEST_F(LedgerTest, RollbackReceiveRestoresPending) {
   EXPECT_TRUE(ledger.conserves_value());
 }
 
+TEST_F(LedgerTest, TotalWeightFollowsPendingThroughApplyAndRollback) {
+  // total_weight() reads a running pending sum; each step that changes
+  // the pending table must move it by the same amount as a rescan.
+  const auto check = [&](const char* step, Amount weight) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(ledger.total_weight(), ledger.supply() - ledger.total_pending());
+    EXPECT_EQ(ledger.total_weight(), weight);
+    EXPECT_TRUE(ledger.conserves_value());
+  };
+  check("genesis", 1'000'000);
+  LatticeBlock send = b.send(genesis, alice.account_id(), 300);
+  ASSERT_TRUE(ledger.process(send).ok());
+  check("send", 999'700);
+  LatticeBlock open = b.open(alice, send.hash(), 300, alice.account_id());
+  ASSERT_TRUE(ledger.process(open).ok());
+  check("open", 1'000'000);
+  LatticeBlock send2 = b.send(genesis, alice.account_id(), 200);
+  ASSERT_TRUE(ledger.process(send2).ok());
+  check("second send", 999'800);
+  LatticeBlock recv = b.receive(alice, send2.hash(), 200);
+  ASSERT_TRUE(ledger.process(recv).ok());
+  check("receive", 1'000'000);
+  ASSERT_TRUE(ledger.rollback(recv.hash()).ok());
+  check("rollback re-exposes the second send", 999'800);
+  ASSERT_TRUE(ledger.rollback(send2.hash()).ok());
+  check("rollback of the second send", 1'000'000);
+  ASSERT_TRUE(ledger.rollback(send.hash()).ok());  // cascades through open
+  check("cascading rollback of the first send", 1'000'000);
+}
+
 TEST_F(LedgerTest, RollbackCascadesThroughClaims) {
   // Roll back genesis' send after alice already opened with it: the open
   // (a dependent block in another chain) must unwind first.

@@ -35,8 +35,12 @@
 # engine must hold >= 2x events/sec over the embedded legacy scheduler;
 # on a CPU with SHA-NI, SHA-256 through the CPUID-dispatched compress
 # must hold >= 3x the portable compress's MB/s (a skip line otherwise);
-# and the mean tangle attach time at 15,000-16,000 transactions must stay
-# within 2x the mean at 1,000-2,000 (attach cost independent of size).
+# the mean tangle attach time at 15,000-16,000 transactions must stay
+# within 2x the mean at 1,000-2,000 (attach cost independent of size);
+# and support::FlatSet's per-op time for foreign keys beside 36,000
+# outpoint-shaped residents (one txid, index in bytes 0-3) must stay within
+# 2x the time beside 36,000 random digests (the table indexes by the high
+# bits of a Fibonacci product; low-bit indexing reads ~240x here).
 # --latency runs a traced cluster bench end-to-end through the
 # observability pipeline: DLT_TRACE trace -> tools/trace_plot.py Gantt +
 # CDF outputs (must be non-empty), plus a direction check that
@@ -327,6 +331,16 @@ print(f"tangle attach ({attach['size']} txs): {attach['early_us']:.2f} us "
       f"early, {attach['late_us']:.2f} us late, late/early {growth:.2f}")
 if growth > 2.0:
     sys.exit(f"FAIL: tangle attach late/early {growth:.2f}, above the 2.0 gate")
+EOF
+  python3 - "$perfdir/BENCH_hotpath.json" <<'EOF'
+import json, sys
+flat = json.load(open(sys.argv[1]))["flat_hash"]
+ratio = flat["ratio"]
+print(f"flat hash, foreign keys beside 36,000 residents: "
+      f"{flat['structured_ns']:.1f} ns/op outpoint-shaped, "
+      f"{flat['random_ns']:.1f} ns/op random, structured/random {ratio:.2f}")
+if ratio > 2.0:
+    sys.exit(f"FAIL: flat hash structured/random {ratio:.2f}, above the 2.0 gate")
 EOF
   rm -rf "$perfdir"
   echo "=== [perf] OK ==="
