@@ -32,7 +32,7 @@ Ledger::Ledger(LatticeParams params, const crypto::AccountId& genesis_account,
   info.chain.push_back(genesis_);
   info.cemented_height = 1;  // the genesis transaction is irreversible
   accounts_.emplace(genesis_account, std::move(info));
-  locations_.emplace(genesis_.hash(), BlockLocation{genesis_account, 0});
+  locations_.try_emplace(genesis_.hash(), BlockLocation{genesis_account, 0});
   weights_[genesis_representative] += supply;
   block_count_ = 1;
 }
@@ -180,14 +180,14 @@ Status Ledger::process(const LatticeBlock& block) {
 void Ledger::apply_validated(const LatticeBlock& block, const BlockHash& hash) {
   if (block.type == BlockType::kOpen) {
     auto pend = pending_.find(block.link);
-    claimed_.emplace(block.link, std::make_pair(hash, pend->second));
+    claimed_.try_emplace(block.link, hash, pend->second);
     pending_total_ -= pend->second.amount;
     pending_.erase(pend);
 
     AccountInfo info;
     info.chain.push_back(block);
     accounts_.emplace(block.account, std::move(info));
-    locations_.emplace(hash, BlockLocation{block.account, 0});
+    locations_.try_emplace(hash, BlockLocation{block.account, 0});
     apply_weight_change({}, 0, block.representative, block.balance);
   } else {
     AccountInfo& info = accounts_.at(block.account);
@@ -200,14 +200,14 @@ void Ledger::apply_validated(const LatticeBlock& block, const BlockHash& hash) {
       pending_total_ += amount;
     } else if (block.type == BlockType::kReceive) {
       auto pend = pending_.find(block.link);
-      claimed_.emplace(block.link, std::make_pair(hash, pend->second));
+      claimed_.try_emplace(block.link, hash, pend->second);
       pending_total_ -= pend->second.amount;
       pending_.erase(pend);
     }
 
     apply_weight_change(head.representative, head.balance,
                         block.representative, block.balance);
-    locations_.emplace(hash, BlockLocation{block.account, info.height()});
+    locations_.try_emplace(hash, BlockLocation{block.account, info.height()});
     info.chain.push_back(block);
   }
   ++block_count_;
@@ -314,10 +314,13 @@ Status Ledger::rollback_one(const BlockHash& hash,
 
     if (top.type == BlockType::kSend) {
       // A send's funds may already be claimed elsewhere; that claim (and
-      // everything above it) must unwind first -- cascading rollback.
+      // everything above it) must unwind first -- cascading rollback. The
+      // claimant is copied out: the recursion erases from claimed_, whose
+      // backward shift may move this entry.
       auto claim = claimed_.find(top_hash);
       if (claim != claimed_.end()) {
-        Status st = rollback_one(claim->second.first, removed);
+        const BlockHash claimant = claim->second.first;
+        Status st = rollback_one(claimant, removed);
         if (!st.ok()) return st;
       }
       auto pend = pending_.find(top_hash);

@@ -12,6 +12,7 @@
 
 #include "lattice/block.hpp"
 #include "storage/ledger_store.hpp"
+#include "support/flat_map.hpp"
 #include "support/result.hpp"
 
 namespace dlt::lattice {
@@ -183,12 +184,12 @@ class Ledger {
   Amount supply_;
 
   std::unordered_map<crypto::AccountId, AccountInfo> accounts_;
-  std::unordered_map<BlockHash, BlockLocation> locations_;
+  support::FlatMap<BlockHash, BlockLocation> locations_;
   std::unordered_map<BlockHash, PendingInfo> pending_;
   Amount pending_total_ = 0;  // sum of pending_ amounts, kept in step
   // Claimed sends: send hash -> (claiming block hash, original info);
   // needed to restore pending entries on rollback.
-  std::unordered_map<BlockHash, std::pair<BlockHash, PendingInfo>> claimed_;
+  support::FlatMap<BlockHash, std::pair<BlockHash, PendingInfo>> claimed_;
   std::unordered_map<crypto::AccountId, Amount> weights_;
   std::uint64_t block_count_ = 0;
   std::uint64_t pruned_blocks_ = 0;

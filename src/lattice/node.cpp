@@ -196,7 +196,7 @@ void LatticeNode::process_block(const LatticeBlock& block,
 
 void LatticeNode::after_applied(const LatticeBlock& block) {
   const BlockHash hash = block.hash();
-  candidates_.emplace(hash, block);
+  candidates_.try_emplace(hash, block);
 
   // Representatives vote automatically on blocks they have not seen
   // before (paper §IV-B).
@@ -328,10 +328,10 @@ void LatticeNode::tally_confirmation(const BlockHash& hash,
 void LatticeNode::start_or_join_election(const LatticeBlock& incoming) {
   const Root root = root_of(incoming);
   const bool known_candidate = candidates_.count(incoming.hash()) != 0;
-  candidates_.emplace(incoming.hash(), incoming);
+  candidates_.try_emplace(incoming.hash(), incoming);
 
   auto existing = ledger_.block_at_root(root);
-  if (existing) candidates_.emplace(existing->hash(), *existing);
+  if (existing) candidates_.try_emplace(existing->hash(), *existing);
 
   // A candidate we have already adjudicated must not reopen the election
   // (re-gossiped conflict blocks would otherwise ping-pong elections
@@ -383,16 +383,19 @@ void LatticeNode::finish_election(const Root& root) {
   auto current = ledger_.block_at_root(root);
   if (current && current->hash() == leader->first) return;  // kept ours
 
-  auto winner = candidates_.find(leader->first);
-  if (winner == candidates_.end()) return;
+  auto found = candidates_.find(leader->first);
+  if (found == candidates_.end()) return;
+  // A copy: after_applied() inserts into candidates_ (directly and through
+  // the gap retries it runs), and a growing insert moves every entry.
+  const LatticeBlock winner = found->second;
 
   if (current) {
     auto removed = ledger_.rollback(current->hash());
     if (!removed) return;  // cemented; cannot switch
     conf_stats_.elections_lost_rollbacks += removed->size();
   }
-  if (ledger_.process(winner->second).ok()) {
-    after_applied(winner->second);
+  if (ledger_.process(winner).ok()) {
+    after_applied(winner);
   }
 }
 

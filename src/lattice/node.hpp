@@ -10,13 +10,13 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "lattice/ledger.hpp"
 #include "lattice/voting.hpp"
 #include "net/network.hpp"
 #include "obs/probe.hpp"
+#include "support/flat_map.hpp"
 #include "support/stats.hpp"
 
 namespace dlt::obs {
@@ -150,15 +150,15 @@ class LatticeNode {
 
   // Conflict elections by root, plus candidate blocks by hash.
   std::unordered_map<Root, Election> elections_;
-  std::unordered_map<BlockHash, LatticeBlock> candidates_;
+  support::FlatMap<BlockHash, LatticeBlock> candidates_;
 
   // Vote-weight tally per block for confirmation; votes arriving before
   // their block are buffered.
-  std::unordered_map<BlockHash, std::unordered_map<crypto::AccountId, Amount>>
+  support::FlatMap<BlockHash, support::FlatMap<crypto::AccountId, Amount>>
       confirmation_votes_;
-  std::unordered_set<BlockHash> confirmed_;
-  std::unordered_map<BlockHash, std::vector<Vote>> vote_buffer_;
-  std::unordered_map<BlockHash, double> first_seen_;
+  support::FlatSet<BlockHash> confirmed_;
+  support::FlatMap<BlockHash, std::vector<Vote>> vote_buffer_;
+  support::FlatMap<BlockHash, double> first_seen_;
   std::uint64_t vote_sequence_ = 1;
 
   ConfirmationStats conf_stats_;

@@ -6,17 +6,20 @@
 namespace dlt::lattice {
 
 Hash256 Vote::sighash() const {
-  Writer w;
-  w.fixed(representative);
-  w.fixed(root.account);
-  w.fixed(root.previous);
-  w.fixed(block);
-  w.u64(sequence);
-  return crypto::tagged_hash("dlt/lattice-vote",
-                             ByteView{w.bytes().data(), w.size()});
+  return sighash_memo_.get([this] {
+    Writer w;
+    w.fixed(representative);
+    w.fixed(root.account);
+    w.fixed(root.previous);
+    w.fixed(block);
+    w.u64(sequence);
+    return crypto::tagged_hash("dlt/lattice-vote",
+                               ByteView{w.bytes().data(), w.size()});
+  });
 }
 
 void Vote::sign(const crypto::KeyPair& key, Rng& rng) {
+  invalidate_digests();
   representative = key.account_id();
   pubkey = key.public_key();
   signature = key.sign(sighash().view(), rng);

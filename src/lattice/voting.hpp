@@ -12,6 +12,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "crypto/digest_cache.hpp"
 #include "crypto/keys.hpp"
 #include "lattice/block.hpp"
 #include "support/result.hpp"
@@ -26,13 +27,22 @@ struct Vote {
   std::uint64_t pubkey = 0;
   crypto::Signature signature{};
 
+  /// Memoized: a gossiped vote is one shared object, so every replica
+  /// after the first reads the digest back. Writing a signed field after
+  /// a call requires an explicit invalidate_digests(); sign() does it.
   Hash256 sighash() const;
+
+  /// Drops the memoized sighash.
+  void invalidate_digests() { sighash_memo_.invalidate(); }
   void sign(const crypto::KeyPair& key, Rng& rng);
   /// A shared crypto::SignatureCache skips repeat verifications (votes are
   /// gossiped to every node, so all but the first check hit).
   bool verify(crypto::SignatureCache* sigcache = nullptr) const;
 
   static constexpr std::size_t kSerializedSize = 32 + 64 + 32 + 8 + 24;
+
+ private:
+  crypto::DigestCache sighash_memo_;
 };
 
 /// Per-root tally. Tracks each representative's latest vote only, so a

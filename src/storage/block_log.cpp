@@ -136,7 +136,7 @@ std::optional<Bytes> BlockLog::read(RecordType type, const Hash256& key) const {
 void BlockLog::for_each(const std::function<void(RecordType, const Hash256&,
                                                  ByteView)>& fn) const {
   if (!disk_) return;
-  std::vector<const std::pair<const CatalogKey, Entry>*> live;
+  std::vector<const decltype(catalog_)::value_type*> live;
   live.reserve(catalog_.size());
   for (const auto& kv : catalog_) live.push_back(&kv);
   std::sort(live.begin(), live.end(), [](const auto* a, const auto* b) {
@@ -154,8 +154,9 @@ std::uint64_t BlockLog::compact() {
   // Snapshot the live set in append-sequence order (deterministic), then
   // rebuild fresh segments from it. Only disk mode has payloads to copy;
   // the record lengths alone drive the same arithmetic in memory mode.
-  std::vector<std::pair<CatalogKey, Entry>> live(catalog_.begin(),
-                                                 catalog_.end());
+  std::vector<decltype(catalog_)::value_type> live;
+  live.reserve(catalog_.size());
+  for (const auto& kv : catalog_) live.push_back(kv);
   std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
     return a.second.seq < b.second.seq;
   });

@@ -32,12 +32,12 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/config.hpp"
 #include "storage/frame.hpp"
 #include "support/bytes.hpp"
+#include "support/flat_map.hpp"
 
 namespace dlt::storage {
 
@@ -146,7 +146,8 @@ class BlockLog {
   /// segment is in memory mode.
   std::vector<std::uint64_t> segments_;
   std::vector<FrameFile> files_;  // disk mode: one per segment
-  std::unordered_map<CatalogKey, Entry, CatalogKeyHash> catalog_;
+  /// Slot order is arbitrary: for_each() and compact() sort by `seq`.
+  support::FlatMap<CatalogKey, Entry, CatalogKeyHash> catalog_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t physical_bytes_ = 0;
   std::size_t recovered_records_ = 0;

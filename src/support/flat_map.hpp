@@ -1,5 +1,8 @@
-// FlatMap: an open-addressing hash table for the hot lookup tables (UTXO
-// set, mempool claims, state-arena key set, signature cache, gossip dedup).
+// FlatMap: an open-addressing hash table for the hot lookup tables: the
+// UTXO set, mempool claims, state-arena key set, signature cache, gossip
+// dedup, block-log catalog, the lattice ledger's block locations and
+// claimed sends, and the lattice node's candidates, vote tallies,
+// confirmed set, vote buffer and first-seen times.
 //
 // std::unordered_map walks a bucket's node list, re-hashing each visited
 // node to test bucket membership, and divides by a prime on every probe.
@@ -19,7 +22,10 @@
 // and erase history: use FlatMap only where nothing depends on that order.
 // Any insert may move every entry (growth) and any erase may move its
 // neighbours (backward shift), so both invalidate every reference and
-// iterator. A moved-from table is empty and usable.
+// iterator. For the same reason the key and value arguments of
+// try_emplace() and operator[] must not refer into the table: growth
+// moves every entry before the new one is built. A moved-from table is
+// empty and usable.
 #pragma once
 
 #include <bit>

@@ -103,7 +103,31 @@ TEST(Vote, SignVerifyAndTamper) {
   v.sign(rep, rng);
   EXPECT_TRUE(v.verify());
   v.block.v[0] ^= 1;
+  v.invalidate_digests();  // direct field writes bypass the sighash memo
   EXPECT_FALSE(v.verify());
+}
+
+TEST(Vote, ResignAfterFieldWriteSignsTheNewContent) {
+  // sign() must drop the memo before it hashes: a vote re-signed after a
+  // field write signs (and memoizes) its new content, not the old digest.
+  Rng rng(4);
+  auto rep = crypto::KeyPair::from_seed(10);
+  Vote v;
+  v.root = Root{crypto::KeyPair::from_seed(1).account_id(), {}};
+  v.block = crypto::Sha256::digest(as_bytes("candidate"));
+  v.sequence = 7;
+  v.sign(rep, rng);
+  const Hash256 first = v.sighash();
+
+  v.sequence = 8;
+  v.sign(rep, rng);
+  EXPECT_TRUE(v.verify());
+
+  Vote recomputed = v;
+  recomputed.invalidate_digests();
+  EXPECT_EQ(v.sighash(), recomputed.sighash());
+  EXPECT_NE(v.sighash(), first);
+  EXPECT_TRUE(recomputed.verify());
 }
 
 }  // namespace

@@ -193,6 +193,85 @@ TEST_F(LatticeNetTest, ForkResolvedByWeightedVote) {
             1u);
 }
 
+TEST_F(LatticeNetTest, ElectionAdoptionAppliesParkedSuccessor) {
+  // A node that applied the losing side of a fork already holds a
+  // successor of the winner in its gap pool. When the election times out
+  // and finish_election() adopts the winner, the gap retry must apply that
+  // successor too. The node's history is sized so that the successor's
+  // candidates_ insert grows the table: 12 earlier blocks plus both fork
+  // candidates fill 16 slots to their 7/8 load limit of 14.
+  LatticeNode& a = add_node();  // genesis representative
+  LatticeNode& b = add_node();
+  LatticeNode& x = add_node();  // applies the loser
+  a.add_account(genesis_key);
+  connect_all();
+  const auto carol = crypto::KeyPair::from_seed(4);
+  const auto dave = crypto::KeyPair::from_seed(5);  // a rep no node runs
+
+  // 600k of the supply goes to carol, who delegates it to dave. Dave never
+  // votes, so a's remaining ~400k is a plurality but never a quorum: the
+  // fork below is decided by timeout, not by tally_confirmation().
+  auto to_carol = a.send(genesis_key, carol.account_id(), 600'000);
+  ASSERT_TRUE(to_carol.ok());
+  sim.run_until(sim.now() + 0.5);
+  Rng rng(21);
+  testutil::Builder blocks{a.ledger(), rng, cheap_params().work_bits};
+  ASSERT_TRUE(
+      a.publish(blocks.open(carol, *to_carol, 600'000, dave.account_id()))
+          .ok());
+  sim.run_until(sim.now() + 0.5);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(a.send(genesis_key, alice.account_id(), 1).ok());
+    sim.run_until(sim.now() + 0.2);
+  }
+  for (LatticeNode* n : {&a, &b, &x})
+    ASSERT_EQ(n->ledger().block_count(), 13u);  // genesis + 12
+
+  // Two sends on the same root: x applies `loser` alone, while a and b
+  // apply `winner` and a builds `successor` on top of it.
+  LatticeBlock loser = blocks.send(genesis_key, alice.account_id(), 5);
+  LatticeBlock winner = blocks.send(genesis_key, bob.account_id(), 7);
+  net.set_partitions({{a.id(), b.id()}, {x.id()}});
+  ASSERT_TRUE(x.publish(loser).ok());
+  ASSERT_TRUE(a.publish(winner).ok());
+  auto successor = a.send(genesis_key, alice.account_id(), 1);
+  ASSERT_TRUE(successor.ok());
+  sim.run_until(sim.now() + 0.5);
+  ASSERT_TRUE(b.ledger().contains(*successor));
+
+  // The successor reaches x before the winner does: x parks it.
+  auto succ_block = a.ledger().find_block(*successor);
+  ASSERT_TRUE(succ_block.has_value());
+  ASSERT_TRUE(x.publish(*succ_block).ok());
+  sim.run_until(sim.now() + 0.5);
+  ASSERT_TRUE(x.ledger().contains(loser.hash()));
+  ASSERT_FALSE(x.ledger().contains(*successor));
+  ASSERT_EQ(x.gap_pool_size(), 1u);
+
+  // Heal and hand x the winner: a fork, so x opens an election that a's
+  // vote leads without reaching quorum.
+  net.heal();
+  net.send(a.id(), x.id(),
+           net::make_message("lat-block", winner, winner.serialized_size()));
+  sim.run_until(sim.now() + 1.0);
+  EXPECT_EQ(x.active_elections(), 1u);
+  EXPECT_FALSE(x.is_confirmed(winner.hash()));
+  sim.run_until(sim.now() + cheap_params().election_duration + 2.0);
+
+  EXPECT_EQ(x.active_elections(), 0u);
+  EXPECT_GE(x.confirmations().elections_lost_rollbacks, 1u);
+  EXPECT_FALSE(x.ledger().contains(loser.hash()));
+  EXPECT_TRUE(x.ledger().contains(winner.hash()));
+  EXPECT_TRUE(x.ledger().contains(*successor)) << "gap retried on adoption";
+  EXPECT_EQ(x.gap_pool_size(), 0u);
+  for (LatticeNode* n : {&a, &b, &x}) {
+    EXPECT_EQ(n->ledger().head_of(genesis_key.account_id()), *successor);
+    EXPECT_EQ(n->ledger().block_count(), 15u);
+    EXPECT_EQ(n->ledger().pending().size(), 12u);
+    EXPECT_TRUE(n->ledger().conserves_value());
+  }
+}
+
 TEST_F(LatticeNetTest, CurrentNodePrunesAutomatically) {
   LatticeNodeConfig current;
   current.role = NodeRole::kCurrent;

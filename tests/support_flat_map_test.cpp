@@ -1,11 +1,15 @@
 // FlatMap (support/flat_map.hpp) against std::unordered_map: seeded random
 // operation sequences over the three key shapes the simulator stores, with
-// size and contents compared after every step.
+// size and contents compared after every step. Mapped values are either a
+// plain word or a vector that owns heap memory, as the lattice node's vote
+// buffer and nested vote tallies do, so growth, backward-shift erase and
+// destruction also run on values with non-trivial moves and destructors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -56,11 +60,29 @@ std::vector<std::uint64_t> gossip_ids(std::size_t n, std::uint64_t) {
   return ids;
 }
 
-template <typename K>
-using Ref = std::unordered_map<K, std::uint64_t>;
+/// A mapped type that owns heap memory.
+using Words = std::vector<std::uint64_t>;
 
-template <typename K>
-void expect_same(const FlatMap<K, std::uint64_t>& flat, const Ref<K>& ref) {
+/// A fresh value built from one random word: a vector of one to four
+/// copies of it, so entries own buffers of different sizes.
+template <typename V>
+V make_value(std::uint64_t word) {
+  if constexpr (std::is_same_v<V, Words>)
+    return Words(1 + word % 4, word);
+  else
+    return word;
+}
+
+/// Changes a value in place through operator[]: a vector grows (and
+/// reallocates now and then), a word accumulates.
+void grow(std::uint64_t& value, std::uint64_t word) { value += word; }
+void grow(Words& value, std::uint64_t word) { value.push_back(word); }
+
+template <typename K, typename V = std::uint64_t>
+using Ref = std::unordered_map<K, V>;
+
+template <typename K, typename V>
+void expect_same(const FlatMap<K, V>& flat, const Ref<K, V>& ref) {
   ASSERT_EQ(flat.size(), ref.size());
   ASSERT_EQ(flat.empty(), ref.empty());
   std::size_t visited = 0;
@@ -79,23 +101,23 @@ void expect_same(const FlatMap<K, std::uint64_t>& flat, const Ref<K>& ref) {
 }
 
 /// One random operation on both tables over keys drawn from `keys`.
-template <typename K>
-void step(Rng& rng, const std::vector<K>& keys,
-          FlatMap<K, std::uint64_t>& flat, Ref<K>& ref) {
+template <typename K, typename V>
+void step(Rng& rng, const std::vector<K>& keys, FlatMap<K, V>& flat,
+          Ref<K, V>& ref) {
   const K& key = keys[rng.uniform(keys.size())];
   const std::uint64_t value = rng.next();
   switch (rng.uniform(6)) {
     case 0: {
-      auto [it, inserted] = flat.try_emplace(key, value);
-      auto [rit, rinserted] = ref.try_emplace(key, value);
+      auto [it, inserted] = flat.try_emplace(key, make_value<V>(value));
+      auto [rit, rinserted] = ref.try_emplace(key, make_value<V>(value));
       ASSERT_EQ(inserted, rinserted);
       ASSERT_EQ(it->first, key);
       ASSERT_EQ(it->second, rit->second);
       break;
     }
     case 1:
-      flat[key] += value;
-      ref[key] += value;
+      grow(flat[key], value);
+      grow(ref[key], value);
       break;
     case 2: {
       auto it = flat.find(key);
@@ -129,15 +151,15 @@ void step(Rng& rng, const std::vector<K>& keys,
 /// after each. A pool of 14 keys never fills a 16-slot table past 7/8, so
 /// it stays at the minimum capacity, where probe runs wrap past the last
 /// slot all the time.
-template <typename K>
+template <typename K, typename V = std::uint64_t>
 void run_differential(std::vector<K> (*make_keys)(std::size_t, std::uint64_t),
                       std::size_t pool, int steps) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE(testing::Message() << "pool " << pool << " seed " << seed);
     const std::vector<K> keys = make_keys(pool, seed);
     Rng rng(seed * 7919);
-    FlatMap<K, std::uint64_t> flat;
-    Ref<K> ref;
+    FlatMap<K, V> flat;
+    Ref<K, V> ref;
     for (int i = 0; i < steps; ++i) {
       step(rng, keys, flat, ref);
       expect_same(flat, ref);
@@ -162,6 +184,56 @@ TEST(FlatMap, GenesisShapedKeysMatchUnorderedMap) {
 TEST(FlatMap, SequentialIdsMatchUnorderedMap) {
   for (std::size_t pool : {14u, 40u, 600u})
     run_differential<std::uint64_t>(&gossip_ids, pool, 3000);
+}
+
+TEST(FlatMap, HeapOwningValuesMatchUnorderedMap) {
+  for (std::size_t pool : {14u, 40u, 600u}) {
+    run_differential<Hash256, Words>(&random_digests, pool, 3000);
+    run_differential<Hash256, Words>(&genesis_keys, pool, 3000);
+    run_differential<std::uint64_t, Words>(&gossip_ids, pool, 3000);
+  }
+}
+
+TEST(FlatMap, HeapOwningValuesSurviveCopyAndMove) {
+  const std::vector<Hash256> keys = random_digests(300, 17);
+  Rng rng(19);
+  FlatMap<Hash256, Words> flat;
+  Ref<Hash256, Words> ref;
+  for (int i = 0; i < 1500; ++i) step(rng, keys, flat, ref);
+  ASSERT_GT(ref.size(), 100u);
+
+  // A copy owns its own buffers: driving it leaves the original alone.
+  FlatMap<Hash256, Words> copy = flat;
+  Ref<Hash256, Words> ref_copy = ref;
+  for (int i = 0; i < 1500; ++i) {
+    step(rng, keys, copy, ref_copy);
+    expect_same(copy, ref_copy);
+    if (HasFatalFailure()) return;
+  }
+  expect_same(flat, ref);
+
+  // Move-construction, then move-assignment over a full table.
+  FlatMap<Hash256, Words> moved = std::move(flat);
+  expect_same(moved, ref);
+  EXPECT_TRUE(flat.empty());  // NOLINT(bugprone-use-after-move)
+  copy = std::move(moved);
+  expect_same(copy, ref);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+
+  // Copy-assignment over a full table; then both sides keep going.
+  FlatMap<Hash256, Words> target;
+  Ref<Hash256, Words> ref_target;
+  for (int i = 0; i < 500; ++i) step(rng, keys, target, ref_target);
+  ASSERT_FALSE(ref_target.empty());
+  target = copy;
+  ref_target = ref;
+  for (int i = 0; i < 1500; ++i) {
+    step(rng, keys, target, ref_target);
+    step(rng, keys, copy, ref);
+    expect_same(target, ref_target);
+    expect_same(copy, ref);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(FlatMap, MovedFromTableIsEmptyAndReusable) {
