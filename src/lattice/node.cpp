@@ -383,19 +383,16 @@ void LatticeNode::finish_election(const Root& root) {
   auto current = ledger_.block_at_root(root);
   if (current && current->hash() == leader->first) return;  // kept ours
 
-  auto found = candidates_.find(leader->first);
-  if (found == candidates_.end()) return;
-  // A copy: after_applied() inserts into candidates_ (directly and through
-  // the gap retries it runs), and a growing insert moves every entry.
-  const LatticeBlock winner = found->second;
+  auto winner = candidates_.find(leader->first);
+  if (winner == candidates_.end()) return;
 
   if (current) {
     auto removed = ledger_.rollback(current->hash());
     if (!removed) return;  // cemented; cannot switch
     conf_stats_.elections_lost_rollbacks += removed->size();
   }
-  if (ledger_.process(winner).ok()) {
-    after_applied(winner);
+  if (ledger_.process(winner->second).ok()) {
+    after_applied(winner->second);
   }
 }
 

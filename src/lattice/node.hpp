@@ -148,9 +148,12 @@ class LatticeNode {
   std::unordered_map<BlockHash, std::vector<LatticeBlock>> gap_previous_;
   std::unordered_map<BlockHash, std::vector<LatticeBlock>> gap_source_;
 
-  // Conflict elections by root, plus candidate blocks by hash.
+  // Conflict elections by root, plus candidate blocks by hash. Node-based
+  // on purpose: each entry is a whole block and none is ever erased, and
+  // finish_election() hands after_applied() a reference into it while the
+  // gap retries insert more (DESIGN.md "Hash containers").
   std::unordered_map<Root, Election> elections_;
-  support::FlatMap<BlockHash, LatticeBlock> candidates_;
+  std::unordered_map<BlockHash, LatticeBlock> candidates_;
 
   // Vote-weight tally per block for confirmation; votes arriving before
   // their block are buffered.

@@ -136,30 +136,29 @@ std::optional<Bytes> BlockLog::read(RecordType type, const Hash256& key) const {
 void BlockLog::for_each(const std::function<void(RecordType, const Hash256&,
                                                  ByteView)>& fn) const {
   if (!disk_) return;
-  std::vector<const decltype(catalog_)::value_type*> live;
-  live.reserve(catalog_.size());
-  for (const auto& kv : catalog_) live.push_back(&kv);
-  std::sort(live.begin(), live.end(), [](const auto* a, const auto* b) {
-    return a->second.seq < b->second.seq;
-  });
-  for (const auto* kv : live) {
-    const Bytes payload = read_at(kv->second);
-    fn(kv->first.type, kv->first.key, payload);
+  for (const auto& [ck, e] : live_in_order()) {
+    const Bytes payload = read_at(e);
+    fn(ck.type, ck.key, payload);
   }
 }
 
-std::uint64_t BlockLog::compact() {
-  const std::uint64_t before = physical_bytes_;
-
-  // Snapshot the live set in append-sequence order (deterministic), then
-  // rebuild fresh segments from it. Only disk mode has payloads to copy;
-  // the record lengths alone drive the same arithmetic in memory mode.
-  std::vector<decltype(catalog_)::value_type> live;
+std::vector<BlockLog::Catalog::value_type> BlockLog::live_in_order() const {
+  std::vector<Catalog::value_type> live;
   live.reserve(catalog_.size());
   for (const auto& kv : catalog_) live.push_back(kv);
   std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
     return a.second.seq < b.second.seq;
   });
+  return live;
+}
+
+std::uint64_t BlockLog::compact() {
+  const std::uint64_t before = physical_bytes_;
+
+  // Snapshot the live set, then rebuild fresh segments from it. Only disk
+  // mode has payloads to copy; the record lengths alone drive the same
+  // arithmetic in memory mode.
+  const auto live = live_in_order();
   std::vector<Bytes> payloads;
   if (disk_) {
     payloads.reserve(live.size());

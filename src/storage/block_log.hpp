@@ -77,7 +77,9 @@ class BlockLog {
   std::optional<Bytes> read(RecordType type, const Hash256& key) const;
 
   /// Disk mode only: visits every live record in append-sequence order —
-  /// the replay order for recovery. Visits nothing in memory mode.
+  /// the replay order for recovery. Visits nothing in memory mode. The
+  /// live set is copied before the first call, so `fn` may append to or
+  /// erase from this log; it must not compact it.
   void for_each(const std::function<void(RecordType, const Hash256&,
                                          ByteView)>& fn) const;
 
@@ -122,6 +124,8 @@ class BlockLog {
     std::uint32_t payload_len;
     std::uint64_t seq;  // append sequence, for deterministic iteration
   };
+  /// Slot order is arbitrary: for_each() and compact() sort by `seq`.
+  using Catalog = support::FlatMap<CatalogKey, Entry, CatalogKeyHash>;
 
   void open_fresh();
   void recover();
@@ -134,6 +138,8 @@ class BlockLog {
   /// Disk mode: writes the frame just placed into the last segment.
   void write(RecordType type, const Hash256& key, ByteView payload);
   Bytes read_at(const Entry& e) const;
+  /// A copy of the catalog in append-sequence order (deterministic).
+  std::vector<Catalog::value_type> live_in_order() const;
   /// Deletes every seg-NNNNNN.dlog with NNNNNN >= `first`; returns the
   /// bytes they held.
   std::uint64_t remove_segment_files(std::uint32_t first);
@@ -146,8 +152,7 @@ class BlockLog {
   /// segment is in memory mode.
   std::vector<std::uint64_t> segments_;
   std::vector<FrameFile> files_;  // disk mode: one per segment
-  /// Slot order is arbitrary: for_each() and compact() sort by `seq`.
-  support::FlatMap<CatalogKey, Entry, CatalogKeyHash> catalog_;
+  Catalog catalog_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t physical_bytes_ = 0;
   std::size_t recovered_records_ = 0;

@@ -1,8 +1,8 @@
 // FlatMap: an open-addressing hash table for the hot lookup tables: the
 // UTXO set, mempool claims, state-arena key set, signature cache, gossip
 // dedup, block-log catalog, the lattice ledger's block locations and
-// claimed sends, and the lattice node's candidates, vote tallies,
-// confirmed set, vote buffer and first-seen times.
+// claimed sends, and the lattice node's vote tallies, confirmed set,
+// vote buffer and first-seen times.
 //
 // std::unordered_map walks a bucket's node list, re-hashing each visited
 // node to test bucket membership, and divides by a prime on every probe.

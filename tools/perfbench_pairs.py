@@ -2,15 +2,18 @@
 """Alternating perfbench pairs: parent checkout against change checkout.
 
     tools/perfbench_pairs.py --parent DIR --change DIR --workload W \\
-        --seeds 1-10 --seconds 28 [--json OUT]
+        --seeds 1-10
     tools/perfbench_pairs.py --selftest
 
 Each pair runs `python3 perfbench/run.py --trace 0` once in each checkout
-on one seed, back to back; even pairs run the parent first and odd pairs
-the change first, so half the pairs are change-first. One short run per
-side first builds its dltbench binary (each checkout under its own
-.bench_build; CARGO_TARGET_DIR is dropped so the two never share a build
-tree) and warms the page cache; it is not counted.
+on one seed, back to back, for the change checkout's BENCHMARK.json
+`run_seconds` on both sides. The seed picks the order: the parent runs
+first on even seeds and the change on odd ones, so any run of
+consecutive seeds is half change-first, however it is split across
+invocations. One short run per side first builds its dltbench binary
+(each checkout under its own .bench_build; CARGO_TARGET_DIR is dropped
+so the two never share a build tree) and warms the page cache; it is not
+counted. Every pair's values are printed as it finishes.
 
 For every end-to-end metric in the change checkout's BENCHMARK.json it
 prints each side's median and quartiles, how many pairs the change won
@@ -30,8 +33,8 @@ prints each side's median and quartiles, how many pairs the change won
 It also compares the failed share of operations and counts runs whose
 result says `correct: false`. Exit status: 0 when no metric is WORSE and
 the change fails no larger share and has no more incorrect runs, 1
-otherwise, 2 when a run produced no result. The tool only reads BENCHMARK.json and runs
-perfbench/run.py; it changes neither.
+otherwise, 2 when a run produced no result. The tool only reads
+BENCHMARK.json and runs perfbench/run.py; it changes neither.
 """
 
 import argparse
@@ -58,14 +61,13 @@ def parse_seeds(text):
     return seeds
 
 
-def pair_order(index):
-    """Which side runs first in pair `index`: the parent on even pairs."""
-    return SIDES if index % 2 == 0 else SIDES[::-1]
+def pair_order(seed):
+    """Which side runs first on `seed`: the parent on even seeds."""
+    return SIDES if seed % 2 == 0 else SIDES[::-1]
 
 
-def end_to_end_spec(checkout):
-    spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
-    return spec["end_to_end"]
+def benchmark_spec(checkout):
+    return json.loads((Path(checkout) / "BENCHMARK.json").read_text())
 
 
 def parse_result(stdout):
@@ -181,7 +183,8 @@ def report(workload, rows, pairs, out=sys.stdout):
 
 
 def run_pairs(args):
-    spec = end_to_end_spec(args.change)
+    benchmark = benchmark_spec(args.change)
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     for side in SIDES:
         if run_side(checkouts[side], args.workload, 1, 1, short=True) is None:
@@ -190,10 +193,9 @@ def run_pairs(args):
             return 2
     pairs = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
-        pair = {"seed": seed, "first": pair_order(i)[0]}
-        for side in pair_order(i):
-            result = run_side(checkouts[side], args.workload, seed,
-                              args.seconds)
+        pair = {"seed": seed, "first": pair_order(seed)[0]}
+        for side in pair_order(seed):
+            result = run_side(checkouts[side], args.workload, seed, seconds)
             if result is None:
                 print("perfbench_pairs: %s seed %d gave no result" %
                       (side, seed), file=sys.stderr)
@@ -208,10 +210,6 @@ def run_pairs(args):
                                  fmt(pair["change"]["metrics"][m["name"]]
                                      ["value"]))
                 for m in spec)), flush=True)
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"workload": args.workload, "seconds": args.seconds,
-             "pairs": pairs}, indent=1))
     return report(args.workload, summarize(spec, pairs), pairs)
 
 
@@ -231,7 +229,7 @@ def selftest():
         {"name": "rss", "unit": "MB", "better": "lower", "bound": 0.1},
     ]
     assert parse_seeds("1-3,7") == [1, 2, 3, 7]
-    orders = [pair_order(i) for i in range(10)]
+    orders = [pair_order(seed) for seed in range(1, 11)]
     assert sum(o[0] == "change" for o in orders) == 5
     assert all(o[0] != n[0] for o, n in zip(orders, orders[1:]))
     assert parse_result("# banner\nnot json") is None
@@ -276,9 +274,6 @@ def main(argv=None):
     ap.add_argument("--workload", help="a BENCHMARK.json workload name")
     ap.add_argument("--seeds", default="1-10",
                     help="one pair per seed: '1-10', '1,3,5' (default 1-10)")
-    ap.add_argument("--seconds", type=int, default=28,
-                    help="run length, the same on both sides (default 28)")
-    ap.add_argument("--json", help="also write every run's result here")
     ap.add_argument("--selftest", action="store_true",
                     help="check the summary on canned result lines and exit")
     args = ap.parse_args(argv)
